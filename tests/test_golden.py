@@ -1,0 +1,119 @@
+"""Golden digests: the exact bytes of a small `simulate` run, the noise
+stream, and the random choices of every solver.
+
+The other tests check properties, which a silent change of the noise stream
+or of a solver's random choices still passes.  These pin the outputs
+themselves.  When a change moves one of them on purpose (a new noise
+stream, say), re-pin the value here and record the change in CHANGES.md.
+"""
+import hashlib
+
+import numpy as np
+import pytest
+
+from noisysubmax.cli import main
+from noisysubmax.matroids import PartitionMatroid, UniformMatroid, contract
+from noisysubmax.meta import MetaConfig, best_of_T, meta_solve
+from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
+                               PersistentNoisyOracle, ShiftedExponential)
+from noisysubmax.oracles import ExactOracle
+from noisysubmax.random_instances import random_coverage, random_cut
+from noisysubmax.sets import GroundSet
+from noisysubmax.setfn import Modular
+from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
+                                 RandomSubset, run_solver)
+
+SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
+SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faac0d"
+
+
+def test_simulate_csv_digest(tmp_path):
+    out = tmp_path / "golden.csv"
+    assert main(SIMULATE_ARGS + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
+
+
+# n=70, so the masks span two 64-bit words.  The parameters make negative
+# draws common, so that clamp_negative changes the vector.
+WIDE_N = 70
+WIDE_MASKS = [(k * 0x9E3779B97F4A7C15F39CC0605CEDC835) % (1 << WIDE_N) for k in range(32)]
+DISTRIBUTIONS = {
+    "gaussian": Gaussian(4.0),
+    "bounded_uniform": BoundedUniform(1.5),
+    "shifted_exponential": ShiftedExponential(0.5),
+}
+MULTIPLIER_SHA256 = {
+    ("bounded_uniform", False): "f6597ca9e7edb73e0307885b44efbba95e306c67bbe5430ec47450390df950c5",
+    ("bounded_uniform", True): "1c8b2138f201d447cb197458a6d179cc031dab1d9d06a47427644a56ad1c758d",
+    ("gaussian", False): "b6d6fad36a2d5120964c85f9aa2d3052008c1f24d82169c0e2cd92de00db4cd4",
+    ("gaussian", True): "c33868073f74ef06f75f3540c51f9fae8923360e24bf99dfdb99c3c59d38fd11",
+    ("shifted_exponential", False): "a4798d7a0b84a3fd416beae069709755c8f4de5546144ece83b9a211975e6df3",
+    ("shifted_exponential", True): "8e0db453a5cd7c222086c50892996f3a609e96f8215bf11bd00319666c865e34",
+}
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+@pytest.mark.parametrize("name", sorted(DISTRIBUTIONS))
+def test_multiplier_vector_digest(name, clamp):
+    noise = NoiseSpec(DISTRIBUTIONS[name], clamp_negative=clamp)
+    oracle = PersistentNoisyOracle(Modular((1.0,) * WIDE_N), noise, master_seed=20251021)
+    values = [oracle.multiplier_mask(mask) for mask in WIDE_MASKS]
+    assert (min(values) >= 0.0) == clamp
+    digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == MULTIPLIER_SHA256[name, clamp]
+
+
+SOLVER_CONFIGS = (
+    Greedy(),
+    DoubleGreedy(),
+    MeasuredContinuousGreedy(step=0.25, partial_samples=4),
+    MeasuredContinuousGreedy(step=0.25, exact_extension=True),
+    RandomSubset(size=4),
+)
+# One row per function and matroid: the solution mask of each entry of
+# SOLVER_CONFIGS on the exact oracle, then meta_solve and best_of_T on the
+# noisy oracle.
+SOLUTION_MASKS = {
+    "coverage/uniform": (0xD41, 0x01F, 0x944, 0xA90, 0x324, 0xD04, 0x01D),
+    "coverage/partition": (0xC49, 0x313, 0x914, 0x98C, 0x017, 0x82A, 0x314),
+    "coverage/contracted": (0xC08, 0x302, 0x108, 0x908, 0xD10, 0x402, 0x300),
+    "cut/uniform": (0x83A, 0x29A, 0x81A, 0x109, 0x213, 0x102, 0x04B),
+    "cut/partition": (0xA1A, 0x94C, 0xC19, 0x919, 0x544, 0x80A, 0x21C),
+    "cut/contracted": (0xC02, 0x304, 0x108, 0x904, 0x416, 0x208, 0x204),
+}
+
+
+def _problems():
+    n = 12
+    ground = GroundSet(n)
+    rng = np.random.default_rng(2025)
+    functions = {
+        "coverage": (random_coverage(n, rng), NoiseSpec(BoundedUniform(0.5))),
+        "cut": (random_cut(n, rng), NoiseSpec(ShiftedExponential(2.0))),
+    }
+    partition = PartitionMatroid(ground, parts=(0x00F, 0x0F0, 0xF00), caps=(2, 1, 2))
+    matroids = {
+        "uniform": UniformMatroid(ground, 5),
+        "partition": partition,
+        "contracted": contract(partition, ground.subset([0, 5])),
+    }
+    for i, (fname, (fn, noise)) in enumerate(functions.items()):
+        for j, (mname, matroid) in enumerate(matroids.items()):
+            yield f"{fname}/{mname}", fn, noise, matroid, (i, j)
+
+
+def test_solution_masks():
+    got = {}
+    for label, fn, noise, matroid, key in _problems():
+        masks = []
+        exact = ExactOracle(fn)
+        for k, cfg in enumerate(SOLVER_CONFIGS):
+            rng = np.random.default_rng([*key, k])
+            masks.append(run_solver(cfg, exact, matroid, rng).mask)
+        noisy = PersistentNoisyOracle(fn, noise, master_seed=7 + key[1])
+        cfg = MetaConfig(h=2, t=1, m=2, inner=Greedy(), matroid=matroid)
+        masks.append(meta_solve(noisy, cfg, np.random.default_rng([*key, 100])).mask)
+        cfg = MetaConfig(h=2, t=1, m=2, inner=DoubleGreedy(), matroid=matroid)
+        masks.append(best_of_T(noisy, cfg, 3, np.random.default_rng([*key, 101])).mask)
+        got[label] = tuple(masks)
+    assert got == SOLUTION_MASKS
