@@ -14,6 +14,13 @@ import numpy as np
 from .sets import ElementSet, GroundSet, mask_members, popcount_array
 
 
+# Each matroid answers independence for one mask (`indep_mask`) and for an
+# array of uint64 masks (`indep_masks`, n <= 63), and gives its rank, its
+# capacity groups and its free elements.  `groups()` lists the tight
+# constraint families as (group mask, capacity) pairs restricted to the free
+# elements: a mask of free elements is independent iff it meets every group
+# in at most its capacity.  Polytope checks and rounding rely on that.
+
 @dataclass(frozen=True)
 class UniformMatroid:
     """Independent iff |S| <= rank."""
@@ -24,6 +31,21 @@ class UniformMatroid:
     def __post_init__(self):
         if not 0 <= self.r <= self.ground.n:
             raise ValueError(f"rank {self.r} outside [0, {self.ground.n}]")
+
+    def indep_mask(self, mask: int) -> bool:
+        return mask.bit_count() <= self.r
+
+    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
+        return popcount_array(masks) <= self.r
+
+    def rank(self) -> int:
+        return self.r
+
+    def groups(self) -> list[tuple[int, int]]:
+        return [(self.ground.full_mask, self.r)]
+
+    def free_elements(self) -> list[int]:
+        return list(range(self.ground.n))
 
 
 @dataclass(frozen=True)
@@ -51,6 +73,24 @@ class PartitionMatroid:
             if not 0 <= c <= p.bit_count():
                 raise ValueError(f"cap {c} invalid for part of size {p.bit_count()}")
 
+    def indep_mask(self, mask: int) -> bool:
+        return all((mask & p).bit_count() <= c for p, c in zip(self.parts, self.caps))
+
+    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
+        ok = np.ones(masks.shape, dtype=bool)
+        for p, c in zip(self.parts, self.caps):
+            ok &= popcount_array(masks & np.uint64(p)) <= c
+        return ok
+
+    def rank(self) -> int:
+        return sum(self.caps)
+
+    def groups(self) -> list[tuple[int, int]]:
+        return list(zip(self.parts, self.caps))
+
+    def free_elements(self) -> list[int]:
+        return list(range(self.ground.n))
+
 
 @dataclass(frozen=True)
 class ContractedMatroid:
@@ -61,59 +101,49 @@ class ContractedMatroid:
     pinned: ElementSet
 
     def __post_init__(self):
-        if not _indep_mask(self.base, self.pinned.mask):
+        if not self.base.indep_mask(self.pinned.mask):
             raise ValueError("pinned set must be independent in the base matroid")
 
     @property
     def ground(self) -> GroundSet:
         return self.base.ground
 
+    def indep_mask(self, mask: int) -> bool:
+        h = self.pinned.mask
+        return mask & h == 0 and self.base.indep_mask(mask | h)
+
+    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
+        h = np.uint64(self.pinned.mask)
+        return ((masks & h) == 0) & self.base.indep_masks(masks | h)
+
+    def rank(self) -> int:
+        return self.base.rank() - len(self.pinned)
+
+    def groups(self) -> list[tuple[int, int]]:
+        h = self.pinned.mask
+        return [(g & ~h, c - (g & h).bit_count()) for g, c in self.base.groups()]
+
+    def free_elements(self) -> list[int]:
+        return mask_members(self.ground.full_mask & ~self.pinned.mask)
+
 
 Matroid = Union[UniformMatroid, PartitionMatroid, ContractedMatroid]
-
-
-def _indep_mask(m: Matroid, mask: int) -> bool:
-    if isinstance(m, UniformMatroid):
-        return mask.bit_count() <= m.r
-    if isinstance(m, PartitionMatroid):
-        return all((mask & p).bit_count() <= c for p, c in zip(m.parts, m.caps))
-    if isinstance(m, ContractedMatroid):
-        h = m.pinned.mask
-        return mask & h == 0 and _indep_mask(m.base, mask | h)
-    raise TypeError(f"unknown matroid: {type(m)!r}")
 
 
 def is_independent(m: Matroid, s: ElementSet) -> bool:
     if s.ground.n != m.ground.n:
         raise ValueError("set and matroid over different ground sets")
-    return _indep_mask(m, s.mask)
+    return m.indep_mask(s.mask)
 
 
 def independent_mask_array(m: Matroid, masks: np.ndarray) -> np.ndarray:
     """Vectorized independence over an array of masks (n <= 63)."""
-    masks = masks.astype(np.uint64)
-    if isinstance(m, UniformMatroid):
-        return popcount_array(masks) <= m.r
-    if isinstance(m, PartitionMatroid):
-        ok = np.ones(masks.shape, dtype=bool)
-        for p, c in zip(m.parts, m.caps):
-            ok &= popcount_array(masks & np.uint64(p)) <= c
-        return ok
-    if isinstance(m, ContractedMatroid):
-        h = np.uint64(m.pinned.mask)
-        return ((masks & h) == 0) & independent_mask_array(m.base, masks | h)
-    raise TypeError(f"unknown matroid: {type(m)!r}")
+    return m.indep_masks(masks.astype(np.uint64))
 
 
 def rank(m: Matroid) -> int:
     """Common size of all maximal independent sets."""
-    if isinstance(m, UniformMatroid):
-        return m.r
-    if isinstance(m, PartitionMatroid):
-        return sum(m.caps)
-    if isinstance(m, ContractedMatroid):
-        return rank(m.base) - len(m.pinned)
-    raise TypeError(f"unknown matroid: {type(m)!r}")
+    return m.rank()
 
 
 def arbitrary_basis(m: Matroid) -> ElementSet:
@@ -121,7 +151,7 @@ def arbitrary_basis(m: Matroid) -> ElementSet:
     mask = 0
     for i in range(m.ground.n):
         cand = mask | (1 << i)
-        if _indep_mask(m, cand):
+        if m.indep_mask(cand):
             mask = cand
     return ElementSet(m.ground, mask)
 
@@ -142,33 +172,10 @@ def max_weight_independent_set(m: Matroid, weights) -> ElementSet:
         if weights[i] <= 0:
             break
         cand = mask | (1 << i)
-        if _indep_mask(m, cand):
+        if m.indep_mask(cand):
             mask = cand
     return ElementSet(m.ground, mask)
 
 
 def contract(m: Matroid, pinned: ElementSet) -> ContractedMatroid:
     return ContractedMatroid(m, pinned)
-
-
-def group_capacities(m: Matroid) -> list[tuple[int, int]]:
-    """Tight constraint families as (group mask, capacity) pairs, restricted
-    to the free elements.  Used by polytope membership checks and rounding."""
-    if isinstance(m, UniformMatroid):
-        return [(m.ground.full_mask, m.r)]
-    if isinstance(m, PartitionMatroid):
-        return [(p, c) for p, c in zip(m.parts, m.caps)]
-    if isinstance(m, ContractedMatroid):
-        h = m.pinned.mask
-        out = []
-        for g, c in group_capacities(m.base):
-            out.append((g & ~h, c - (g & h).bit_count()))
-        return out
-    raise TypeError(f"unknown matroid: {type(m)!r}")
-
-
-def free_elements(m: Matroid) -> list[int]:
-    """Elements that may appear in an independent set."""
-    if isinstance(m, ContractedMatroid):
-        return mask_members(m.ground.full_mask & ~m.pinned.mask)
-    return list(range(m.ground.n))

@@ -32,6 +32,10 @@ class Gaussian:
     def sub_exponential_params(self) -> tuple[float, float]:
         return (math.sqrt(self.sigma2), 0.0)
 
+    def draw(self, u_open: float, u_half: float) -> float:
+        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(_TWO_PI * u_half)
+        return 1.0 + math.sqrt(self.sigma2) * z
+
 
 @dataclass(frozen=True)
 class BoundedUniform:
@@ -44,6 +48,9 @@ class BoundedUniform:
         # bounded in an interval of width 2a
         return (2.0 * self.halfwidth, 0.0)
 
+    def draw(self, u_open: float, u_half: float) -> float:
+        return 1.0 - self.halfwidth + 2.0 * self.halfwidth * u_half
+
 
 @dataclass(frozen=True)
 class ShiftedExponential:
@@ -54,6 +61,9 @@ class ShiftedExponential:
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
         return (2.0 / self.rate, 2.0 / self.rate)
+
+    def draw(self, u_open: float, u_half: float) -> float:
+        return 1.0 - 1.0 / self.rate - math.log(u_open) / self.rate
 
 
 NoiseDistribution = Union[Gaussian, BoundedUniform, ShiftedExponential]
@@ -80,40 +90,35 @@ class NoiseSpec:
         nu, alpha = self.sub_exponential_params
         return max(nu, alpha)
 
-
-def _multiplier_from_uniforms(spec: NoiseSpec, u_open: float, u_half: float) -> float:
-    """Map uniforms (u_open in (0,1], u_half in [0,1)) to one multiplier draw."""
-    d = spec.distribution
-    if isinstance(d, Gaussian):
-        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(_TWO_PI * u_half)
-        xi = 1.0 + math.sqrt(d.sigma2) * z
-    elif isinstance(d, BoundedUniform):
-        xi = 1.0 - d.halfwidth + 2.0 * d.halfwidth * u_half
-    elif isinstance(d, ShiftedExponential):
-        xi = 1.0 - 1.0 / d.rate - math.log(u_open) / d.rate
-    else:
-        raise TypeError(f"unknown noise distribution: {type(d)!r}")
-    if spec.clamp_negative and xi < 0.0:
-        return 0.0
-    return xi
+    def multiplier(self, u_open: float, u_half: float) -> float:
+        """Map uniforms (u_open in (0,1], u_half in [0,1)) to one multiplier draw."""
+        xi = self.distribution.draw(u_open, u_half)
+        if self.clamp_negative and xi < 0.0:
+            return 0.0
+        return xi
 
 
 def sample_multiplier(spec: NoiseSpec, stream: np.random.Generator) -> float:
     """One multiplier draw from an ordinary RNG stream."""
     u1, u2 = stream.random(2)
-    return _multiplier_from_uniforms(spec, 1.0 - u1, u2)
+    return spec.multiplier(1.0 - u1, u2)
 
 
 class PersistentNoisyOracle(ValueOracle):
     """f-tilde(S) = xi_S * f(S) with unbiased, per-set-independent,
-    query-persistent multipliers keyed by (master_seed, set bits)."""
+    query-persistent multipliers keyed by (master_seed, set bits).
+
+    The master seed is the 8-byte hash key, so it must lie in [0, 2^64).
+    """
 
     def __init__(self, base: SetFunctionSpec, noise: NoiseSpec, master_seed: int):
         self.base = base
         self.noise = noise
         self.master_seed = int(master_seed)
+        if not 0 <= self.master_seed < 1 << 64:
+            raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
         self.ground = ground_of(base)
-        self._key = (self.master_seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        self._key = self.master_seed.to_bytes(8, "little")
         self._width = (self.ground.n + 7) // 8
         self.query_counter = 0
 
@@ -124,12 +129,8 @@ class PersistentNoisyOracle(ValueOracle):
         bits = int.from_bytes(digest, "little")
         u_open = ((bits & ((1 << 53) - 1)) + 1) * _INV_2_53
         u_half = ((bits >> 53) & ((1 << 53) - 1)) * _INV_2_53
-        return _multiplier_from_uniforms(self.noise, u_open, u_half)
+        return self.noise.multiplier(u_open, u_half)
 
     def value_mask(self, mask: int) -> float:
         self.query_counter += 1
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)
-
-
-def noisy_value(o: PersistentNoisyOracle, s) -> float:
-    return o.value(s)

@@ -20,9 +20,6 @@ class ValueOracle:
             raise ValueError("set over a different ground set than the oracle")
         return self.value_mask(s.mask)
 
-    def marginal(self, s: ElementSet, x: int) -> float:
-        return self.value_mask(s.mask | (1 << x)) - self.value(s)
-
 
 class ExactOracle(ValueOracle):
     def __init__(self, spec: SetFunctionSpec):
@@ -34,14 +31,14 @@ class ExactOracle(ValueOracle):
 
 
 class PerturbedOracle(ValueOracle):
-    """Deterministic eps-approximate oracle: adds ±eps with a sign that is a
-    fixed function of the queried set (so repeated queries agree)."""
+    """Deterministic eps-approximate oracle: adds +eps on sets of even size
+    and -eps on sets of odd size (so repeated queries agree)."""
 
-    def __init__(self, inner: ValueOracle, eps: float, sign_fn=None):
+    def __init__(self, inner: ValueOracle, eps: float):
         self.inner = inner
         self.ground = inner.ground
         self.eps = eps
-        self.sign_fn = sign_fn or (lambda mask: 1.0 if mask.bit_count() % 2 == 0 else -1.0)
 
     def value_mask(self, mask: int) -> float:
-        return self.inner.value_mask(mask) + self.eps * self.sign_fn(mask)
+        sign = 1.0 if mask.bit_count() % 2 == 0 else -1.0
+        return self.inner.value_mask(mask) + self.eps * sign

@@ -3,23 +3,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .setfn import (Coverage, CutFunction, Modular, SetFunctionSpec,
+from .harness import nonnegative_certified
+from .setfn import (Coverage, CutFunction, SetFunctionSpec,
                     WeightedAdditiveQuadratic)
 
 
-def random_modular(n: int, rng: np.random.Generator) -> Modular:
-    return Modular(weights=tuple(float(w) for w in rng.uniform(-2.0, 4.0, size=n)))
-
-
-def random_waq(n: int, rng: np.random.Generator, nonneg: bool = True) -> WeightedAdditiveQuadratic:
-    """Weighted additive with quadratic cost; resamples until non-negative
-    when requested."""
+def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
+    """Weighted additive with quadratic cost; resamples until non-negative."""
     high = 20.0
     cost = (high / 2.0) / n
     while True:
         w = np.sort(rng.uniform(0.0, high, size=n))
-        k = np.arange(1, n + 1)
-        if not nonneg or np.min(np.cumsum(w) - cost * k * k) >= 0.0:
+        if nonnegative_certified(w, cost):
             perm = rng.permutation(n)
             return WeightedAdditiveQuadratic(
                 weights=tuple(float(x) for x in w[perm]), cost=cost)

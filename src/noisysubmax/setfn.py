@@ -7,8 +7,8 @@ dense value table over all 2^n subsets with numpy doubling tricks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Union
+from functools import cached_property
+from typing import Union
 
 import numpy as np
 
@@ -20,59 +20,6 @@ MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WeightedAdditiveQuadratic:
-    """f(S) = sum_{i in S} w_i - cost * |S|^2."""
-
-    weights: tuple[float, ...]
-    cost: float
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-
-@dataclass(frozen=True)
-class Coverage:
-    """Weighted coverage: covers[i] is the bitmask of items element i covers."""
-
-    covers: tuple[int, ...]
-    item_weights: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.covers)
-
-
-@dataclass(frozen=True)
-class CutFunction:
-    """Weighted undirected graph cut: f(S) = sum of edge weights crossing S."""
-
-    n_vertices: int
-    edges: tuple[tuple[int, int, float], ...]
-
-    @property
-    def n(self) -> int:
-        return self.n_vertices
-
-
-@dataclass(frozen=True)
-class Modular:
-    weights: tuple[float, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-
-SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction, Modular]
-
-
-def ground_of(spec: SetFunctionSpec) -> GroundSet:
-    return GroundSet(spec.n)
-
-
-@lru_cache(maxsize=256)
 def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
     """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits."""
     n = len(weights)
@@ -100,29 +47,132 @@ def _mask_weight_sum(mask: int, tables) -> float:
     return total
 
 
-def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
-    """Closed-form value of the subset given by `mask`."""
-    if isinstance(spec, WeightedAdditiveQuadratic):
+def _weight_sum_table(weights) -> np.ndarray:
+    """Sum of the weights of each of the 2^len(weights) subsets, indexed by mask."""
+    wsum = np.zeros(1 << len(weights))
+    for i, w in enumerate(weights):
+        half = 1 << i
+        wsum[half: 2 * half] = wsum[:half] + w
+    return wsum
+
+
+# Each family evaluates one mask in closed form (`value_mask`) and builds
+# its dense table over all 2^n masks (`table`).  The byte tables are built
+# on first use and kept on the instance.
+
+@dataclass(frozen=True)
+class WeightedAdditiveQuadratic:
+    """f(S) = sum_{i in S} w_i - cost * |S|^2."""
+
+    weights: tuple[float, ...]
+    cost: float
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def _tables(self):
+        return _byte_sum_tables(self.weights)
+
+    def value_mask(self, mask: int) -> float:
         k = mask.bit_count()
-        return _mask_weight_sum(mask, _byte_sum_tables(spec.weights)) - spec.cost * k * k
-    if isinstance(spec, Modular):
-        return _mask_weight_sum(mask, _byte_sum_tables(spec.weights))
-    if isinstance(spec, Coverage):
+        return _mask_weight_sum(mask, self._tables) - self.cost * k * k
+
+    def table(self) -> np.ndarray:
+        k = popcount_array(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
+        return _weight_sum_table(self.weights) - self.cost * k * k
+
+
+@dataclass(frozen=True)
+class Coverage:
+    """Weighted coverage: covers[i] is the bitmask of items element i covers."""
+
+    covers: tuple[int, ...]
+    item_weights: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.covers)
+
+    @cached_property
+    def _tables(self):
+        return _byte_sum_tables(self.item_weights)
+
+    def value_mask(self, mask: int) -> float:
         covered = 0
-        covers = spec.covers
+        covers = self.covers
         m = mask
         while m:
             low = m & -m
             covered |= covers[low.bit_length() - 1]
             m ^= low
-        return _mask_weight_sum(covered, _byte_sum_tables(spec.item_weights))
-    if isinstance(spec, CutFunction):
+        return _mask_weight_sum(covered, self._tables)
+
+    def table(self) -> np.ndarray:
+        covered = np.zeros(1 << self.n, dtype=np.uint64)
+        for i, c in enumerate(self.covers):
+            half = 1 << i
+            covered[half: 2 * half] = covered[:half] | np.uint64(c)
+        return _weight_sum_table(self.item_weights)[covered]
+
+
+@dataclass(frozen=True)
+class CutFunction:
+    """Weighted undirected graph cut: f(S) = sum of edge weights crossing S."""
+
+    n_vertices: int
+    edges: tuple[tuple[int, int, float], ...]
+
+    @property
+    def n(self) -> int:
+        return self.n_vertices
+
+    def value_mask(self, mask: int) -> float:
         total = 0.0
-        for u, v, w in spec.edges:
+        for u, v, w in self.edges:
             if ((mask >> u) & 1) != ((mask >> v) & 1):
                 total += w
         return total
-    raise TypeError(f"unknown set function spec: {type(spec)!r}")
+
+    def table(self) -> np.ndarray:
+        masks = np.arange(1 << self.n, dtype=np.uint64)
+        total = np.zeros(1 << self.n)
+        for u, v, w in self.edges:
+            cross = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
+            total += w * cross.astype(np.float64)
+        return total
+
+
+@dataclass(frozen=True)
+class Modular:
+    weights: tuple[float, ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.weights)
+
+    @cached_property
+    def _tables(self):
+        return _byte_sum_tables(self.weights)
+
+    def value_mask(self, mask: int) -> float:
+        return _mask_weight_sum(mask, self._tables)
+
+    def table(self) -> np.ndarray:
+        return _weight_sum_table(self.weights)
+
+
+SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction, Modular]
+
+
+def ground_of(spec: SetFunctionSpec) -> GroundSet:
+    return GroundSet(spec.n)
+
+
+def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
+    """Closed-form value of the subset given by `mask`."""
+    return spec.value_mask(mask)
 
 
 def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
@@ -140,42 +190,17 @@ def marginal(spec: SetFunctionSpec, s: ElementSet, x: int) -> float:
 
 def value_table(spec: SetFunctionSpec) -> np.ndarray:
     """Dense table of f over all 2^n subsets, indexed by mask."""
-    n = spec.n
-    if n > MULTILINEAR_BUDGET:
-        raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
-    size = 1 << n
-    if isinstance(spec, (WeightedAdditiveQuadratic, Modular)):
-        wsum = np.zeros(size)
-        for i, w in enumerate(spec.weights):
-            half = 1 << i
-            wsum[half: 2 * half] = wsum[:half] + w
-        if isinstance(spec, Modular):
-            return wsum
-        k = popcount_array(np.arange(size, dtype=np.uint64)).astype(np.float64)
-        return wsum - spec.cost * k * k
-    if isinstance(spec, Coverage):
-        covered = np.zeros(size, dtype=np.uint64)
-        for i, c in enumerate(spec.covers):
-            half = 1 << i
-            covered[half: 2 * half] = covered[:half] | np.uint64(c)
-        iw = np.zeros(1 << len(spec.item_weights))
-        for j, w in enumerate(spec.item_weights):
-            half = 1 << j
-            iw[half: 2 * half] = iw[:half] + w
-        return iw[covered]
-    if isinstance(spec, CutFunction):
-        masks = np.arange(size, dtype=np.uint64)
-        total = np.zeros(size)
-        for u, v, w in spec.edges:
-            cross = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-            total += w * cross.astype(np.float64)
-        return total
-    raise TypeError(f"unknown set function spec: {type(spec)!r}")
+    if spec.n > MULTILINEAR_BUDGET:
+        raise ValueError(f"n={spec.n} over the enumeration budget {MULTILINEAR_BUDGET}")
+    return spec.table()
 
 
 def _table_of(fn_or_spec, n: int) -> np.ndarray:
-    if isinstance(fn_or_spec, (WeightedAdditiveQuadratic, Coverage, CutFunction, Modular)):
+    """Dense table of a set-function family, or of a callable on ElementSets."""
+    if not callable(fn_or_spec):
         return value_table(fn_or_spec)
+    if n > MULTILINEAR_BUDGET:
+        raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
     ground = GroundSet(n)
     return np.array([fn_or_spec(ElementSet(ground, mask)) for mask in range(1 << n)])
 
@@ -193,16 +218,13 @@ def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, f
     if n <= MULTILINEAR_BUDGET:
         values = value_table(spec)
         if feasible is not None:
-            from .matroids import independent_mask_array
-            masks = np.arange(1 << n, dtype=np.uint64)
-            ok = independent_mask_array(feasible, masks)
+            ok = feasible.indep_masks(np.arange(1 << n, dtype=np.uint64))
             values = np.where(ok, values, -np.inf)
         best_mask = int(np.argmax(values))  # argmax returns the lowest mask on ties
         return ElementSet(ground, best_mask), float(values[best_mask])
-    from .matroids import is_independent
     best_mask, best_val = None, -np.inf
     for mask in range(1 << n):
-        if feasible is not None and not is_independent(feasible, ElementSet(ground, mask)):
+        if feasible is not None and not feasible.indep_mask(mask):
             continue
         v = evaluate_mask(spec, mask)
         if v > best_val:
@@ -276,27 +298,3 @@ def multilinear_partial_exact(fn_or_spec, x: np.ndarray, i: int) -> float:
     lo = x.copy()
     lo[i] = 0.0
     return multilinear_exact(fn_or_spec, hi) - multilinear_exact(fn_or_spec, lo)
-
-
-def multilinear_partial_sampled(value_fn: Callable[[ElementSet], float],
-                                ground: GroundSet, x: np.ndarray, i: int,
-                                samples: int, rng: np.random.Generator) -> float:
-    """Unbiased sampled estimate of the i-th partial derivative.
-
-    Each sample draws R ~ x on the other coordinates and uses
-    f(R+i) - f(R-i).
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    n = ground.n
-    x = _check_point(x, n)
-    total = 0.0
-    for _ in range(samples):
-        draw = rng.random(n) < x
-        mask = 0
-        for j in np.flatnonzero(draw):
-            mask |= 1 << int(j)
-        hi = ElementSet(ground, mask | (1 << i))
-        lo = ElementSet(ground, mask & ~(1 << i))
-        total += value_fn(hi) - value_fn(lo)
-    return total / samples

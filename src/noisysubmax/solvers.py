@@ -8,25 +8,34 @@ from typing import Union
 
 import numpy as np
 
-from .matroids import (Matroid, _indep_mask, free_elements, group_capacities,
-                       rank)
+from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, random_k_subset_mask
-from .setfn import (MULTILINEAR_BUDGET, multilinear_partial_sampled,
-                    _check_point)
+from .setfn import _check_point, _inclusion_probs, _table_of
 
 POLYTOPE_TOL = 1e-9
 RATIO_UNDERFLOW = 1e-12
 
 
+# Each solver config runs itself through `solve(oracle, m, rng)`.  It calls
+# the solver functions below through this module's globals, so a wrapper
+# installed on a module name (as the benchmark's tracer does) sees every call.
+
 @dataclass(frozen=True)
 class Greedy:
-    pass
+    def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
+        return greedy_cardinality(oracle, m, rng)
 
 
 @dataclass(frozen=True)
 class DoubleGreedy:
-    shuffle_order: bool = False  # optional shuffled element order for variance studies
+    def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
+        """Double greedy over the free elements; the matroid is enforced only
+        when it can bind."""
+        universe = oracle.ground.subset(m.free_elements())
+        effective = None if m.rank() >= len(universe) else m
+        return double_greedy(oracle, oracle.ground, rng, universe=universe,
+                             matroid=effective)
 
 
 @dataclass(frozen=True)
@@ -42,10 +51,19 @@ class MeasuredContinuousGreedy:
         if self.partial_samples < 1:
             raise ValueError("partial_samples must be >= 1")
 
+    def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
+        x = measured_continuous_greedy(oracle, m, self, rng)
+        return pipage_round(m, x, rng, oracle)
+
 
 @dataclass(frozen=True)
 class RandomSubset:
     size: int
+
+    def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
+        members = m.free_elements()
+        mask = random_k_subset_mask(members, min(self.size, len(members)), rng)
+        return ElementSet(oracle.ground, mask)
 
 
 SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubset]
@@ -56,12 +74,12 @@ def greedy_cardinality(oracle: ValueOracle, m: Matroid,
     """Greedy: add the best feasible positive marginal each round, ties by id."""
     mask = 0
     current = oracle.value_mask(0)
-    candidates = free_elements(m)
-    for _ in range(rank(m)):
+    candidates = m.free_elements()
+    for _ in range(m.rank()):
         best_gain, best_elem, best_val = 0.0, None, None
         for i in candidates:
             bit = 1 << i
-            if mask & bit or not _indep_mask(m, mask | bit):
+            if mask & bit or not m.indep_mask(mask | bit):
                 continue
             val = oracle.value_mask(mask | bit)
             gain = val - current
@@ -77,8 +95,7 @@ def greedy_cardinality(oracle: ValueOracle, m: Matroid,
 def double_greedy(oracle: ValueOracle, ground: GroundSet,
                   rng: np.random.Generator,
                   universe: ElementSet | None = None,
-                  matroid: Matroid | None = None,
-                  shuffle_order: bool = False) -> ElementSet:
+                  matroid: Matroid | None = None) -> ElementSet:
     """Double greedy: one pass over the elements keeping X ⊆ Y, deciding
     each by the randomized comparison of add/remove marginals.
 
@@ -88,8 +105,6 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
     algorithm when the matroid is free.
     """
     elements = list(universe) if universe is not None else list(range(ground.n))
-    if shuffle_order:
-        elements = [elements[int(i)] for i in rng.permutation(len(elements))]
     x_mask = 0
     y_mask = 0
     for i in elements:
@@ -99,7 +114,7 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
     fy = value(y_mask)
     for u in elements:
         bit = 1 << u
-        if matroid is not None and not _indep_mask(matroid, x_mask | bit):
+        if matroid is not None and not matroid.indep_mask(x_mask | bit):
             # cannot add without breaking feasibility: forced removal
             y_mask &= ~bit
             fy = value(y_mask)
@@ -123,20 +138,11 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
     return ElementSet(ground, x_mask)
 
 
-def _oracle_table(oracle: ValueOracle) -> np.ndarray:
-    n = oracle.ground.n
-    if n > MULTILINEAR_BUDGET:
-        raise ValueError(f"exact extension needs n <= {MULTILINEAR_BUDGET}, got {n}")
-    return np.array([oracle.value_mask(mask) for mask in range(1 << n)])
-
-
 def _exact_partials(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     """All partial derivatives of the multilinear extension of a tabulated
     function, at point x."""
     n = len(x)
-    probs = np.ones(1)
-    for xi in x:
-        probs = np.concatenate([probs * (1.0 - xi), probs * xi])
+    probs = _inclusion_probs(x)
     masks = np.arange(1 << n, dtype=np.int64)
     out = np.empty(n)
     for i in range(n):
@@ -155,14 +161,12 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     which equal (1 - x_i) times the multilinear partial: computed exactly
     when cfg.exact_extension, else sampled with fresh draws per coordinate.
     """
-    from .matroids import max_weight_independent_set
-
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
-    free = free_elements(m)
+    free = m.free_elements()
     free_set = set(free)
-    table = _oracle_table(oracle) if cfg.exact_extension else None
+    table = _table_of(oracle.value, n) if cfg.exact_extension else None
     for _ in range(steps):
         if cfg.exact_extension:
             weights = _exact_partials(table, x) * (1.0 - x)
@@ -207,7 +211,7 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator,
     """
     n = m.ground.n
     x = _check_point(np.asarray(x, dtype=np.float64), n)
-    groups = group_capacities(m)
+    groups = m.groups()
     covered = 0
     for gmask, cap in groups:
         covered |= gmask
@@ -240,9 +244,10 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator,
         for i in idx:
             if x[i] > 0.5:
                 out_mask |= 1 << i
-    result = ElementSet(m.ground, out_mask)
-    assert _indep_mask(m, out_mask)
-    return result
+    if not m.indep_mask(out_mask):
+        raise ValueError("pipage rounding produced a dependent set: "
+                         "the matroid's groups() disagree with its indep_mask")
+    return ElementSet(m.ground, out_mask)
 
 
 def random_subset(ground: GroundSet, k: int, rng: np.random.Generator) -> ElementSet:
@@ -254,21 +259,8 @@ def random_subset(ground: GroundSet, k: int, rng: np.random.Generator) -> Elemen
 
 def run_solver(cfg: SolverConfig, oracle: ValueOracle, m: Matroid,
                rng: np.random.Generator) -> ElementSet:
-    """Dispatch a solver config to a discrete solution."""
-    if isinstance(cfg, Greedy):
-        return greedy_cardinality(oracle, m, rng)
-    if isinstance(cfg, DoubleGreedy):
-        universe = ElementSet(oracle.ground, 0)
-        for i in free_elements(m):
-            universe = universe.add(i)
-        effective = None if rank(m) >= len(universe) else m
-        return double_greedy(oracle, oracle.ground, rng, universe=universe,
-                             matroid=effective, shuffle_order=cfg.shuffle_order)
-    if isinstance(cfg, MeasuredContinuousGreedy):
-        x = measured_continuous_greedy(oracle, m, cfg, rng)
-        return pipage_round(m, x, rng, oracle)
-    if isinstance(cfg, RandomSubset):
-        members = free_elements(m)
-        mask = random_k_subset_mask(members, min(cfg.size, len(members)), rng)
-        return ElementSet(oracle.ground, mask)
-    raise TypeError(f"unknown solver config: {type(cfg)!r}")
+    """Run a solver config to a discrete solution."""
+    solve = getattr(cfg, "solve", None)
+    if solve is None:
+        raise TypeError(f"unknown solver config: {type(cfg)!r}")
+    return solve(oracle, m, rng)

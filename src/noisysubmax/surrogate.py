@@ -8,7 +8,7 @@ lifts from the raw oracle to the surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -22,7 +22,7 @@ from .setfn import SetFunctionSpec, evaluate_mask
 SURROGATE_ENUM_BUDGET = 26
 
 
-def surrogate_exact(spec_or_fn, H: ElementSet, t: int, s: ElementSet) -> float:
+def surrogate_exact(spec: SetFunctionSpec, H: ElementSet, t: int, s: ElementSet) -> float:
     """Average of f(S ∪ H') over all t-subsets H' of H."""
     h = len(H)
     if h > SURROGATE_ENUM_BUDGET:
@@ -30,14 +30,10 @@ def surrogate_exact(spec_or_fn, H: ElementSet, t: int, s: ElementSet) -> float:
     if not 0 <= t <= h:
         raise ValueError(f"invalid subset size t={t} for |H|={h}")
     members = list(H)
-    if callable(spec_or_fn) and not isinstance(spec_or_fn, tuple):
-        value = lambda mask: spec_or_fn(ElementSet(s.ground, mask))
-    else:
-        value = lambda mask: evaluate_mask(spec_or_fn, mask)
     total = 0.0
     count = 0
     for hmask in all_k_subset_masks(members, t):
-        total += value(s.mask | hmask)
+        total += evaluate_mask(spec, s.mask | hmask)
         count += 1
     return total / count
 

@@ -3,7 +3,6 @@ import pytest
 
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
                                   UniformMatroid, arbitrary_basis, contract,
-                                  free_elements, group_capacities,
                                   independent_mask_array, is_independent,
                                   max_weight_independent_set, rank)
 from noisysubmax.sets import ElementSet, GroundSet
@@ -42,7 +41,7 @@ def test_contracted_matroid():
     assert is_independent(m, g.subset([0]))
     assert not is_independent(m, g.subset([1]))  # intersects pinned
     assert not is_independent(m, g.subset([0, 2]))  # pinned + 2 > 3
-    assert sorted(free_elements(m)) == [0, 2, 3, 5]
+    assert sorted(m.free_elements()) == [0, 2, 3, 5]
     with pytest.raises(ValueError):  # pinned dependent in base
         ContractedMatroid(UniformMatroid(g, 1), pinned)
 
@@ -66,9 +65,10 @@ def test_downward_closure_exhaustive():
 def test_independent_mask_array_matches_scalar():
     g = GroundSet(7)
     masks = np.arange(1 << 7, dtype=np.uint64)
-    for m in (UniformMatroid(g, 3),
-              PartitionMatroid(g, parts=(0b0001111, 0b1110000), caps=(2, 1)),
-              contract(UniformMatroid(g, 4), g.subset([0, 5]))):
+    pm = PartitionMatroid(g, parts=(0b0001111, 0b1110000), caps=(2, 1))
+    for m in (UniformMatroid(g, 3), pm,
+              contract(UniformMatroid(g, 4), g.subset([0, 5])),
+              contract(pm, g.subset([1, 6]))):
         vec = independent_mask_array(m, masks)
         for mask in range(1 << 7):
             assert vec[mask] == is_independent(m, ElementSet(g, mask))
@@ -105,11 +105,25 @@ def test_max_weight_independent_set():
 
 def test_group_capacities():
     g = GroundSet(6)
-    assert group_capacities(UniformMatroid(g, 4)) == [(0b111111, 4)]
+    assert UniformMatroid(g, 4).groups() == [(0b111111, 4)]
     pm = PartitionMatroid(g, parts=(0b000111, 0b111000), caps=(2, 1))
-    assert group_capacities(pm) == [(0b000111, 2), (0b111000, 1)]
+    assert pm.groups() == [(0b000111, 2), (0b111000, 1)]
     cm = contract(pm, g.subset([0]))
-    assert group_capacities(cm) == [(0b000110, 1), (0b111000, 1)]
+    assert cm.groups() == [(0b000110, 1), (0b111000, 1)]
+
+
+def test_groups_agree_with_indep_mask():
+    # pipage_round rounds within groups() and relies on this agreement
+    g = GroundSet(7)
+    um = UniformMatroid(g, 3)
+    pm = PartitionMatroid(g, parts=(0b0001111, 0b1110000), caps=(2, 1))
+    for m in (um, pm, contract(um, g.subset([1, 4])), contract(pm, g.subset([0, 6]))):
+        free = g.subset(m.free_elements()).mask
+        for mask in range(1 << 7):
+            if mask & ~free:
+                continue
+            want = all((mask & group).bit_count() <= cap for group, cap in m.groups())
+            assert m.indep_mask(mask) == want
 
 
 def test_ground_mismatch_rejected():

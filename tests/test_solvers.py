@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,10 @@ from noisysubmax.oracles import ExactOracle, PerturbedOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular)
 from noisysubmax.sets import ElementSet, GroundSet
-from noisysubmax.setfn import (Modular, brute_force_opt, evaluate,
+from noisysubmax.setfn import (Modular, _table_of, brute_force_opt, evaluate,
                                multilinear_exact, multilinear_partial_exact)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
-                                 RandomSubset, _exact_partials, _oracle_table,
+                                 RandomSubset, _exact_partials,
                                  double_greedy, greedy_cardinality,
                                  measured_continuous_greedy, pipage_round,
                                  random_subset, run_solver)
@@ -86,19 +88,6 @@ def test_double_greedy_respects_universe():
         assert s.issubset(universe)
 
 
-def test_double_greedy_shuffle_order_still_valid():
-    rng = np.random.default_rng(6)
-    spec = random_submodular(8, rng)
-    _, opt = brute_force_opt(spec)
-    g = GroundSet(8)
-    vals = np.array([
-        evaluate(spec, double_greedy(ExactOracle(spec), g, rng, shuffle_order=True))
-        for _ in range(300)
-    ])
-    se = vals.std(ddof=1) / np.sqrt(len(vals))
-    assert vals.mean() >= 0.5 * opt - 3 * se
-
-
 def test_mcg_config_validation():
     with pytest.raises(ValueError):
         MeasuredContinuousGreedy(step=0.3)
@@ -170,8 +159,8 @@ def test_perturbed_partials_within_2eps():
     eps = 0.05
     perturbed = PerturbedOracle(exact, eps)
     x = rng.uniform(0.1, 0.9, size=7)
-    pa = _exact_partials(_oracle_table(exact), x)
-    pb = _exact_partials(_oracle_table(perturbed), x)
+    pa = _exact_partials(_table_of(exact.value, 7), x)
+    pb = _exact_partials(_table_of(perturbed.value, 7), x)
     assert np.max(np.abs(pa - pb)) <= 2 * eps + 1e-12
 
 
@@ -218,6 +207,22 @@ def test_pipage_polytope_violation_rejected():
     m = UniformMatroid(g, 2)
     with pytest.raises(ValueError):
         pipage_round(m, np.array([0.9, 0.9, 0.9, 0.9]), np.random.default_rng(0))
+
+
+@dataclass(frozen=True)
+class _LooseGroupsMatroid(UniformMatroid):
+    """Inconsistent stub: its groups() allow one element more than indep_mask."""
+
+    def groups(self):
+        return [(self.ground.full_mask, self.r + 1)]
+
+
+def test_pipage_rejects_dependent_result():
+    # a raised exception, not an assert, so the check also runs under python -O
+    g = GroundSet(4)
+    m = _LooseGroupsMatroid(g, 2)
+    with pytest.raises(ValueError, match="dependent"):
+        pipage_round(m, np.array([1.0, 1.0, 1.0, 0.0]), np.random.default_rng(0))
 
 
 def test_pipage_expected_value_dominates_extension():
