@@ -7,22 +7,64 @@ classic greedy for max-weight independent sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
 
 import numpy as np
 
 from .sets import ElementSet, GroundSet, mask_members, popcount_array
 
 
-# Each matroid answers independence for one mask (`indep_mask`) and for an
-# array of uint64 masks (`indep_masks`, n <= 63), and gives its rank, its
-# capacity groups and its free elements.  `groups()` lists the tight
-# constraint families as (group mask, capacity) pairs restricted to the free
-# elements: a mask of free elements is independent iff it meets every group
-# in at most its capacity.  Polytope checks and rounding rely on that.
+# Every matroid here is a partition matroid on its free elements.  `groups()`
+# lists its capacity groups as (group mask, capacity) pairs: disjoint masks
+# whose union is the set of free elements.  A mask is independent iff it has
+# no bit outside the free elements and meets every group in at most its
+# capacity.  A new class defines only its fields, its validation and
+# `groups()`; the base class derives independence (for one mask and for an
+# array of uint64 masks, n <= 63), rank and the free elements from them.
+
+class Matroid:
+    """Base class: independence, rank and free elements from `groups()`."""
+
+    ground: GroundSet
+
+    def groups(self) -> list[tuple[int, int]]:
+        raise NotImplementedError
+
+    @cached_property
+    def _groups(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self.groups())
+
+    @cached_property
+    def free_mask(self) -> int:
+        """Union of the group masks: the elements an independent set may hold."""
+        free = 0
+        for g, _ in self._groups:
+            free |= g
+        return free
+
+    def indep_mask(self, mask: int) -> bool:
+        if mask & ~self.free_mask:
+            return False
+        for g, c in self._groups:
+            if (mask & g).bit_count() > c:
+                return False
+        return True
+
+    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
+        ok = (masks & ~np.uint64(self.free_mask)) == 0
+        for g, c in self._groups:
+            ok &= popcount_array(masks & np.uint64(g)) <= c
+        return ok
+
+    def rank(self) -> int:
+        return sum(c for _, c in self._groups)
+
+    def free_elements(self) -> list[int]:
+        return mask_members(self.free_mask)
+
 
 @dataclass(frozen=True)
-class UniformMatroid:
+class UniformMatroid(Matroid):
     """Independent iff |S| <= rank."""
 
     ground: GroundSet
@@ -32,24 +74,12 @@ class UniformMatroid:
         if not 0 <= self.r <= self.ground.n:
             raise ValueError(f"rank {self.r} outside [0, {self.ground.n}]")
 
-    def indep_mask(self, mask: int) -> bool:
-        return mask.bit_count() <= self.r
-
-    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
-        return popcount_array(masks) <= self.r
-
-    def rank(self) -> int:
-        return self.r
-
     def groups(self) -> list[tuple[int, int]]:
         return [(self.ground.full_mask, self.r)]
 
-    def free_elements(self) -> list[int]:
-        return list(range(self.ground.n))
-
 
 @dataclass(frozen=True)
-class PartitionMatroid:
+class PartitionMatroid(Matroid):
     """Independent iff |S ∩ part_p| <= cap_p for every part.
 
     Parts must partition the ground set.
@@ -73,31 +103,16 @@ class PartitionMatroid:
             if not 0 <= c <= p.bit_count():
                 raise ValueError(f"cap {c} invalid for part of size {p.bit_count()}")
 
-    def indep_mask(self, mask: int) -> bool:
-        return all((mask & p).bit_count() <= c for p, c in zip(self.parts, self.caps))
-
-    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
-        ok = np.ones(masks.shape, dtype=bool)
-        for p, c in zip(self.parts, self.caps):
-            ok &= popcount_array(masks & np.uint64(p)) <= c
-        return ok
-
-    def rank(self) -> int:
-        return sum(self.caps)
-
     def groups(self) -> list[tuple[int, int]]:
         return list(zip(self.parts, self.caps))
 
-    def free_elements(self) -> list[int]:
-        return list(range(self.ground.n))
-
 
 @dataclass(frozen=True)
-class ContractedMatroid:
+class ContractedMatroid(Matroid):
     """Contraction by a pinned independent set H:
     S independent iff S ∩ H = ∅ and S ∪ H independent in the base."""
 
-    base: "Matroid"
+    base: Matroid
     pinned: ElementSet
 
     def __post_init__(self):
@@ -108,37 +123,15 @@ class ContractedMatroid:
     def ground(self) -> GroundSet:
         return self.base.ground
 
-    def indep_mask(self, mask: int) -> bool:
-        h = self.pinned.mask
-        return mask & h == 0 and self.base.indep_mask(mask | h)
-
-    def indep_masks(self, masks: np.ndarray) -> np.ndarray:
-        h = np.uint64(self.pinned.mask)
-        return ((masks & h) == 0) & self.base.indep_masks(masks | h)
-
-    def rank(self) -> int:
-        return self.base.rank() - len(self.pinned)
-
     def groups(self) -> list[tuple[int, int]]:
         h = self.pinned.mask
-        return [(g & ~h, c - (g & h).bit_count()) for g, c in self.base.groups()]
-
-    def free_elements(self) -> list[int]:
-        return mask_members(self.ground.full_mask & ~self.pinned.mask)
-
-
-Matroid = Union[UniformMatroid, PartitionMatroid, ContractedMatroid]
+        return [(g & ~h, c - (g & h).bit_count()) for g, c in self.base._groups]
 
 
 def is_independent(m: Matroid, s: ElementSet) -> bool:
     if s.ground.n != m.ground.n:
         raise ValueError("set and matroid over different ground sets")
     return m.indep_mask(s.mask)
-
-
-def independent_mask_array(m: Matroid, masks: np.ndarray) -> np.ndarray:
-    """Vectorized independence over an array of masks (n <= 63)."""
-    return m.indep_masks(masks.astype(np.uint64))
 
 
 def rank(m: Matroid) -> int:

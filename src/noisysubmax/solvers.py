@@ -10,7 +10,7 @@ import numpy as np
 
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, random_k_subset_mask
+from .sets import ElementSet, GroundSet, mask_members, random_k_subset_mask
 from .setfn import _check_point, _inclusion_probs, _table_of
 
 POLYTOPE_TOL = 1e-9
@@ -32,7 +32,7 @@ class DoubleGreedy:
     def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
         """Double greedy over the free elements; the matroid is enforced only
         when it can bind."""
-        universe = oracle.ground.subset(m.free_elements())
+        universe = ElementSet(oracle.ground, m.free_mask)
         effective = None if m.rank() >= len(universe) else m
         return double_greedy(oracle, oracle.ground, rng, universe=universe,
                              matroid=effective)
@@ -53,16 +53,28 @@ class MeasuredContinuousGreedy:
 
     def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
         x = measured_continuous_greedy(oracle, m, self, rng)
-        return pipage_round(m, x, rng, oracle)
+        return pipage_round(m, x, rng)
 
 
 @dataclass(frozen=True)
 class RandomSubset:
     size: int
 
+    def __post_init__(self):
+        if self.size < 0:
+            raise ValueError(f"size must be >= 0, got {self.size}")
+
     def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
-        members = m.free_elements()
-        mask = random_k_subset_mask(members, min(self.size, len(members)), rng)
+        """Random-order matroid greedy: visit the free elements in a random
+        order and keep each one that leaves the set independent, until
+        `size` are kept; the result has min(size, rank) elements."""
+        mask = kept = 0
+        for i in rng.permutation(m.free_elements()):
+            if kept == self.size:
+                break
+            cand = mask | (1 << int(i))
+            if m.indep_mask(cand):
+                mask, kept = cand, kept + 1
         return ElementSet(oracle.ground, mask)
 
 
@@ -165,7 +177,6 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
     free = m.free_elements()
-    free_set = set(free)
     table = _table_of(oracle.value, n) if cfg.exact_extension else None
     for _ in range(steps):
         if cfg.exact_extension:
@@ -174,10 +185,9 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
             weights = np.zeros(n)
             for i in free:
                 weights[i] = _sampled_marginal_weight(oracle, x, i, cfg.partial_samples, rng)
-        for i in range(n):
-            if i not in free_set:
-                weights[i] = -np.inf
-        direction = max_weight_independent_set(m, np.where(np.isfinite(weights), weights, 0.0))
+        # an element outside the free mask is never independent, so its
+        # weight is never used
+        direction = max_weight_independent_set(m, weights)
         ind = direction.indicator()
         x = x + cfg.step * (1.0 - x) * ind
     return x
@@ -199,33 +209,28 @@ def _sampled_marginal_weight(oracle: ValueOracle, x: np.ndarray, i: int,
     return total / samples
 
 
-def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator,
-                 oracle: ValueOracle | None = None) -> ElementSet:
+def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> ElementSet:
     """Oblivious swap rounding of a matroid polytope point to an independent
     set, preserving coordinate marginals in expectation.
 
     Fractional coordinates are paired within each capacity group and mass
     is transferred randomly until at most one fractional coordinate per
-    group remains; leftovers round independently.  The `oracle` parameter
-    exists only so tests can assert the expected-value guarantee.
+    group remains; leftovers round independently.
     """
     n = m.ground.n
     x = _check_point(np.asarray(x, dtype=np.float64), n)
-    groups = m.groups()
-    covered = 0
-    for gmask, cap in groups:
-        covered |= gmask
-        gsum = sum(x[i] for i in range(n) if (gmask >> i) & 1)
+    members = [(mask_members(gmask), cap) for gmask, cap in m.groups()]
+    for idx, cap in members:
+        gsum = sum(x[i] for i in idx)
         if gsum > cap + POLYTOPE_TOL:
             raise ValueError(f"point outside the matroid polytope: group sum {gsum} > {cap}")
-    for i in range(n):
-        if not (covered >> i) & 1 and x[i] > POLYTOPE_TOL:
+    for i in mask_members(m.ground.full_mask & ~m.free_mask):
+        if x[i] > POLYTOPE_TOL:
             raise ValueError(f"coordinate {i} outside every capacity group must be 0")
 
     x = x.copy()
     out_mask = 0
-    for gmask, cap in groups:
-        idx = [i for i in range(n) if (gmask >> i) & 1]
+    for idx, _ in members:
         frac = [i for i in idx if POLYTOPE_TOL < x[i] < 1.0 - POLYTOPE_TOL]
         while len(frac) >= 2:
             i, j = frac[0], frac[1]

@@ -17,17 +17,18 @@ from noisysubmax.checks import (check_appendix_removal_lemmas,
 from noisysubmax.harness import ExperimentSpec, run_experiment
 from noisysubmax.matroids import PartitionMatroid, UniformMatroid
 from noisysubmax.noise import Gaussian, NoiseSpec, PersistentNoisyOracle
-from noisysubmax.oracles import PerturbedOracle, ValueOracle
+from noisysubmax.oracles import PerturbedOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.sets import ElementSet, GroundSet
-from noisysubmax.setfn import (brute_force_opt, evaluate, multilinear_exact,
-                               value_table)
+from noisysubmax.setfn import brute_force_opt, evaluate, multilinear_exact
 from noisysubmax.solvers import (MeasuredContinuousGreedy, double_greedy,
                                  measured_continuous_greedy, pipage_round)
 from noisysubmax.surrogate import (ParamBudget, SurrogateConfig,
                                    compute_parameters, surrogate_exact,
                                    surrogate_sampled)
+
+from table_oracle import TableOracle
 
 BENCH_TOL = 0.03
 TARGETS_N50 = {"dg_exact": 0.944, "dg_noisy": 0.601, "random": 0.550,
@@ -39,17 +40,6 @@ TARGETS_N100 = {"dg_exact": 0.944, "dg_noisy": 0.565, "random": 0.536,
 def report(name: str, passed: bool, detail: str = ""):
     print(f"{'PASS' if passed else 'FAIL'}  {name}" + (f"  [{detail}]" if detail else ""))
     assert passed, f"{name}: {detail}"
-
-
-class TableOracle(ValueOracle):
-    """Dense-table oracle for fast repeated evaluation in the gate tests."""
-
-    def __init__(self, spec):
-        self.ground = GroundSet(spec.n)
-        self.table = value_table(spec)
-
-    def value_mask(self, mask: int) -> float:
-        return float(self.table[mask])
 
 
 def _benchmark(n: int, targets: dict, budget_s: float, label: str):

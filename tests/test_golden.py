@@ -74,12 +74,12 @@ SOLVER_CONFIGS = (
 # SOLVER_CONFIGS on the exact oracle, then meta_solve and best_of_T on the
 # noisy oracle.
 SOLUTION_MASKS = {
-    "coverage/uniform": (0xD41, 0x01F, 0x944, 0xA90, 0x324, 0xD04, 0x01D),
-    "coverage/partition": (0xC49, 0x313, 0x914, 0x98C, 0x017, 0x82A, 0x314),
-    "coverage/contracted": (0xC08, 0x302, 0x108, 0x908, 0xD10, 0x402, 0x300),
-    "cut/uniform": (0x83A, 0x29A, 0x81A, 0x109, 0x213, 0x102, 0x04B),
-    "cut/partition": (0xA1A, 0x94C, 0xC19, 0x919, 0x544, 0x80A, 0x21C),
-    "cut/contracted": (0xC02, 0x304, 0x108, 0x904, 0x416, 0x208, 0x204),
+    "coverage/uniform": (0xD41, 0x01F, 0x944, 0xA90, 0x704, 0xD04, 0x01D),
+    "coverage/partition": (0xC49, 0x313, 0x914, 0x98C, 0x606, 0x82A, 0x314),
+    "coverage/contracted": (0xC08, 0x302, 0x108, 0x908, 0x302, 0x402, 0x204),
+    "cut/uniform": (0x83A, 0x29A, 0x81A, 0x109, 0x10E, 0x102, 0x04B),
+    "cut/partition": (0xA1A, 0x94C, 0xC19, 0x919, 0x911, 0x80A, 0x21C),
+    "cut/contracted": (0xC02, 0x304, 0x108, 0x904, 0x308, 0x208, 0x204),
 }
 
 

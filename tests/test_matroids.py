@@ -3,8 +3,8 @@ import pytest
 
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
                                   UniformMatroid, arbitrary_basis, contract,
-                                  independent_mask_array, is_independent,
-                                  max_weight_independent_set, rank)
+                                  is_independent, max_weight_independent_set,
+                                  rank)
 from noisysubmax.sets import ElementSet, GroundSet
 
 
@@ -62,14 +62,14 @@ def test_downward_closure_exhaustive():
                     assert is_independent(m, ElementSet(g, sub))
 
 
-def test_independent_mask_array_matches_scalar():
+def test_indep_masks_matches_scalar():
     g = GroundSet(7)
     masks = np.arange(1 << 7, dtype=np.uint64)
     pm = PartitionMatroid(g, parts=(0b0001111, 0b1110000), caps=(2, 1))
     for m in (UniformMatroid(g, 3), pm,
               contract(UniformMatroid(g, 4), g.subset([0, 5])),
               contract(pm, g.subset([1, 6]))):
-        vec = independent_mask_array(m, masks)
+        vec = m.indep_masks(masks)
         for mask in range(1 << 7):
             assert vec[mask] == is_independent(m, ElementSet(g, mask))
 
@@ -124,6 +124,18 @@ def test_groups_agree_with_indep_mask():
                 continue
             want = all((mask & group).bit_count() <= cap for group, cap in m.groups())
             assert m.indep_mask(mask) == want
+
+
+def test_nested_contraction_equals_single_contraction():
+    # the 12-element partition matroid of the golden tests
+    g = GroundSet(12)
+    pm = PartitionMatroid(g, parts=(0x00F, 0x0F0, 0xF00), caps=(2, 1, 2))
+    nested = contract(contract(pm, g.subset([0, 5])), g.subset([1, 8]))
+    single = contract(pm, g.subset([0, 1, 5, 8]))
+    assert nested.free_elements() == single.free_elements()
+    assert nested.rank() == single.rank() == 1
+    for mask in range(1 << 12):
+        assert nested.indep_mask(mask) == single.indep_mask(mask)
 
 
 def test_ground_mismatch_rejected():

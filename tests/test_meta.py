@@ -12,6 +12,8 @@ from noisysubmax.sets import GroundSet
 from noisysubmax.setfn import Modular, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
 
+from table_oracle import TableOracle
+
 
 def test_meta_config_validation():
     g = GroundSet(10)
@@ -115,20 +117,6 @@ def test_best_of_T_one_equals_meta_solve():
         best_of_T(o, cfg, 0, np.random.default_rng(0))
 
 
-class _TableOracle:
-    def __init__(self, spec):
-        from noisysubmax.setfn import value_table
-        self.ground = GroundSet(spec.n)
-        self.table = value_table(spec)
-        self.master_seed = 0
-
-    def value_mask(self, mask):
-        return float(self.table[mask])
-
-    def value(self, s):
-        return float(self.table[s.mask])
-
-
 def test_meta_mean_value_bound_zero_noise():
     # n=12, rank 8, h=3, t=1, exhaustive surrogate samples, zero noise:
     # mean f(solution) >= 1/2 * (1 - h/(r-h) - t/(h-t)) * OPT - 3 SE
@@ -136,7 +124,7 @@ def test_meta_mean_value_bound_zero_noise():
     spec = random_cut(12, rng)
     g = GroundSet(12)
     matroid = UniformMatroid(g, 8)
-    oracle = _TableOracle(spec)
+    oracle = TableOracle(spec)
     from noisysubmax.setfn import brute_force_opt
     _, opt = brute_force_opt(spec, matroid)
     h, t, r = 3, 1, 8

@@ -3,7 +3,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from noisysubmax.matroids import PartitionMatroid, UniformMatroid
+from noisysubmax.matroids import (PartitionMatroid, UniformMatroid, contract,
+                                  is_independent)
 from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle
 from noisysubmax.oracles import ExactOracle, PerturbedOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
@@ -211,10 +212,11 @@ def test_pipage_polytope_violation_rejected():
 
 @dataclass(frozen=True)
 class _LooseGroupsMatroid(UniformMatroid):
-    """Inconsistent stub: its groups() allow one element more than indep_mask."""
+    """Inconsistent stub: its groups() allow one element more than its
+    indep_mask, which overrides the one derived from the groups."""
 
-    def groups(self):
-        return [(self.ground.full_mask, self.r + 1)]
+    def indep_mask(self, mask):
+        return mask.bit_count() <= self.r - 1
 
 
 def test_pipage_rejects_dependent_result():
@@ -222,7 +224,7 @@ def test_pipage_rejects_dependent_result():
     g = GroundSet(4)
     m = _LooseGroupsMatroid(g, 2)
     with pytest.raises(ValueError, match="dependent"):
-        pipage_round(m, np.array([1.0, 1.0, 1.0, 0.0]), np.random.default_rng(0))
+        pipage_round(m, np.array([1.0, 1.0, 0.0, 0.0]), np.random.default_rng(0))
 
 
 def test_pipage_expected_value_dominates_extension():
@@ -246,6 +248,23 @@ def test_random_subset():
     assert len(random_subset(g, 3, rng)) == 3
     with pytest.raises(ValueError):
         random_subset(g, 7, rng)
+
+
+def test_random_subset_solver_independent_under_matroids():
+    g = GroundSet(12)
+    pm = PartitionMatroid(g, parts=(0x00F, 0x0F0, 0xF00), caps=(2, 1, 2))
+    once = contract(pm, g.subset([0, 5]))
+    twice = contract(once, g.subset([1, 8]))
+    oracle = ExactOracle(Modular((1.0,) * 12))
+    rng = np.random.default_rng(17)
+    for m in (pm, once, twice):
+        for size in (0, 1, 2, 4, 12):
+            for _ in range(20):
+                s = RandomSubset(size).solve(oracle, m, rng)
+                assert is_independent(m, s)
+                assert len(s) == min(size, m.rank())
+    with pytest.raises(ValueError):
+        RandomSubset(-1)
 
 
 def test_run_solver_dispatch():
