@@ -1,5 +1,5 @@
 """Golden digests: the exact bytes of a small `simulate` run, the noise
-stream, and the random choices of every solver.
+stream, the random choices of every solver, and the instance-file text.
 
 The other tests check properties, which a silent change of the noise stream
 or of a solver's random choices still passes.  These pin the outputs
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from noisysubmax.cli import main
+from noisysubmax.instance_io import Instance, dumps_instance, loads_instance
 from noisysubmax.matroids import PartitionMatroid, UniformMatroid, contract
 from noisysubmax.meta import MetaConfig, best_of_T, meta_solve
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
@@ -19,7 +20,8 @@ from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import random_coverage, random_cut
 from noisysubmax.sets import GroundSet
-from noisysubmax.setfn import Modular
+from noisysubmax.setfn import (Coverage, CutFunction, Modular,
+                               WeightedAdditiveQuadratic)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, run_solver)
 
@@ -117,3 +119,63 @@ def test_solution_masks():
         masks.append(best_of_T(noisy, cfg, 3, np.random.default_rng([*key, 101])).mask)
         got[label] = tuple(masks)
     assert got == SOLUTION_MASKS
+
+
+# Each instance with the exact text `dumps_instance` writes for it.  Together
+# they cover every function, matroid and noise variant, a cut without edges,
+# a nested contraction, clamping on and off, and seeds at both ends of the
+# allowed range.
+
+def _instance_files():
+    g = GroundSet(6)
+    partition = PartitionMatroid(g, parts=(0b000111, 0b111000), caps=(2, 1))
+    yield Instance(
+        function=WeightedAdditiveQuadratic((12.5, 3.25, 0.1 + 0.2), 1 / 3),
+        matroid=UniformMatroid(g, 3), noise=NoiseSpec(Gaussian(0.1)),
+        master_seed=123456789,
+    ), ["[function]", "variant = weighted_additive_quadratic",
+        "weights = 12.5 3.25 0.30000000000000004", "cost = 0.3333333333333333", "",
+        "[matroid]", "variant = uniform", "n = 6", "rank = 3", "",
+        "[noise]", "distribution = gaussian", "sigma2 = 0.1", "clamp_negative = false", "",
+        "[seed]", "master_seed = 123456789"]
+    yield Instance(
+        function=Modular((1.0, -2.5, 3.75)), matroid=partition,
+        noise=NoiseSpec(Gaussian(4.0), clamp_negative=True),
+    ), ["[function]", "variant = modular", "weights = 1.0 -2.5 3.75", "",
+        "[matroid]", "variant = partition", "n = 6", "parts = 0 1 2 | 3 4 5", "caps = 2 1", "",
+        "[noise]", "distribution = gaussian", "sigma2 = 4.0", "clamp_negative = true"]
+    yield Instance(
+        function=Coverage((0b101, 0, 0b111), (0.5, 1.5, 2.5)),
+        matroid=contract(UniformMatroid(g, 4), g.subset([1, 5])),
+        noise=NoiseSpec(BoundedUniform(0.5)),
+    ), ["[function]", "variant = coverage", "covers = 0 2 |  | 0 1 2",
+        "item_weights = 0.5 1.5 2.5", "",
+        "[matroid]", "variant = contracted", "pinned = 1 5",
+        "base_variant = uniform", "base_n = 6", "base_rank = 4", "",
+        "[noise]", "distribution = bounded_uniform", "halfwidth = 0.5", "clamp_negative = false"]
+    yield Instance(
+        function=CutFunction(4, ((0, 1, 1.5), (2, 3, 0.25))),
+        matroid=contract(contract(partition, g.subset([0])), g.subset([4])),
+        noise=NoiseSpec(BoundedUniform(1.5), clamp_negative=True), master_seed=0,
+    ), ["[function]", "variant = cut", "n = 4", "edges = 0-1:1.5 2-3:0.25", "",
+        "[matroid]", "variant = contracted", "pinned = 4",
+        "base_variant = contracted", "base_pinned = 0",
+        "base_base_variant = partition", "base_base_n = 6",
+        "base_base_parts = 0 1 2 | 3 4 5", "base_base_caps = 2 1", "",
+        "[noise]", "distribution = bounded_uniform", "halfwidth = 1.5", "clamp_negative = true", "",
+        "[seed]", "master_seed = 0"]
+    yield Instance(
+        function=CutFunction(3, ()), noise=NoiseSpec(ShiftedExponential(2.0)),
+    ), ["[function]", "variant = cut", "n = 3", "edges = ", "",
+        "[noise]", "distribution = shifted_exponential", "rate = 2.0", "clamp_negative = false"]
+    yield Instance(
+        noise=NoiseSpec(ShiftedExponential(0.5), clamp_negative=True), master_seed=2**64 - 1,
+    ), ["[noise]", "distribution = shifted_exponential", "rate = 0.5", "clamp_negative = true", "",
+        "[seed]", "master_seed = 18446744073709551615"]
+
+
+@pytest.mark.parametrize("inst, lines", list(_instance_files()))
+def test_instance_file_text(inst, lines):
+    text = "\n".join(lines) + "\n"
+    assert dumps_instance(inst) == text
+    assert loads_instance(text) == inst
