@@ -17,7 +17,8 @@ from .harness import ExperimentSpec, run_experiment
 from .instance_io import load_instance
 from .matroids import UniformMatroid, rank
 from .meta import MetaConfig, meta_solve
-from .noise import PersistentNoisyOracle
+from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
+                    ShiftedExponential)
 from .oracles import ExactOracle
 from .setfn import evaluate, ground_of
 from .solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
@@ -28,6 +29,11 @@ INNER_SOLVERS = {
     "greedy": Greedy,
     "double-greedy": DoubleGreedy,
     "continuous-greedy": MeasuredContinuousGreedy,
+}
+NOISE_FLAGS = {
+    "gaussian": (Gaussian, "sigma2"),
+    "bounded_uniform": (BoundedUniform, "halfwidth"),
+    "shifted_exponential": (ShiftedExponential, "rate"),
 }
 
 
@@ -97,15 +103,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_params(args) -> int:
-    from .instance_io import _parse_noise
-    kv = {"distribution": args.distribution}
-    if args.distribution == "gaussian":
-        kv["sigma2"] = str(args.sigma2)
-    elif args.distribution == "bounded_uniform":
-        kv["halfwidth"] = str(args.halfwidth)
-    else:
-        kv["rate"] = str(args.rate)
-    noise = _parse_noise(kv)
+    distribution, flag = NOISE_FLAGS[args.distribution]
+    noise = NoiseSpec(distribution(getattr(args, flag)))
     budget = ParamBudget(epsilon=args.epsilon, delta=args.delta,
                          f_max=args.fmax, noise=noise)
     params = compute_parameters(budget, args.n)
@@ -162,9 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--fmax", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--distribution",
-                   choices=["gaussian", "bounded_uniform", "shifted_exponential"],
-                   default="gaussian")
+    p.add_argument("--distribution", choices=list(NOISE_FLAGS), default="gaussian")
     p.add_argument("--sigma2", type=float, default=1.0)
     p.add_argument("--halfwidth", type=float, default=0.5)
     p.add_argument("--rate", type=float, default=1.0)

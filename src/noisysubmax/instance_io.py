@@ -17,17 +17,28 @@ Key-value sections with typed arrays, e.g.::
     sigma2 = 0.1
     clamp_negative = false
 
+    [seed]
+    master_seed = 7
+
 Integer fields round-trip bit-exactly; reals are written with repr, which
 preserves the shortest 17-significant-digit form and round-trips exactly.
+
+A function, matroid or noise variant is one row of `_FUNCTIONS`, `_MATROIDS`
+or `_DISTRIBUTIONS`; only contractions and `clamp_negative` are written by
+hand.  Loading raises `ValueError` for a missing key, a key no field reads, a
+repeated key or section, an unknown section or variant, and a boolean other
+than true/false (in any case).  A cut's `edges` and `clamp_negative` may be
+left out.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
 from .matroids import (ContractedMatroid, Matroid, PartitionMatroid,
                        UniformMatroid)
-from .noise import (BoundedUniform, Gaussian, NoiseSpec, ShiftedExponential)
-from .sets import GroundSet, mask_members
+from .noise import BoundedUniform, Gaussian, NoiseSpec, ShiftedExponential
+from .sets import ElementSet, GroundSet, mask_members
 from .setfn import (Coverage, CutFunction, Modular, SetFunctionSpec,
                     WeightedAdditiveQuadratic)
 
@@ -40,80 +51,132 @@ class Instance:
     master_seed: int | None = None
 
 
-def _fmt_real(x: float) -> str:
-    return repr(float(x))
-
-
-def _fmt_reals(xs) -> str:
-    return " ".join(_fmt_real(x) for x in xs)
-
-
 def _fmt_ints(xs) -> str:
     return " ".join(str(int(x)) for x in xs)
 
 
-def _function_lines(spec: SetFunctionSpec) -> list[str]:
-    if isinstance(spec, WeightedAdditiveQuadratic):
-        return [
-            "variant = weighted_additive_quadratic",
-            f"weights = {_fmt_reals(spec.weights)}",
-            f"cost = {_fmt_real(spec.cost)}",
-        ]
-    if isinstance(spec, Modular):
-        return ["variant = modular", f"weights = {_fmt_reals(spec.weights)}"]
-    if isinstance(spec, Coverage):
-        covers = " | ".join(_fmt_ints(mask_members(c)) for c in spec.covers)
-        return [
-            "variant = coverage",
-            f"covers = {covers}",
-            f"item_weights = {_fmt_reals(spec.item_weights)}",
-        ]
-    if isinstance(spec, CutFunction):
-        edges = " ".join(f"{u}-{v}:{_fmt_real(w)}" for u, v, w in spec.edges)
-        return ["variant = cut", f"n = {spec.n_vertices}", f"edges = {edges}"]
-    raise TypeError(f"unknown set function spec: {type(spec)!r}")
+def _ids_to_mask(text: str) -> int:
+    mask = 0
+    for tok in text.split():
+        mask |= 1 << int(tok)
+    return mask
 
 
-def _matroid_lines(m: Matroid, prefix: str = "") -> list[str]:
-    if isinstance(m, UniformMatroid):
-        return [f"{prefix}variant = uniform", f"{prefix}n = {m.ground.n}",
-                f"{prefix}rank = {m.r}"]
-    if isinstance(m, PartitionMatroid):
-        parts = " | ".join(_fmt_ints(mask_members(p)) for p in m.parts)
-        return [f"{prefix}variant = partition", f"{prefix}n = {m.ground.n}",
-                f"{prefix}parts = {parts}", f"{prefix}caps = {_fmt_ints(m.caps)}"]
-    if isinstance(m, ContractedMatroid):
-        lines = [f"{prefix}variant = contracted",
-                 f"{prefix}pinned = {_fmt_ints(m.pinned.members())}"]
-        lines += _matroid_lines(m.base, prefix=prefix + "base_")
-        return lines
-    raise TypeError(f"unknown matroid: {type(m)!r}")
+def _load_edge(tok: str) -> tuple[int, int, float]:
+    uv, _, w = tok.partition(":")
+    u, _, v = uv.partition("-")
+    return int(u), int(v), float(w)
 
 
-def _noise_lines(spec: NoiseSpec) -> list[str]:
-    d = spec.distribution
-    if isinstance(d, Gaussian):
-        lines = ["distribution = gaussian", f"sigma2 = {_fmt_real(d.sigma2)}"]
-    elif isinstance(d, BoundedUniform):
-        lines = ["distribution = bounded_uniform", f"halfwidth = {_fmt_real(d.halfwidth)}"]
-    elif isinstance(d, ShiftedExponential):
-        lines = ["distribution = shifted_exponential", f"rate = {_fmt_real(d.rate)}"]
-    else:
-        raise TypeError(f"unknown noise distribution: {type(d)!r}")
-    lines.append(f"clamp_negative = {'true' if spec.clamp_negative else 'false'}")
-    return lines
+def _load_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+# A codec is a (dump, load) pair: value -> text and text -> value.
+_REAL = (lambda x: repr(float(x)), float)
+_REALS = (lambda xs: " ".join(repr(float(x)) for x in xs),
+          lambda text: tuple(float(x) for x in text.split()))
+_INT = (lambda x: str(int(x)), int)
+_INTS = (_fmt_ints, lambda text: tuple(int(x) for x in text.split()))
+# bitmasks written as member lists separated by "|"
+_MASKS = (lambda masks: " | ".join(_fmt_ints(mask_members(m)) for m in masks),
+          lambda text: tuple(_ids_to_mask(part) for part in text.split("|")))
+_EDGES = (lambda edges: " ".join(f"{u}-{v}:{float(w)!r}" for u, v, w in edges),
+          lambda text: tuple(_load_edge(tok) for tok in text.split()))
+_GROUND = (lambda ground: str(ground.n), lambda text: GroundSet(int(text)))
+# the text read for these keys when a file leaves them out; all others are required
+_DEFAULTS = {"edges": "", "clamp_negative": "false"}
+
+# variant name -> (class, fields).  A field is a (file key, attribute, codec)
+# triple, in file order; loading calls the class with one keyword per field.
+_FUNCTIONS = {
+    "weighted_additive_quadratic": (WeightedAdditiveQuadratic, (
+        ("weights", "weights", _REALS), ("cost", "cost", _REAL))),
+    "modular": (Modular, (("weights", "weights", _REALS),)),
+    "coverage": (Coverage, (
+        ("covers", "covers", _MASKS), ("item_weights", "item_weights", _REALS))),
+    "cut": (CutFunction, (("n", "n_vertices", _INT), ("edges", "edges", _EDGES))),
+}
+_MATROIDS = {
+    "uniform": (UniformMatroid, (("n", "ground", _GROUND), ("rank", "r", _INT))),
+    "partition": (PartitionMatroid, (
+        ("n", "ground", _GROUND), ("parts", "parts", _MASKS), ("caps", "caps", _INTS))),
+}
+_DISTRIBUTIONS = {
+    "gaussian": (Gaussian, (("sigma2", "sigma2", _REAL),)),
+    "bounded_uniform": (BoundedUniform, (("halfwidth", "halfwidth", _REAL),)),
+    "shifted_exponential": (ShiftedExponential, (("rate", "rate", _REAL),)),
+}
+
+
+def _dump(table, obj, prefix: str = "", key: str = "variant") -> list[str]:
+    for name, (cls, fields) in table.items():
+        if cls is type(obj):
+            return [f"{prefix}{key} = {name}"] + [
+                f"{prefix}{k} = {dump(getattr(obj, attr))}" for k, attr, (dump, _) in fields]
+    raise TypeError(f"no instance-file variant for {type(obj)!r}")
+
+
+def _take(kv: dict[str, str], key: str, load: Callable[[str], Any] = str):
+    """Remove `key` from a section's dict and decode its text."""
+    text = kv.pop(key, _DEFAULTS.get(key))
+    if text is None:
+        raise ValueError(f"missing key {key!r}")
+    return load(text)
+
+
+def _load(table, kv: dict[str, str], prefix: str = "", key: str = "variant"):
+    name = _take(kv, prefix + key)
+    if name not in table:
+        raise ValueError(f"unknown {key}: {name!r}")
+    cls, fields = table[name]
+    return cls(**{attr: _take(kv, prefix + k, load) for k, attr, (_, load) in fields})
+
+
+def _dump_matroid(m: Matroid, prefix: str = "") -> list[str]:
+    if type(m) is not ContractedMatroid:
+        return _dump(_MATROIDS, m, prefix)
+    return [f"{prefix}variant = contracted",
+            f"{prefix}pinned = {_fmt_ints(m.pinned.members())}",
+            *_dump_matroid(m.base, prefix + "base_")]
+
+
+def _load_matroid(kv: dict[str, str], prefix: str = "") -> Matroid:
+    if kv.get(prefix + "variant") != "contracted":
+        return _load(_MATROIDS, kv, prefix)
+    del kv[prefix + "variant"]
+    pinned = _take(kv, prefix + "pinned")
+    base = _load_matroid(kv, prefix + "base_")
+    return ContractedMatroid(base, ElementSet(base.ground, _ids_to_mask(pinned)))
+
+
+def _dump_noise(spec: NoiseSpec) -> list[str]:
+    return _dump(_DISTRIBUTIONS, spec.distribution, key="distribution") + [
+        f"clamp_negative = {'true' if spec.clamp_negative else 'false'}"]
+
+
+def _load_noise(kv: dict[str, str]) -> NoiseSpec:
+    return NoiseSpec(_load(_DISTRIBUTIONS, kv, key="distribution"),
+                     _take(kv, "clamp_negative", _load_bool))
+
+
+# section -> (Instance attribute, dump to lines, load from the section's dict)
+_SECTIONS = {
+    "function": ("function", lambda f: _dump(_FUNCTIONS, f),
+                 lambda kv: _load(_FUNCTIONS, kv)),
+    "matroid": ("matroid", _dump_matroid, _load_matroid),
+    "noise": ("noise", _dump_noise, _load_noise),
+    "seed": ("master_seed", lambda seed: [f"master_seed = {int(seed)}"],
+             lambda kv: _take(kv, "master_seed", int)),
+}
 
 
 def dumps_instance(inst: Instance) -> str:
-    blocks = []
-    if inst.function is not None:
-        blocks.append("[function]\n" + "\n".join(_function_lines(inst.function)))
-    if inst.matroid is not None:
-        blocks.append("[matroid]\n" + "\n".join(_matroid_lines(inst.matroid)))
-    if inst.noise is not None:
-        blocks.append("[noise]\n" + "\n".join(_noise_lines(inst.noise)))
-    if inst.master_seed is not None:
-        blocks.append(f"[seed]\nmaster_seed = {inst.master_seed}")
+    blocks = [f"[{section}]\n" + "\n".join(dump(getattr(inst, attr)))
+              for section, (attr, dump, _) in _SECTIONS.items()
+              if getattr(inst, attr) is not None]
     return "\n\n".join(blocks) + "\n"
 
 
@@ -126,87 +189,26 @@ def _parse_sections(text: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in _SECTIONS or current in sections:
+                raise ValueError(f"unknown or repeated section: {raw!r}")
             sections[current] = {}
             continue
         if current is None or "=" not in line:
             raise ValueError(f"malformed instance line: {raw!r}")
         key, _, value = line.partition("=")
+        if key.strip() in sections[current]:
+            raise ValueError(f"repeated key in [{current}]: {raw!r}")
         sections[current][key.strip()] = value.strip()
     return sections
 
 
-def _ids_to_mask(text: str) -> int:
-    mask = 0
-    for tok in text.split():
-        mask |= 1 << int(tok)
-    return mask
-
-
-def _parse_function(kv: dict[str, str]) -> SetFunctionSpec:
-    variant = kv["variant"]
-    if variant == "weighted_additive_quadratic":
-        return WeightedAdditiveQuadratic(
-            weights=tuple(float(x) for x in kv["weights"].split()),
-            cost=float(kv["cost"]))
-    if variant == "modular":
-        return Modular(weights=tuple(float(x) for x in kv["weights"].split()))
-    if variant == "coverage":
-        covers = tuple(_ids_to_mask(part) for part in kv["covers"].split("|"))
-        return Coverage(covers=covers,
-                        item_weights=tuple(float(x) for x in kv["item_weights"].split()))
-    if variant == "cut":
-        edges = []
-        for tok in kv.get("edges", "").split():
-            uv, _, w = tok.partition(":")
-            u, _, v = uv.partition("-")
-            edges.append((int(u), int(v), float(w)))
-        return CutFunction(n_vertices=int(kv["n"]), edges=tuple(edges))
-    raise ValueError(f"unknown function variant: {variant!r}")
-
-
-def _parse_matroid(kv: dict[str, str], prefix: str = "") -> Matroid:
-    variant = kv[prefix + "variant"]
-    if variant == "uniform":
-        ground = GroundSet(int(kv[prefix + "n"]))
-        return UniformMatroid(ground, int(kv[prefix + "rank"]))
-    if variant == "partition":
-        ground = GroundSet(int(kv[prefix + "n"]))
-        parts = tuple(_ids_to_mask(part) for part in kv[prefix + "parts"].split("|"))
-        caps = tuple(int(x) for x in kv[prefix + "caps"].split())
-        return PartitionMatroid(ground, parts, caps)
-    if variant == "contracted":
-        base = _parse_matroid(kv, prefix=prefix + "base_")
-        from .sets import ElementSet
-        pinned = ElementSet(base.ground, _ids_to_mask(kv[prefix + "pinned"]))
-        return ContractedMatroid(base, pinned)
-    raise ValueError(f"unknown matroid variant: {variant!r}")
-
-
-def _parse_noise(kv: dict[str, str]) -> NoiseSpec:
-    dist = kv["distribution"]
-    if dist == "gaussian":
-        d = Gaussian(sigma2=float(kv["sigma2"]))
-    elif dist == "bounded_uniform":
-        d = BoundedUniform(halfwidth=float(kv["halfwidth"]))
-    elif dist == "shifted_exponential":
-        d = ShiftedExponential(rate=float(kv["rate"]))
-    else:
-        raise ValueError(f"unknown noise distribution: {dist!r}")
-    clamp = kv.get("clamp_negative", "false").lower() == "true"
-    return NoiseSpec(distribution=d, clamp_negative=clamp)
-
-
 def loads_instance(text: str) -> Instance:
-    sections = _parse_sections(text)
     inst = Instance()
-    if "function" in sections:
-        inst.function = _parse_function(sections["function"])
-    if "matroid" in sections:
-        inst.matroid = _parse_matroid(sections["matroid"])
-    if "noise" in sections:
-        inst.noise = _parse_noise(sections["noise"])
-    if "seed" in sections:
-        inst.master_seed = int(sections["seed"]["master_seed"])
+    for section, kv in _parse_sections(text).items():
+        attr, _, load = _SECTIONS[section]
+        setattr(inst, attr, load(kv))
+        if kv:
+            raise ValueError(f"unknown keys in [{section}]: {', '.join(kv)}")
     return inst
 
 

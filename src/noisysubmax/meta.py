@@ -26,15 +26,12 @@ class MetaConfig:
     matroid: Matroid
 
     def __post_init__(self):
-        if self.h == 0:
-            if self.t != 0:
-                raise ValueError("h=0 requires t=0")
-        elif not 0 <= self.t < self.h:
-            raise ValueError(f"need 0 <= t < h, got t={self.t}, h={self.h}")
+        if not 0 <= self.t < max(self.h, 1):
+            raise ValueError(f"need 0 <= t < h, or t=0 if h=0; got t={self.t}, h={self.h}")
         if self.h > rank(self.matroid):
             # silently shrinking h would corrupt experiment metadata
             raise ValueError(f"h={self.h} exceeds the matroid rank {rank(self.matroid)}")
-        if self.h > 0 and self.m > comb(self.h, self.t):
+        if self.m > comb(self.h, self.t):
             raise ValueError(f"m={self.m} exceeds C({self.h},{self.t})")
         if self.m < 1:
             raise ValueError("m must be >= 1")
@@ -48,11 +45,7 @@ def meta_solve(o: PersistentNoisyOracle, cfg: MetaConfig,
     H = random_k_subset(basis, cfg.h, rng)
     surr_cfg = SurrogateConfig.draw(H, cfg.t, cfg.m, rng)
     surrogate = SampledSurrogateOracle(o, surr_cfg)
-    if cfg.h == 0:
-        inner_matroid = cfg.matroid
-    else:
-        inner_matroid = contract(cfg.matroid, H)
-    s_h = run_solver(cfg.inner, surrogate, inner_matroid, rng)
+    s_h = run_solver(cfg.inner, surrogate, contract(cfg.matroid, H), rng)
     h_prime = random_k_subset(H, cfg.t, rng)
     return s_h.union(h_prime)
 

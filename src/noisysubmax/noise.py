@@ -120,7 +120,6 @@ class PersistentNoisyOracle(ValueOracle):
         self.ground = ground_of(base)
         self._key = self.master_seed.to_bytes(8, "little")
         self._width = (self.ground.n + 7) // 8
-        self.query_counter = 0
 
     def multiplier_mask(self, mask: int) -> float:
         digest = hashlib.blake2b(
@@ -132,5 +131,4 @@ class PersistentNoisyOracle(ValueOracle):
         return self.noise.multiplier(u_open, u_half)
 
     def value_mask(self, mask: int) -> float:
-        self.query_counter += 1
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)

@@ -91,6 +91,11 @@ class Coverage:
     covers: tuple[int, ...]
     item_weights: tuple[float, ...]
 
+    def __post_init__(self):
+        for c in self.covers:
+            if c < 0 or c >> len(self.item_weights):
+                raise ValueError(f"cover {c:#x} names an item outside [0, {len(self.item_weights)})")
+
     @property
     def n(self) -> int:
         return len(self.covers)
@@ -123,6 +128,11 @@ class CutFunction:
 
     n_vertices: int
     edges: tuple[tuple[int, int, float], ...]
+
+    def __post_init__(self):
+        for u, v, _ in self.edges:
+            if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
+                raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
 
     @property
     def n(self) -> int:

@@ -154,11 +154,8 @@ class SurrogateParams:
     t: int
     m: int
 
-    def fits_within(self, n: int, matroid_rank: int | None = None) -> bool:
-        ok = self.h <= n
-        if matroid_rank is not None:
-            ok = ok and self.h <= matroid_rank
-        return ok
+    def fits_within(self, n: int) -> bool:
+        return self.h <= n
 
 
 def compute_parameters(budget: ParamBudget, n: int) -> SurrogateParams:

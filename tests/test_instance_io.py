@@ -1,7 +1,9 @@
-import numpy as np
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisysubmax import instance_io
 from noisysubmax.instance_io import (Instance, dumps_instance, load_instance,
                                      loads_instance, save_instance)
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
@@ -95,6 +97,59 @@ def test_malformed_rejected():
         loads_instance("[noise]\ndistribution = cauchy\n")
     with pytest.raises(ValueError):
         loads_instance("[matroid]\nvariant = graphic\n")
+
+
+NOISE = "[noise]\ndistribution = gaussian\nsigma2 = 0.1\n"
+CONTRACTED = "[matroid]\nvariant = contracted\npinned = 0\nbase_variant = uniform\nbase_n = 3\n"
+
+
+@pytest.mark.parametrize("text", [
+    NOISE + "clamp_negative = yes\n",
+    NOISE + "clamp_negativ = true\n",
+    "[seed]\nmaster_seed = 1\n[seed]\nmaster_seed = 2\n",
+    "[seed]\nmaster_seed = 1\nmaster_seed = 2\n",
+    "[functon]\nvariant = modular\nweights = 1.0\n",
+    "[function]\nvariant = modular\n",
+    "[noise]\nsigma2 = 0.1\n",
+    CONTRACTED,
+    CONTRACTED + "base_rank = 2\nbase_base_rank = 1\n",
+    "[function]\nvariant = cut\nn = 3\nedges = 0-7:1.0\n",
+    "[function]\nvariant = coverage\ncovers = 0 | 3\nitem_weights = 1.0 2.0\n",
+], ids=["bool_not_true_or_false", "misspelt_key", "repeated_section", "repeated_key",
+        "unknown_section", "missing_key", "missing_distribution", "missing_base_key",
+        "extra_base_key", "cut_vertex_outside", "coverage_item_outside"])
+def test_malformed_file_raises_value_error(text):
+    with pytest.raises(ValueError):
+        loads_instance(text)
+
+
+def test_optional_keys_and_boolean_case():
+    inst = loads_instance(NOISE + "[function]\nvariant = cut\nn = 2\n")
+    assert inst.noise == NoiseSpec(Gaussian(0.1)) and inst.function == CutFunction(2, ())
+    assert loads_instance(NOISE + "clamp_negative = True\n").noise.clamp_negative
+
+
+@dataclass(frozen=True)
+class ScaledModular:
+    weights: tuple[float, ...]
+    scale: float
+
+
+@dataclass(frozen=True)
+class TwoPoint:
+    spread: float
+
+
+def test_new_variant_is_one_table_row(monkeypatch):
+    monkeypatch.setitem(instance_io._FUNCTIONS, "scaled_modular", (ScaledModular, (
+        ("weights", "weights", instance_io._REALS), ("scale", "scale", instance_io._REAL))))
+    monkeypatch.setitem(instance_io._DISTRIBUTIONS, "two_point", (TwoPoint, (
+        ("spread", "spread", instance_io._REAL),)))
+    inst = Instance(function=ScaledModular((1.0, 2.5), 0.5), noise=NoiseSpec(TwoPoint(0.25)))
+    text = dumps_instance(inst)
+    assert "variant = scaled_modular\nweights = 1.0 2.5\nscale = 0.5\n" in text
+    assert "distribution = two_point\nspread = 0.25\n" in text
+    assert loads_instance(text) == inst
 
 
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False,

@@ -27,6 +27,8 @@ def test_meta_config_validation():
         MetaConfig(h=3, t=1, m=4, inner=DoubleGreedy(), matroid=m)
     with pytest.raises(ValueError):  # h=0 requires t=0
         MetaConfig(h=0, t=1, m=1, inner=DoubleGreedy(), matroid=m)
+    with pytest.raises(ValueError):  # m > C(0,0) = 1
+        MetaConfig(h=0, t=0, m=2, inner=DoubleGreedy(), matroid=m)
 
 
 def test_degenerate_meta_equals_double_greedy():

@@ -41,14 +41,6 @@ def test_multiplicative_structure():
         assert o.value_mask(mask) == pytest.approx(o.multiplier_mask(mask) * base)
 
 
-def test_query_counter():
-    _, o = make_oracle()
-    before = o.query_counter
-    o.value_mask(5)
-    o.value_mask(5)
-    assert o.query_counter == before + 2
-
-
 def test_unbiased_multiplier_over_seeds():
     spec = Modular(weights=(1.0, 2.0, 4.0))
     noise = NoiseSpec(Gaussian(0.1))

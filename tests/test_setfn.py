@@ -163,6 +163,20 @@ def test_point_validation():
         multilinear_exact(spec, np.array([0.5, 1.5]))
 
 
+def test_cut_rejects_edge_outside_vertices():
+    CutFunction(3, ((0, 2, 1.0),))
+    for edge in ((0, 7, 1.0), (3, 0, 1.0), (-1, 1, 1.0)):
+        with pytest.raises(ValueError):
+            CutFunction(3, (edge,))
+
+
+def test_coverage_rejects_item_outside_weights():
+    Coverage(covers=(0b011, 0b100), item_weights=(1.0, 2.0, 3.0))
+    for cover in (0b1000, -1):
+        with pytest.raises(ValueError):
+            Coverage(covers=(0b001, cover), item_weights=(1.0, 2.0, 3.0))
+
+
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_modular_is_additive(weights):

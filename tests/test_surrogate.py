@@ -174,4 +174,3 @@ def test_fits_within():
     p = SurrogateParams(h=9, t=3, m=10)
     assert p.fits_within(10)
     assert not p.fits_within(8)
-    assert not p.fits_within(20, matroid_rank=5)
