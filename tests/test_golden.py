@@ -23,7 +23,7 @@ from noisysubmax.sets import GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
-                                 RandomSubset, run_solver)
+                                 RandomSubset, measured_continuous_greedy, run_solver)
 
 SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
 SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faac0d"
@@ -119,6 +119,43 @@ def test_solution_masks():
         masks.append(best_of_T(noisy, cfg, 3, np.random.default_rng([*key, 101])).mask)
         got[label] = tuple(masks)
     assert got == SOLUTION_MASKS
+
+
+# The fractional point measured continuous greedy returns with sampled
+# partials, before rounding: SOLUTION_MASKS pins only the rounded set, which
+# can stay the same while x moves.  One digest per problem covers steps 0.25
+# and 0.1; "cut40/partition" is an n=40 cut under a 5x3 partition matroid.
+MCG_POINT_SHA256 = {
+    "coverage/uniform": "2bb9f2c704a8384c3d30eee975487751e7678641815b2b015ea3e5138692dba7",
+    "coverage/partition": "f8c09490c2ebac6f55e7d245753a682942421de4d804927e32a3ed5f943e984b",
+    "coverage/contracted": "e55dca00f017aa7dba00ec6323c0f11bcdb193da2d4ddbd798a228c299e49523",
+    "cut/uniform": "23f655c0e7286ca29d82b3391b48b7b8d73e6add09bc90ecc465cce40e0748d1",
+    "cut/partition": "4b5d6783d0f007068dc96a77197f8730e99b046699e56ae20f1fdd3b292457cb",
+    "cut/contracted": "d73b14fa992aeea0aea21df2f216d04cbfd2257786d17e7a99370648562291a6",
+    "cut40/partition": "3965024322397543abafa42f39bdaf745e048296149221690e91434392b7fb52",
+}
+
+
+def _mcg_problems():
+    for label, fn, _, matroid, key in _problems():
+        yield label, fn, matroid, key
+    n = 40
+    ground = GroundSet(n)
+    parts = tuple(0xFF << (8 * p) for p in range(5))
+    yield ("cut40/partition", random_cut(n, np.random.default_rng(40), 0.25),
+           PartitionMatroid(ground, parts=parts, caps=(3,) * 5), (2, 0))
+
+
+def test_mcg_point_digest():
+    got = {}
+    for label, fn, matroid, key in _mcg_problems():
+        points = []
+        for k, step in enumerate((0.25, 0.1)):
+            cfg = MeasuredContinuousGreedy(step=step, partial_samples=4)
+            rng = np.random.default_rng([*key, 200 + k])
+            points.extend(measured_continuous_greedy(ExactOracle(fn), matroid, cfg, rng))
+        got[label] = hashlib.sha256(",".join(v.hex() for v in points).encode()).hexdigest()
+    assert got == MCG_POINT_SHA256
 
 
 # Each instance with the exact text `dumps_instance` writes for it.  Together
