@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .oracles import ValueOracle
+from .oracles import ValueOracle, mask_error
 from .setfn import SetFunctionSpec, evaluate_mask, ground_of
 
 _TWO_PI = 2.0 * math.pi
@@ -118,10 +118,13 @@ class PersistentNoisyOracle(ValueOracle):
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
         self.ground = ground_of(base)
+        self._n = self.ground.n
         self._key = self.master_seed.to_bytes(8, "little")
-        self._width = (self.ground.n + 7) // 8
+        self._width = (self._n + 7) // 8
 
     def multiplier_mask(self, mask: int) -> float:
+        if mask < 0 or mask >> self._n:
+            raise mask_error(mask, self._n)
         digest = hashlib.blake2b(
             mask.to_bytes(self._width, "little"), digest_size=16, key=self._key
         ).digest()
@@ -131,4 +134,6 @@ class PersistentNoisyOracle(ValueOracle):
         return self.noise.multiplier(u_open, u_half)
 
     def value_mask(self, mask: int) -> float:
+        # multiplier_mask rejects a mask outside the ground set before the
+        # set function sees it
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)

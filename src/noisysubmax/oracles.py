@@ -2,8 +2,24 @@
 set-function evaluation."""
 from __future__ import annotations
 
-from .sets import ElementSet, GroundSet
+import numpy as np
+
+from .sets import ElementSet, GroundSet, row_masks
 from .setfn import SetFunctionSpec, evaluate_mask, ground_of
+
+
+def mask_error(mask: int, n: int) -> ValueError:
+    """The error for a mask that is negative or has a bit at n or above.
+    Callers test `mask < 0 or mask >> n` inline, since it is on every query."""
+    return ValueError(f"mask {mask:#x} is not a subset of a ground set of size {n}")
+
+
+def check_rows(rows, n: int) -> np.ndarray:
+    """A (k, n) boolean membership matrix, or ValueError."""
+    rows = np.asarray(rows, dtype=bool)
+    if rows.ndim != 2 or rows.shape[1] != n:
+        raise ValueError(f"rows of shape {rows.shape}, expected (k, {n})")
+    return rows
 
 
 class ValueOracle:
@@ -15,6 +31,14 @@ class ValueOracle:
     def value_mask(self, mask: int) -> float:
         raise NotImplementedError
 
+    def value_masks(self, rows) -> np.ndarray:
+        """Values of the sets given by the rows of a (k, n) boolean
+        membership matrix: one `value_mask` call per row, in row order.
+        An oracle with a vectorised evaluation overrides this."""
+        rows = check_rows(rows, self.ground.n)
+        return np.array([self.value_mask(mask) for mask in row_masks(rows)],
+                        dtype=np.float64)
+
     def value(self, s: ElementSet) -> float:
         if s.ground.n != self.ground.n:
             raise ValueError("set over a different ground set than the oracle")
@@ -25,9 +49,15 @@ class ExactOracle(ValueOracle):
     def __init__(self, spec: SetFunctionSpec):
         self.spec = spec
         self.ground = ground_of(spec)
+        self._n = spec.n
 
     def value_mask(self, mask: int) -> float:
+        if mask < 0 or mask >> self._n:
+            raise mask_error(mask, self._n)
         return evaluate_mask(self.spec, mask)
+
+    def value_masks(self, rows) -> np.ndarray:
+        return self.spec.value_masks(check_rows(rows, self._n))
 
 
 class PerturbedOracle(ValueOracle):

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, popcount_array
+from .sets import ElementSet, GroundSet, mask_row, popcount_array
 
 BRUTE_FORCE_BUDGET = 24
 SUBMODULARITY_BUDGET = 14
@@ -20,31 +20,59 @@ MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
 
 
-def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits."""
-    n = len(weights)
-    tables = []
-    for byte in range((n + 7) // 8):
-        w = weights[8 * byte: 8 * byte + 8]
-        tab = [0.0] * 256
-        for chunk in range(256):
-            s = 0.0
-            for bit in range(len(w)):
-                if (chunk >> bit) & 1:
-                    s += w[bit]
-            tab[chunk] = s
-        tables.append(tuple(tab))
-    return tuple(tables)
+class _ByteTables:
+    """Per-byte lookup tables of a weight vector: `tables[b][chunk]` is the
+    sum of the weights of the bits set in `chunk`, read as byte b."""
+
+    def __init__(self, weights: tuple[float, ...]):
+        tables = []
+        for byte in range((len(weights) + 7) // 8):
+            w = weights[8 * byte: 8 * byte + 8]
+            tab = [0.0] * 256
+            for chunk in range(256):
+                s = 0.0
+                for bit in range(len(w)):
+                    if (chunk >> bit) & 1:
+                        s += w[bit]
+                tab[chunk] = s
+            tables.append(tuple(tab))
+        self.tables = tuple(tables)
+        self.array = np.array(tables, dtype=np.float64).reshape(-1, 256)
+
+    def mask_sum(self, mask: int) -> float:
+        tables = self.tables
+        total = 0.0
+        i = 0
+        while mask:
+            total += tables[i][mask & 255]
+            mask >>= 8
+            i += 1
+        return total
+
+    def rows_sum(self, rows: np.ndarray) -> np.ndarray:
+        """`mask_sum` of each row of a boolean membership matrix: the same
+        table entries added in the same order.  Bytes above a row's highest
+        set bit add 0.0, which leaves the sum unchanged."""
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        total = np.zeros(len(rows))
+        for byte, table in enumerate(self.array):
+            total += table[packed[:, byte]]
+        return total
 
 
-def _mask_weight_sum(mask: int, tables) -> float:
-    total = 0.0
-    i = 0
-    while mask:
-        total += tables[i][mask & 255]
-        mask >>= 8
-        i += 1
-    return total
+def _left_sum(a: np.ndarray) -> np.ndarray:
+    """Sums along the last axis, added left to right from 0.0 as a Python
+    `total += v` loop adds them (np.sum adds pairwise, which can change the
+    last bits).  The final `+ 0.0` turns the -0.0 that such a loop never
+    returns into 0.0."""
+    if a.shape[-1] == 0:
+        return np.zeros(a.shape[:-1])
+    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+
+
+def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"ground set size must be >= 1, got {n}")
 
 
 def _weight_sum_table(weights) -> np.ndarray:
@@ -56,9 +84,11 @@ def _weight_sum_table(weights) -> np.ndarray:
     return wsum
 
 
-# Each family evaluates one mask in closed form (`value_mask`) and builds
-# its dense table over all 2^n masks (`table`).  The byte tables are built
-# on first use and kept on the instance.
+# Each family evaluates one mask in closed form (`value_mask`), a batch of
+# masks given as the rows of a (k, n) boolean membership matrix
+# (`value_masks`, bit for bit equal to `value_mask` of each row), and its
+# dense table over all 2^n masks (`table`).  Lookup tables and edge arrays
+# are built on first use and kept on the instance.
 
 @dataclass(frozen=True)
 class WeightedAdditiveQuadratic:
@@ -67,17 +97,24 @@ class WeightedAdditiveQuadratic:
     weights: tuple[float, ...]
     cost: float
 
+    def __post_init__(self):
+        _check_size(self.n)
+
     @property
     def n(self) -> int:
         return len(self.weights)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.weights)
 
     def value_mask(self, mask: int) -> float:
         k = mask.bit_count()
-        return _mask_weight_sum(mask, self._tables) - self.cost * k * k
+        return self._tables.mask_sum(mask) - self.cost * k * k
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        k = np.count_nonzero(rows, axis=1)
+        return self._tables.rows_sum(rows) - self.cost * k * k
 
     def table(self) -> np.ndarray:
         k = popcount_array(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
@@ -92,6 +129,7 @@ class Coverage:
     item_weights: tuple[float, ...]
 
     def __post_init__(self):
+        _check_size(self.n)
         for c in self.covers:
             if c < 0 or c >> len(self.item_weights):
                 raise ValueError(f"cover {c:#x} names an item outside [0, {len(self.item_weights)})")
@@ -101,8 +139,13 @@ class Coverage:
         return len(self.covers)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.item_weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.item_weights)
+
+    @cached_property
+    def _cover_rows(self) -> np.ndarray:
+        """(n, items) boolean matrix: row i is the items element i covers."""
+        return np.vstack([mask_row(c, len(self.item_weights)) for c in self.covers])
 
     def value_mask(self, mask: int) -> float:
         covered = 0
@@ -112,7 +155,11 @@ class Coverage:
             low = m & -m
             covered |= covers[low.bit_length() - 1]
             m ^= low
-        return _mask_weight_sum(covered, self._tables)
+        return self._tables.mask_sum(covered)
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # a boolean matrix product ORs the cover rows of each row's members
+        return self._tables.rows_sum(rows @ self._cover_rows)
 
     def table(self) -> np.ndarray:
         covered = np.zeros(1 << self.n, dtype=np.uint64)
@@ -130,6 +177,7 @@ class CutFunction:
     edges: tuple[tuple[int, int, float], ...]
 
     def __post_init__(self):
+        _check_size(self.n_vertices)
         for u, v, _ in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
@@ -138,12 +186,20 @@ class CutFunction:
     def n(self) -> int:
         return self.n_vertices
 
+    @cached_property
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Endpoints and weights of the edges, in edge order."""
+        return (np.array([u for u, _, _ in self.edges], dtype=np.intp),
+                np.array([v for _, v, _ in self.edges], dtype=np.intp),
+                np.array([w for _, _, w in self.edges], dtype=np.float64))
+
     def value_mask(self, mask: int) -> float:
-        total = 0.0
-        for u, v, w in self.edges:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                total += w
-        return total
+        return float(self.value_masks(mask_row(mask, self.n))[0])
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # crossing weights summed in edge order, as a loop over the edges would
+        u, v, w = self._edge_arrays
+        return _left_sum(np.where(rows[:, u] != rows[:, v], w, 0.0))
 
     def table(self) -> np.ndarray:
         masks = np.arange(1 << self.n, dtype=np.uint64)
@@ -158,16 +214,22 @@ class CutFunction:
 class Modular:
     weights: tuple[float, ...]
 
+    def __post_init__(self):
+        _check_size(self.n)
+
     @property
     def n(self) -> int:
         return len(self.weights)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.weights)
 
     def value_mask(self, mask: int) -> float:
-        return _mask_weight_sum(mask, self._tables)
+        return self._tables.mask_sum(mask)
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        return self._tables.rows_sum(rows)
 
     def table(self) -> np.ndarray:
         return _weight_sum_table(self.weights)

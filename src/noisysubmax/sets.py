@@ -173,3 +173,15 @@ def random_k_subset(s: ElementSet, k: int, rng: np.random.Generator) -> ElementS
 def popcount_array(masks: np.ndarray) -> np.ndarray:
     """Bit counts of an integer numpy array."""
     return np.bitwise_count(masks)
+
+
+def mask_row(mask: int, n: int) -> np.ndarray:
+    """The (1, n) boolean membership row of a mask over n elements."""
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little").view(bool)[None]
+
+
+def row_masks(rows: np.ndarray) -> list[int]:
+    """The integer mask of each row of a (k, n) boolean membership matrix."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]

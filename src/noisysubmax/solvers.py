@@ -11,7 +11,7 @@ import numpy as np
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, mask_members, random_k_subset_mask
-from .setfn import _check_point, _inclusion_probs, _table_of
+from .setfn import _check_point, _inclusion_probs, _left_sum, _table_of
 
 POLYTOPE_TOL = 1e-9
 RATIO_UNDERFLOW = 1e-12
@@ -171,7 +171,9 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
 
     Direction weights are expected marginals E[f(R + i) - f(R)] for R ~ x,
     which equal (1 - x_i) times the multilinear partial: computed exactly
-    when cfg.exact_extension, else sampled with fresh draws per coordinate.
+    when cfg.exact_extension, else averaged over `partial_samples` fresh
+    draws R_s per coordinate.  The sets R_s + i and R_s of one coordinate go
+    to the oracle as one `value_masks` batch.
     """
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
@@ -182,31 +184,20 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
         if cfg.exact_extension:
             weights = _exact_partials(table, x) * (1.0 - x)
         else:
+            samples = cfg.partial_samples
             weights = np.zeros(n)
             for i in free:
-                weights[i] = _sampled_marginal_weight(oracle, x, i, cfg.partial_samples, rng)
+                drawn = rng.random((samples, n)) < x
+                rows = np.concatenate([drawn, drawn])
+                rows[:samples, i] = True
+                values = oracle.value_masks(rows)
+                weights[i] = _left_sum(values[:samples] - values[samples:]) / samples
         # an element outside the free mask is never independent, so its
         # weight is never used
         direction = max_weight_independent_set(m, weights)
         ind = direction.indicator()
         x = x + cfg.step * (1.0 - x) * ind
     return x
-
-
-def _sampled_marginal_weight(oracle: ValueOracle, x: np.ndarray, i: int,
-                             samples: int, rng: np.random.Generator) -> float:
-    """Average of sampled marginals f(R + i) - f(R) for R ~ x."""
-    n = len(x)
-    bit = 1 << i
-    value = oracle.value_mask
-    total = 0.0
-    for _ in range(samples):
-        draw = rng.random(n) < x
-        mask = 0
-        for j in np.flatnonzero(draw):
-            mask |= 1 << int(j)
-        total += value(mask | bit) - value(mask)
-    return total / samples
 
 
 def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> ElementSet:

@@ -194,3 +194,84 @@ def test_random_generators_produce_submodular_nonnegative():
         spec = gen(8, rng)
         assert check_submodular(spec, g)
         assert float(np.min(value_table(spec))) >= -1e-9
+
+
+# Batch evaluation: `value_masks(rows)` must equal `value_mask` of each row
+# bit for bit, with n up to 100 so that masks span more than 64 bits.
+
+def rows_of(masks, n):
+    return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
+                    dtype=bool).reshape(len(masks), n)
+
+
+def cut_by_edge_loop(spec, mask):
+    """The cut value added edge by edge: the reference for both cut paths,
+    since the scalar cut evaluation is the one-row batch."""
+    total = 0.0
+    for u, v, w in spec.edges:
+        if ((mask >> u) & 1) != ((mask >> v) & 1):
+            total += w
+    return total
+
+
+def assert_batch_matches_scalar(spec, masks):
+    got = spec.value_masks(rows_of(masks, spec.n))
+    assert got.shape == (len(masks),)
+    want = [float(spec.value_mask(m)) for m in masks]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+    if isinstance(spec, CutFunction):
+        assert [v.hex() for v in want] == [cut_by_edge_loop(spec, m).hex() for m in masks]
+
+
+weights_st = st.floats(-5, 5, allow_nan=False)
+
+
+@st.composite
+def family_and_masks(draw):
+    n = draw(st.integers(1, 100))
+    kind = draw(st.sampled_from(["waq", "modular", "coverage", "cut"]))
+    if kind == "waq":
+        spec = WeightedAdditiveQuadratic(
+            tuple(draw(st.lists(weights_st, min_size=n, max_size=n))),
+            draw(st.floats(-1, 1, allow_nan=False)))
+    elif kind == "modular":
+        spec = Modular(tuple(draw(st.lists(weights_st, min_size=n, max_size=n))))
+    elif kind == "coverage":
+        items = draw(st.integers(0, 130))
+        covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=n, max_size=n))
+        spec = Coverage(tuple(covers), tuple(draw(st.lists(
+            weights_st, min_size=items, max_size=items))))
+    else:
+        vertex = st.integers(0, n - 1)
+        spec = CutFunction(n, tuple(draw(st.lists(
+            st.tuples(vertex, vertex, weights_st), max_size=300))))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
+    return spec, masks
+
+
+@given(family_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_value_masks_equals_value_mask(case):
+    assert_batch_matches_scalar(*case)
+
+
+def test_cut_value_masks_edge_cases():
+    full = (1 << 70) - 1
+    masks = [0, 1, 0b110, 1 << 69, full, full ^ (1 << 3), 0x2AAAAAAAAAAAAAAAAA]
+    # unsorted endpoints, repeated edges, self-loops and signed zero weights
+    messy = CutFunction(70, ((5, 2, 1.5), (2, 5, 1.5), (3, 3, 9.0), (69, 0, -0.0),
+                             (0, 69, 0.1), (68, 1, -2.25), (5, 2, 1e-300)))
+    assert_batch_matches_scalar(messy, masks)
+    no_edges = CutFunction(70, ())
+    assert_batch_matches_scalar(no_edges, masks)
+    assert no_edges.value_masks(rows_of(masks, 70)).tolist() == [0.0] * len(masks)
+    assert messy.value_masks(np.zeros((0, 70), dtype=bool)).shape == (0,)
+    # an edge loop starts from 0.0, so a lone -0.0 weight adds up to 0.0
+    assert_batch_matches_scalar(CutFunction(2, ((0, 1, -0.0),)), [0, 1, 2, 3])
+
+
+def test_families_reject_an_empty_ground_set():
+    for make in (lambda: WeightedAdditiveQuadratic((), 0.5), lambda: Modular(()),
+                 lambda: Coverage((), ()), lambda: CutFunction(0, ())):
+        with pytest.raises(ValueError, match="ground set size"):
+            make()

@@ -2,13 +2,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noisysubmax import solvers
 from noisysubmax.matroids import (PartitionMatroid, UniformMatroid, contract,
-                                  is_independent)
+                                  is_independent, max_weight_independent_set)
 from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle
 from noisysubmax.oracles import ExactOracle, PerturbedOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
-                                          random_submodular)
+                                          random_submodular, random_waq)
 from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Modular, _table_of, brute_force_opt, evaluate,
                                multilinear_exact, multilinear_partial_exact)
@@ -131,6 +133,62 @@ def test_mcg_sampled_mode_runs():
     x = measured_continuous_greedy(ExactOracle(spec), m, cfg, rng)
     assert np.all(x >= 0) and np.all(x <= 1)
     assert x.sum() <= 3 + 1e-9
+
+
+@given(st.integers(0, 2), st.integers(1, 24), st.sampled_from([0.25, 0.1]),
+       st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=30, deadline=None)
+def test_mcg_batch_path_matches_the_loop_path(family, n, step, samples, seed):
+    """ExactOracle answers each coordinate's sampled sets in one vectorised
+    batch; PerturbedOracle(..., 0.0) answers them one query at a time."""
+    spec = (random_waq, random_coverage, random_cut)[family](n, np.random.default_rng(seed))
+    ground = GroundSet(n)
+    m = PartitionMatroid(ground, parts=(ground.full_mask,), caps=(max(1, n // 3),))
+    cfg = MeasuredContinuousGreedy(step=step, partial_samples=samples)
+    exact = ExactOracle(spec)
+    batched = measured_continuous_greedy(exact, m, cfg, np.random.default_rng(seed))
+    looped = measured_continuous_greedy(PerturbedOracle(exact, 0.0), m, cfg,
+                                        np.random.default_rng(seed))
+    assert batched.tobytes() == looped.tobytes()
+
+
+def sampled_weights_by_loop(oracle, m, cfg, rng):
+    """The direction weights of each step of sampled measured continuous
+    greedy, with one query per set and a Python sum: the reference for the
+    batched solver."""
+    n = oracle.ground.n
+    x = np.zeros(n)
+    out = []
+    for _ in range(round(1.0 / cfg.step)):
+        weights = np.zeros(n)
+        for i in m.free_elements():
+            total = 0.0
+            for _ in range(cfg.partial_samples):
+                mask = sum(1 << int(j) for j in np.flatnonzero(rng.random(n) < x))
+                total += oracle.value_mask(mask | 1 << i) - oracle.value_mask(mask)
+            weights[i] = total / cfg.partial_samples
+        out.append(weights)
+        x = x + cfg.step * (1.0 - x) * max_weight_independent_set(m, weights).indicator()
+    return out
+
+
+def test_mcg_sampled_weights_match_the_loop_reference(monkeypatch):
+    # the default 32 samples: from 8 terms on, np.sum's pairwise order would
+    # change the last bits of a weight, which x itself seldom shows
+    rng = np.random.default_rng(13)
+    spec = random_cut(30, rng, 0.3)
+    m = PartitionMatroid(GroundSet(30), parts=(0x3FF, 0x3FF << 10, 0x3FF << 20), caps=(2, 3, 2))
+    cfg = MeasuredContinuousGreedy(step=0.2)
+    seen = []
+
+    def recording(matroid, weights):
+        seen.append(weights.copy())
+        return max_weight_independent_set(matroid, weights)
+
+    monkeypatch.setattr(solvers, "max_weight_independent_set", recording)
+    measured_continuous_greedy(ExactOracle(spec), m, cfg, np.random.default_rng(5))
+    want = sampled_weights_by_loop(ExactOracle(spec), m, cfg, np.random.default_rng(5))
+    assert [w.tobytes() for w in seen] == [w.tobytes() for w in want]
 
 
 def test_second_partial_four_term_identity():
