@@ -123,7 +123,7 @@ class PersistentNoisyOracle(ValueOracle):
         self._width = (self._n + 7) // 8
 
     def multiplier_mask(self, mask: int) -> float:
-        if mask < 0 or mask >> self._n:
+        if mask >> self._n:
             raise mask_error(mask, self._n)
         digest = hashlib.blake2b(
             mask.to_bytes(self._width, "little"), digest_size=16, key=self._key

@@ -10,7 +10,8 @@ from .setfn import SetFunctionSpec, evaluate_mask, ground_of
 
 def mask_error(mask: int, n: int) -> ValueError:
     """The error for a mask that is negative or has a bit at n or above.
-    Callers test `mask < 0 or mask >> n` inline, since it is on every query."""
+    Callers test `mask >> n` inline, since it is on every query: it is
+    nonzero exactly for such masks (a negative mask shifts to -1 or less)."""
     return ValueError(f"mask {mask:#x} is not a subset of a ground set of size {n}")
 
 
@@ -52,7 +53,7 @@ class ExactOracle(ValueOracle):
         self._n = spec.n
 
     def value_mask(self, mask: int) -> float:
-        if mask < 0 or mask >> self._n:
+        if mask >> self._n:
             raise mask_error(mask, self._n)
         return evaluate_mask(self.spec, mask)
 
