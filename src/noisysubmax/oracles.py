@@ -58,7 +58,12 @@ class ExactOracle(ValueOracle):
         return evaluate_mask(self.spec, mask)
 
     def value_masks(self, rows) -> np.ndarray:
-        return self.spec.value_masks(check_rows(rows, self._n))
+        # only CutFunction evaluates a batch in numpy; the other families
+        # answer one row at a time through the default loop
+        batch = getattr(self.spec, "value_masks", None)
+        if batch is None:
+            return super().value_masks(rows)
+        return batch(check_rows(rows, self._n))
 
 
 class PerturbedOracle(ValueOracle):

@@ -20,44 +20,31 @@ MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
 
 
-class _ByteTables:
-    """Per-byte lookup tables of a weight vector: `tables[b][chunk]` is the
-    sum of the weights of the bits set in `chunk`, read as byte b."""
+def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
+    """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits."""
+    n = len(weights)
+    tables = []
+    for byte in range((n + 7) // 8):
+        w = weights[8 * byte: 8 * byte + 8]
+        tab = [0.0] * 256
+        for chunk in range(256):
+            s = 0.0
+            for bit in range(len(w)):
+                if (chunk >> bit) & 1:
+                    s += w[bit]
+            tab[chunk] = s
+        tables.append(tuple(tab))
+    return tuple(tables)
 
-    def __init__(self, weights: tuple[float, ...]):
-        tables = []
-        for byte in range((len(weights) + 7) // 8):
-            w = weights[8 * byte: 8 * byte + 8]
-            tab = [0.0] * 256
-            for chunk in range(256):
-                s = 0.0
-                for bit in range(len(w)):
-                    if (chunk >> bit) & 1:
-                        s += w[bit]
-                tab[chunk] = s
-            tables.append(tuple(tab))
-        self.tables = tuple(tables)
-        self.array = np.array(tables, dtype=np.float64).reshape(-1, 256)
 
-    def mask_sum(self, mask: int) -> float:
-        tables = self.tables
-        total = 0.0
-        i = 0
-        while mask:
-            total += tables[i][mask & 255]
-            mask >>= 8
-            i += 1
-        return total
-
-    def rows_sum(self, rows: np.ndarray) -> np.ndarray:
-        """`mask_sum` of each row of a boolean membership matrix: the same
-        table entries added in the same order.  Bytes above a row's highest
-        set bit add 0.0, which leaves the sum unchanged."""
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        total = np.zeros(len(rows))
-        for byte, table in enumerate(self.array):
-            total += table[packed[:, byte]]
-        return total
+def _mask_weight_sum(mask: int, tables) -> float:
+    total = 0.0
+    i = 0
+    while mask:
+        total += tables[i][mask & 255]
+        mask >>= 8
+        i += 1
+    return total
 
 
 def _left_sum(a: np.ndarray) -> np.ndarray:
@@ -84,11 +71,11 @@ def _weight_sum_table(weights) -> np.ndarray:
     return wsum
 
 
-# Each family evaluates one mask in closed form (`value_mask`), a batch of
-# masks given as the rows of a (k, n) boolean membership matrix
-# (`value_masks`, bit for bit equal to `value_mask` of each row), and its
-# dense table over all 2^n masks (`table`).  Lookup tables and edge arrays
-# are built on first use and kept on the instance.
+# Each family evaluates one mask in closed form (`value_mask`) and its dense
+# table over all 2^n masks (`table`).  `CutFunction` also evaluates a batch
+# of masks given as the rows of a (k, n) boolean membership matrix
+# (`value_masks`, bit for bit equal to `value_mask` of each row).  Lookup
+# tables and edge arrays are built on first use and kept on the instance.
 
 @dataclass(frozen=True)
 class WeightedAdditiveQuadratic:
@@ -105,16 +92,12 @@ class WeightedAdditiveQuadratic:
         return len(self.weights)
 
     @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(self.weights)
+    def _tables(self):
+        return _byte_sum_tables(self.weights)
 
     def value_mask(self, mask: int) -> float:
         k = mask.bit_count()
-        return self._tables.mask_sum(mask) - self.cost * k * k
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        k = np.count_nonzero(rows, axis=1)
-        return self._tables.rows_sum(rows) - self.cost * k * k
+        return _mask_weight_sum(mask, self._tables) - self.cost * k * k
 
     def table(self) -> np.ndarray:
         k = popcount_array(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
@@ -139,13 +122,8 @@ class Coverage:
         return len(self.covers)
 
     @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(self.item_weights)
-
-    @cached_property
-    def _cover_rows(self) -> np.ndarray:
-        """(n, items) boolean matrix: row i is the items element i covers."""
-        return np.vstack([mask_row(c, len(self.item_weights)) for c in self.covers])
+    def _tables(self):
+        return _byte_sum_tables(self.item_weights)
 
     def value_mask(self, mask: int) -> float:
         covered = 0
@@ -155,11 +133,7 @@ class Coverage:
             low = m & -m
             covered |= covers[low.bit_length() - 1]
             m ^= low
-        return self._tables.mask_sum(covered)
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # a boolean matrix product ORs the cover rows of each row's members
-        return self._tables.rows_sum(rows @ self._cover_rows)
+        return _mask_weight_sum(covered, self._tables)
 
     def table(self) -> np.ndarray:
         covered = np.zeros(1 << self.n, dtype=np.uint64)
@@ -222,14 +196,11 @@ class Modular:
         return len(self.weights)
 
     @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(self.weights)
+    def _tables(self):
+        return _byte_sum_tables(self.weights)
 
     def value_mask(self, mask: int) -> float:
-        return self._tables.mask_sum(mask)
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        return self._tables.rows_sum(rows)
+        return _mask_weight_sum(mask, self._tables)
 
     def table(self) -> np.ndarray:
         return _weight_sum_table(self.weights)

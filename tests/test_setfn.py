@@ -196,8 +196,8 @@ def test_random_generators_produce_submodular_nonnegative():
         assert float(np.min(value_table(spec))) >= -1e-9
 
 
-# Batch evaluation: `value_masks(rows)` must equal `value_mask` of each row
-# bit for bit, with n up to 100 so that masks span more than 64 bits.
+# Cut batch evaluation: `value_masks(rows)` must equal `value_mask` of each
+# row bit for bit, with n up to 100 so that masks span more than 64 bits.
 
 def rows_of(masks, n):
     return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
@@ -219,39 +219,22 @@ def assert_batch_matches_scalar(spec, masks):
     assert got.shape == (len(masks),)
     want = [float(spec.value_mask(m)) for m in masks]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-    if isinstance(spec, CutFunction):
-        assert [v.hex() for v in want] == [cut_by_edge_loop(spec, m).hex() for m in masks]
-
-
-weights_st = st.floats(-5, 5, allow_nan=False)
+    assert [v.hex() for v in want] == [cut_by_edge_loop(spec, m).hex() for m in masks]
 
 
 @st.composite
-def family_and_masks(draw):
+def cut_and_masks(draw):
     n = draw(st.integers(1, 100))
-    kind = draw(st.sampled_from(["waq", "modular", "coverage", "cut"]))
-    if kind == "waq":
-        spec = WeightedAdditiveQuadratic(
-            tuple(draw(st.lists(weights_st, min_size=n, max_size=n))),
-            draw(st.floats(-1, 1, allow_nan=False)))
-    elif kind == "modular":
-        spec = Modular(tuple(draw(st.lists(weights_st, min_size=n, max_size=n))))
-    elif kind == "coverage":
-        items = draw(st.integers(0, 130))
-        covers = draw(st.lists(st.integers(0, (1 << items) - 1), min_size=n, max_size=n))
-        spec = Coverage(tuple(covers), tuple(draw(st.lists(
-            weights_st, min_size=items, max_size=items))))
-    else:
-        vertex = st.integers(0, n - 1)
-        spec = CutFunction(n, tuple(draw(st.lists(
-            st.tuples(vertex, vertex, weights_st), max_size=300))))
+    vertex = st.integers(0, n - 1)
+    spec = CutFunction(n, tuple(draw(st.lists(
+        st.tuples(vertex, vertex, st.floats(-5, 5, allow_nan=False)), max_size=300))))
     masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=12))
     return spec, masks
 
 
-@given(family_and_masks())
+@given(cut_and_masks())
 @settings(max_examples=200, deadline=None)
-def test_value_masks_equals_value_mask(case):
+def test_cut_value_masks_equals_value_mask(case):
     assert_batch_matches_scalar(*case)
 
 
