@@ -1,5 +1,6 @@
 """Golden digests: the exact bytes of a small `simulate` run, the noise
-stream, the random choices of every solver, and the instance-file text.
+stream, the set-function values, the random choices of every solver, and
+the instance-file text.
 
 The other tests check properties, which a silent change of the noise stream
 or of a solver's random choices still passes.  These pin the outputs
@@ -18,10 +19,10 @@ from noisysubmax.meta import MetaConfig, best_of_T, meta_solve
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential)
 from noisysubmax.oracles import ExactOracle
-from noisysubmax.random_instances import random_coverage, random_cut
+from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from noisysubmax.sets import GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
-                               WeightedAdditiveQuadratic)
+                               WeightedAdditiveQuadratic, evaluate_mask)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, measured_continuous_greedy, run_solver)
 
@@ -216,3 +217,39 @@ def test_instance_file_text(inst, lines):
     text = "\n".join(lines) + "\n"
     assert dumps_instance(inst) == text
     assert loads_instance(text) == inst
+
+
+# The value of each set-function family on fixed masks: the byte-table sum
+# of WAQ, `Modular` (with negative weights) and `Coverage`, and the cut's
+# edge-order sum at n=40 and n=100 (13-byte masks).  Each family's masks
+# include the empty and the full set.
+FAMILY_VALUE_SHA256 = {
+    "waq70": "e05cf262ff8971f859aedde889cfb4aade46379500e7e8c90ea5a967320f176c",
+    "modular70": "f0777c2950c7312c9238d934bc6ec7639163b85e490ed1af404690e0748907e7",
+    "coverage30": "c36eb16649159e41049393a27428f90037ae0275a0d4576b0c66840c841382f0",
+    "cut40": "84a1ba6c0ad6cba141bb06ce81c14d86ca4c8dac86a5501cfea597c0b5effa31",
+    "cut100": "345d5a4f96064715a4c8a84a58f76f54201dc193ad52dcec5b3dc085ac6b617c",
+}
+
+
+def _family_functions():
+    rng = np.random.default_rng(2026)
+    yield "waq70", random_waq(70, rng)
+    yield "modular70", Modular(tuple(float(w) for w in rng.uniform(-3.0, 3.0, size=70)))
+    yield "coverage30", random_coverage(30, rng, items=75)
+    yield "cut40", random_cut(40, rng, 0.25)
+    yield "cut100", random_cut(100, rng, 0.1)
+
+
+def _family_masks(n):
+    full = (1 << n) - 1
+    return [0, full] + [(k * 0x9E3779B97F4A7C15F39CC0605CEDC835A1B2C3D4E5F60718) & full
+                        for k in range(1, 63)]
+
+
+def test_family_value_digest():
+    got = {}
+    for label, fn in _family_functions():
+        values = [evaluate_mask(fn, mask) for mask in _family_masks(fn.n)]
+        got[label] = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert got == FAMILY_VALUE_SHA256
