@@ -7,12 +7,11 @@ from .setfn import (Coverage, CutFunction, Modular, WeightedAdditiveQuadratic,
                     multilinear_exact, value_table)
 from .matroids import (ContractedMatroid, PartitionMatroid, UniformMatroid,
                        arbitrary_basis, contract, is_independent, rank)
-from .oracles import ExactOracle, PerturbedOracle, ValueOracle
+from .oracles import ExactOracle, ValueOracle
 from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
                     ShiftedExponential)
 from .surrogate import (ParamBudget, SampledSurrogateOracle, SurrogateConfig,
-                        SurrogateParams, compute_parameters, surrogate_exact,
-                        surrogate_sampled)
+                        SurrogateParams, compute_parameters, surrogate_exact)
 from .solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                       RandomSubset, double_greedy, greedy_cardinality,
                       measured_continuous_greedy, pipage_round, random_subset,
@@ -29,12 +28,11 @@ __all__ = [
     "multilinear_exact", "value_table",
     "ContractedMatroid", "PartitionMatroid", "UniformMatroid",
     "arbitrary_basis", "contract", "is_independent", "rank",
-    "ExactOracle", "PerturbedOracle", "ValueOracle",
+    "ExactOracle", "ValueOracle",
     "BoundedUniform", "Gaussian", "NoiseSpec", "PersistentNoisyOracle",
     "ShiftedExponential",
     "ParamBudget", "SampledSurrogateOracle", "SurrogateConfig",
     "SurrogateParams", "compute_parameters", "surrogate_exact",
-    "surrogate_sampled",
     "DoubleGreedy", "Greedy", "MeasuredContinuousGreedy", "RandomSubset",
     "double_greedy", "greedy_cardinality", "measured_continuous_greedy",
     "pipage_round", "random_subset", "run_solver",

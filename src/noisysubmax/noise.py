@@ -1,16 +1,19 @@
 """Persistent multiplicative noise: f-tilde(S) = xi_S * f(S).
 
-Persistence comes from stateless keyed derivation, not memoization: the
-multiplier for a set is a pure function of (master seed, canonical set
-bits), derived by hashing the bits into uniform variates.  This keeps
-memory flat across millions of distinct queries and is trivially
-thread-safe.
+Persistence comes from keyed derivation, not memoization: the multiplier
+for a set is a pure function of (master seed, canonical set bits), derived
+by hashing the bits into uniform variates.  Each oracle keys one BLAKE2b
+hasher with its master seed once, and every query hashes its mask on a
+copy of it, so the key block is not absorbed again per query.  There is no
+memo table: memory stays flat across millions of distinct queries.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from math import cos, log, sqrt
 from typing import Union
 
 import numpy as np
@@ -20,6 +23,7 @@ from .setfn import SetFunctionSpec, evaluate_mask, ground_of
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
+_MASK_53 = (1 << 53) - 1
 
 
 @dataclass(frozen=True)
@@ -32,9 +36,13 @@ class Gaussian:
     def sub_exponential_params(self) -> tuple[float, float]:
         return (math.sqrt(self.sigma2), 0.0)
 
+    @cached_property
+    def _sd(self) -> float:
+        return sqrt(self.sigma2)
+
     def draw(self, u_open: float, u_half: float) -> float:
-        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(_TWO_PI * u_half)
-        return 1.0 + math.sqrt(self.sigma2) * z
+        z = sqrt(-2.0 * log(u_open)) * cos(_TWO_PI * u_half)
+        return 1.0 + self._sd * z
 
 
 @dataclass(frozen=True)
@@ -48,8 +56,16 @@ class BoundedUniform:
         # bounded in an interval of width 2a
         return (2.0 * self.halfwidth, 0.0)
 
+    @cached_property
+    def _low(self) -> float:
+        return 1.0 - self.halfwidth
+
+    @cached_property
+    def _width(self) -> float:
+        return 2.0 * self.halfwidth
+
     def draw(self, u_open: float, u_half: float) -> float:
-        return 1.0 - self.halfwidth + 2.0 * self.halfwidth * u_half
+        return self._low + self._width * u_half
 
 
 @dataclass(frozen=True)
@@ -62,8 +78,14 @@ class ShiftedExponential:
     def sub_exponential_params(self) -> tuple[float, float]:
         return (2.0 / self.rate, 2.0 / self.rate)
 
+    @cached_property
+    def _low(self) -> float:
+        return 1.0 - 1.0 / self.rate
+
     def draw(self, u_open: float, u_half: float) -> float:
-        return 1.0 - 1.0 / self.rate - math.log(u_open) / self.rate
+        # log(u)/rate stays a division: a cached 1/rate times log(u) can
+        # differ from it in the last bit
+        return self._low - log(u_open) / self.rate
 
 
 NoiseDistribution = Union[Gaussian, BoundedUniform, ShiftedExponential]
@@ -119,19 +141,21 @@ class PersistentNoisyOracle(ValueOracle):
             raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
         self.ground = ground_of(base)
         self._n = self.ground.n
-        self._key = self.master_seed.to_bytes(8, "little")
         self._width = (self._n + 7) // 8
+        # keyed once; each query hashes its mask on a copy
+        self._hasher = hashlib.blake2b(
+            digest_size=16, key=self.master_seed.to_bytes(8, "little"))
+        self._multiplier = noise.multiplier
 
     def multiplier_mask(self, mask: int) -> float:
         if mask >> self._n:
             raise mask_error(mask, self._n)
-        digest = hashlib.blake2b(
-            mask.to_bytes(self._width, "little"), digest_size=16, key=self._key
-        ).digest()
-        bits = int.from_bytes(digest, "little")
-        u_open = ((bits & ((1 << 53) - 1)) + 1) * _INV_2_53
-        u_half = ((bits >> 53) & ((1 << 53) - 1)) * _INV_2_53
-        return self.noise.multiplier(u_open, u_half)
+        hasher = self._hasher.copy()
+        hasher.update(mask.to_bytes(self._width, "little"))
+        bits = int.from_bytes(hasher.digest(), "little")
+        u_open = ((bits & _MASK_53) + 1) * _INV_2_53
+        u_half = ((bits >> 53) & _MASK_53) * _INV_2_53
+        return self._multiplier(u_open, u_half)
 
     def value_mask(self, mask: int) -> float:
         # multiplier_mask rejects a mask outside the ground set before the

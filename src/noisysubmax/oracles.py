@@ -1,5 +1,5 @@
-"""Value-oracle interface shared by exact, noisy, surrogate, and perturbed
-set-function evaluation."""
+"""Value-oracle interface shared by exact, noisy and surrogate set-function
+evaluation."""
 from __future__ import annotations
 
 import numpy as np
@@ -64,17 +64,3 @@ class ExactOracle(ValueOracle):
         if batch is None:
             return super().value_masks(rows)
         return batch(check_rows(rows, self._n))
-
-
-class PerturbedOracle(ValueOracle):
-    """Deterministic eps-approximate oracle: adds +eps on sets of even size
-    and -eps on sets of odd size (so repeated queries agree)."""
-
-    def __init__(self, inner: ValueOracle, eps: float):
-        self.inner = inner
-        self.ground = inner.ground
-        self.eps = eps
-
-    def value_mask(self, mask: int) -> float:
-        sign = 1.0 if mask.bit_count() % 2 == 0 else -1.0
-        return self.inner.value_mask(mask) + self.eps * sign

@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, mask_row, popcount_array
+from .sets import ElementSet, GroundSet, popcount_array
 
 BRUTE_FORCE_BUDGET = 24
 SUBMODULARITY_BUDGET = 14
@@ -38,12 +38,12 @@ def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...
 
 
 def _mask_weight_sum(mask: int, tables) -> float:
+    """Sum of the weights of the set bits, added byte by byte from the low
+    byte.  A zero byte adds table[0] = 0.0, which leaves the total exact
+    (the total starts at 0.0, so it is never -0.0)."""
     total = 0.0
-    i = 0
-    while mask:
-        total += tables[i][mask & 255]
-        mask >>= 8
-        i += 1
+    for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+        total += table[byte]
     return total
 
 
@@ -74,8 +74,11 @@ def _weight_sum_table(weights) -> np.ndarray:
 # Each family evaluates one mask in closed form (`value_mask`) and its dense
 # table over all 2^n masks (`table`).  `CutFunction` also evaluates a batch
 # of masks given as the rows of a (k, n) boolean membership matrix
-# (`value_masks`, bit for bit equal to `value_mask` of each row).  Lookup
-# tables and edge arrays are built on first use and kept on the instance.
+# (`value_masks`, bit for bit equal to `value_mask` of each row), in chunks
+# of at most _CUT_CHUNK_CELLS rows x edges.  Lookup tables and edge arrays
+# are built on first use and kept on the instance.
+
+_CUT_CHUNK_CELLS = 1 << 16
 
 @dataclass(frozen=True)
 class WeightedAdditiveQuadratic:
@@ -168,12 +171,23 @@ class CutFunction:
                 np.array([w for _, _, w in self.edges], dtype=np.float64))
 
     def value_mask(self, mask: int) -> float:
-        return float(self.value_masks(mask_row(mask, self.n))[0])
+        # the crossing weights summed in edge order, as a loop over the
+        # edges would (np.add.accumulate is np.cumsum without its dispatch
+        # overhead); `+ 0.0` maps a -0.0 total to 0.0, as in _left_sum
+        u, v, w = self._edge_arrays
+        raw = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
+        bits = np.unpackbits(raw, count=self.n, bitorder="little")
+        crossing = w[bits[u] != bits[v]]
+        if crossing.size == 0:
+            return 0.0
+        return float(np.add.accumulate(crossing)[-1]) + 0.0
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # crossing weights summed in edge order, as a loop over the edges would
         u, v, w = self._edge_arrays
-        return _left_sum(np.where(rows[:, u] != rows[:, v], w, 0.0))
+        step = max(1, _CUT_CHUNK_CELLS // max(1, len(w)))
+        return np.concatenate([
+            _left_sum(np.where(chunk[:, u] != chunk[:, v], w, 0.0))
+            for chunk in np.split(rows, range(step, len(rows), step))])
 
     def table(self) -> np.ndarray:
         masks = np.arange(1 << self.n, dtype=np.uint64)
@@ -330,14 +344,3 @@ def multilinear_exact(fn_or_spec, x: np.ndarray) -> float:
         raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
     x = _check_point(x, n)
     return float(_inclusion_probs(x) @ _table_of(fn_or_spec, n))
-
-
-def multilinear_partial_exact(fn_or_spec, x: np.ndarray, i: int) -> float:
-    """Exact i-th partial derivative of the multilinear extension."""
-    n = fn_or_spec.n if hasattr(fn_or_spec, "n") else len(x)
-    x = _check_point(x, n)
-    hi = x.copy()
-    hi[i] = 1.0
-    lo = x.copy()
-    lo[i] = 0.0
-    return multilinear_exact(fn_or_spec, hi) - multilinear_exact(fn_or_spec, lo)

@@ -175,12 +175,6 @@ def popcount_array(masks: np.ndarray) -> np.ndarray:
     return np.bitwise_count(masks)
 
 
-def mask_row(mask: int, n: int) -> np.ndarray:
-    """The (1, n) boolean membership row of a mask over n elements."""
-    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little").view(bool)[None]
-
-
 def row_masks(rows: np.ndarray) -> list[int]:
     """The integer mask of each row of a (k, n) boolean membership matrix."""
     packed = np.packbits(rows, axis=1, bitorder="little")

@@ -146,7 +146,8 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
         else:
             y_mask &= ~bit
             fy = fy_del
-    assert x_mask == y_mask
+    if x_mask != y_mask:
+        raise RuntimeError(f"double greedy ended with X={x_mask:#x} != Y={y_mask:#x}")
     return ElementSet(ground, x_mask)
 
 
@@ -172,26 +173,26 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     Direction weights are expected marginals E[f(R + i) - f(R)] for R ~ x,
     which equal (1 - x_i) times the multilinear partial: computed exactly
     when cfg.exact_extension, else averaged over `partial_samples` fresh
-    draws R_s per coordinate.  The sets R_s + i and R_s of one coordinate go
-    to the oracle as one `value_masks` batch.
+    draws R_s per free coordinate.  The sets R_s + i and R_s of every free
+    coordinate of one step go to the oracle as one `value_masks` batch.
     """
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
-    free = m.free_elements()
+    free = np.array(m.free_elements(), dtype=np.intp)
+    k, samples = len(free), cfg.partial_samples
     table = _table_of(oracle.value, n) if cfg.exact_extension else None
     for _ in range(steps):
         if cfg.exact_extension:
             weights = _exact_partials(table, x) * (1.0 - x)
         else:
-            samples = cfg.partial_samples
+            # the same doubles as k draws of shape (samples, n) in turn
+            drawn = rng.random((k, samples, n)) < x
+            rows = np.concatenate([drawn, drawn], axis=1)
+            rows[np.arange(k)[:, None], np.arange(samples), free[:, None]] = True
+            values = oracle.value_masks(rows.reshape(-1, n)).reshape(k, 2 * samples)
             weights = np.zeros(n)
-            for i in free:
-                drawn = rng.random((samples, n)) < x
-                rows = np.concatenate([drawn, drawn])
-                rows[:samples, i] = True
-                values = oracle.value_masks(rows)
-                weights[i] = _left_sum(values[:samples] - values[samples:]) / samples
+            weights[free] = _left_sum(values[:, :samples] - values[:, samples:]) / samples
         # an element outside the free mask is never independent, so its
         # weight is never used
         direction = max_weight_independent_set(m, weights)

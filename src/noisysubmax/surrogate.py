@@ -125,10 +125,6 @@ class SampledSurrogateOracle(ValueOracle):
         return total / len(self._sample_masks)
 
 
-def surrogate_sampled(o: ValueOracle, cfg: SurrogateConfig, s: ElementSet) -> float:
-    return SampledSurrogateOracle(o, cfg).value(s)
-
-
 @dataclass(frozen=True)
 class ParamBudget:
     """Accuracy/confidence budget for sizing the sampled surrogate."""

@@ -17,7 +17,6 @@ from noisysubmax.checks import (check_appendix_removal_lemmas,
 from noisysubmax.harness import ExperimentSpec, run_experiment
 from noisysubmax.matroids import PartitionMatroid, UniformMatroid
 from noisysubmax.noise import Gaussian, NoiseSpec, PersistentNoisyOracle
-from noisysubmax.oracles import PerturbedOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.sets import ElementSet, GroundSet
@@ -25,9 +24,9 @@ from noisysubmax.setfn import brute_force_opt, evaluate, multilinear_exact
 from noisysubmax.solvers import (MeasuredContinuousGreedy, double_greedy,
                                  measured_continuous_greedy, pipage_round)
 from noisysubmax.surrogate import (ParamBudget, SurrogateConfig,
-                                   compute_parameters, surrogate_exact,
-                                   surrogate_sampled)
+                                   compute_parameters, surrogate_exact)
 
+from reference import PerturbedOracle, surrogate_sampled
 from table_oracle import TableOracle
 
 BENCH_TOL = 0.03

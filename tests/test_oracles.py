@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisysubmax.noise import NoiseSpec, PersistentNoisyOracle, ShiftedExponential
-from noisysubmax.oracles import ExactOracle, PerturbedOracle
+from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
+
+from reference import PerturbedOracle
 
 FAMILIES = (random_waq, random_coverage, random_cut)
 

@@ -10,8 +10,9 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, brute_force_opt,
                                check_submodular, evaluate, evaluate_mask,
                                marginal, multilinear_exact,
-                               multilinear_partial_exact, table_is_submodular,
-                               value_table)
+                               table_is_submodular, value_table)
+
+from reference import multilinear_partial_exact
 
 
 def naive_value(spec, members):

@@ -8,17 +8,19 @@ from noisysubmax import solvers
 from noisysubmax.matroids import (PartitionMatroid, UniformMatroid, contract,
                                   is_independent, max_weight_independent_set)
 from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle
-from noisysubmax.oracles import ExactOracle, PerturbedOracle
+from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Modular, _table_of, brute_force_opt, evaluate,
-                               multilinear_exact, multilinear_partial_exact)
+                               multilinear_exact)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, _exact_partials,
                                  double_greedy, greedy_cardinality,
                                  measured_continuous_greedy, pipage_round,
                                  random_subset, run_solver)
+
+from reference import PerturbedOracle, multilinear_partial_exact
 
 
 def test_greedy_modular_example():
