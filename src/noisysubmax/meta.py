@@ -68,6 +68,13 @@ def best_of_T(o: PersistentNoisyOracle, cfg: MetaConfig, T: int,
     The selection guarantee holds for monotone f; for non-monotone f
     removing an element can improve the objective, so the comparison is
     exposed but not guaranteed.
+
+    A non-empty run S scores the average of f-tilde over its subsets S - e,
+    one element smaller; an empty run scores f-tilde(∅), the value of the
+    only subset ∅ has.  Both scores are noisy values of subsets of the run
+    on one scale: a singleton {e} scores f-tilde(∅) as well.  So an empty
+    run wins only when every non-empty run scores below f-tilde(∅); ties go
+    to the earlier run.
     """
     if T < 1:
         raise ValueError("T must be >= 1")

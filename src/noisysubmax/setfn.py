@@ -51,10 +51,11 @@ def _left_sum(a: np.ndarray) -> np.ndarray:
     """Sums along the last axis, added left to right from 0.0 as a Python
     `total += v` loop adds them (np.sum adds pairwise, which can change the
     last bits).  The final `+ 0.0` turns the -0.0 that such a loop never
-    returns into 0.0."""
+    returns into 0.0.  The running sums overwrite the float array `a`,
+    which saves allocating a second array of its size."""
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
-    return np.cumsum(a, axis=-1)[..., -1] + 0.0
+    return np.add.accumulate(a, axis=-1, out=a)[..., -1] + 0.0
 
 
 def _check_size(n: int) -> None:
@@ -172,8 +173,7 @@ class CutFunction:
 
     def value_mask(self, mask: int) -> float:
         # the crossing weights summed in edge order, as a loop over the
-        # edges would (np.add.accumulate is np.cumsum without its dispatch
-        # overhead); `+ 0.0` maps a -0.0 total to 0.0, as in _left_sum
+        # edges would; `+ 0.0` maps a -0.0 total to 0.0, as in _left_sum
         u, v, w = self._edge_arrays
         raw = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
         bits = np.unpackbits(raw, count=self.n, bitorder="little")

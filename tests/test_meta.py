@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from noisysubmax import meta
 from noisysubmax.matroids import UniformMatroid, is_independent
 from noisysubmax.meta import (MetaConfig, best_of_T, comparison_surrogate_f0,
                               meta_solve)
@@ -8,7 +10,8 @@ from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle)
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import GroundSet
+from noisysubmax.oracles import ValueOracle
+from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import Modular, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
 
@@ -172,3 +175,49 @@ def test_best_of_T_improves_or_matches_on_average():
         single.append(evaluate(spec, meta_solve(o, cfg, rng)))
         repeated.append(evaluate(spec, best_of_T(o, cfg, 8, rng)))
     assert np.mean(repeated) >= np.mean(single) - 1e-9
+
+
+class _ScriptedValues(ValueOracle):
+    """Noisy-oracle stand-in that answers from a table of set values."""
+
+    def __init__(self, n, values):
+        self.ground = GroundSet(n)
+        self.values = values
+
+    def value_mask(self, mask):
+        return self.values[mask]
+
+
+@given(st.permutations(range(4)), st.lists(st.integers(-20, 20), min_size=5,
+                                           max_size=5, unique=True))
+@settings(max_examples=100, deadline=None)
+def test_best_of_T_empty_run_wins_only_below_f_empty(order, values):
+    # runs: ∅, {0, 1}, {2, 3} and {0, 2}, met in the drawn order; each
+    # two-set run scores the mean of its two singletons, a multiple of 1/2,
+    # so it never ties with f(∅), which is 1/4 off one
+    f = {0: values[0] + 0.25}
+    f.update({1 << i: float(v) for i, v in enumerate(values[1:])})
+    runs = [0, 0b0011, 0b1100, 0b0101]
+    oracle = _ScriptedValues(4, f)
+    g = oracle.ground
+    script = iter([ElementSet(g, runs[k]) for k in order])
+    cfg = MetaConfig(h=0, t=0, m=1, inner=Greedy(), matroid=UniformMatroid(g, 2))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(meta, "meta_solve", lambda o, c, rng: next(script))
+        best = best_of_T(oracle, cfg, 4, np.random.default_rng(0))
+    scores = {mask: comparison_surrogate_f0(oracle, ElementSet(g, mask)) for mask in runs[1:]}
+    assert (best.mask == 0) == all(score < f[0] for score in scores.values())
+    if best.mask:
+        assert scores[best.mask] == max(scores.values())
+
+
+def test_best_of_T_singleton_ties_with_the_empty_run():
+    oracle = _ScriptedValues(2, {0: 1.0, 1: 5.0, 2: 0.0})
+    g = oracle.ground
+    cfg = MetaConfig(h=0, t=0, m=1, inner=Greedy(), matroid=UniformMatroid(g, 1))
+    for first, second in ((0, 1), (1, 0)):
+        script = iter([ElementSet(g, first), ElementSet(g, second)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(meta, "meta_solve", lambda o, c, rng: next(script))
+            # {0} scores f(∅) = 1.0, as ∅ does, so the earlier run is kept
+            assert best_of_T(oracle, cfg, 2, np.random.default_rng(0)).mask == first

@@ -1,5 +1,9 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential,
@@ -114,3 +118,44 @@ def test_large_and_negative_master_seeds():
     for seed in (2**64, 2**64 + 5, -1, -3):
         with pytest.raises(ValueError):
             PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), seed)
+
+
+# The multiplier path must equal the construction it replaced bit for bit:
+# a BLAKE2b hash keyed per call, the 53-bit split, and each distribution's
+# transform with its constants computed inline.
+
+def former_draw(dist, u_open, u_half):
+    if isinstance(dist, Gaussian):
+        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(2.0 * math.pi * u_half)
+        return 1.0 + math.sqrt(dist.sigma2) * z
+    if isinstance(dist, BoundedUniform):
+        return 1.0 - dist.halfwidth + 2.0 * dist.halfwidth * u_half
+    return 1.0 - 1.0 / dist.rate - math.log(u_open) / dist.rate
+
+
+def multiplier_by_keyed_hash(noise, master_seed, n, mask):
+    digest = hashlib.blake2b(mask.to_bytes((n + 7) // 8, "little"), digest_size=16,
+                             key=master_seed.to_bytes(8, "little")).digest()
+    bits = int.from_bytes(digest, "little")
+    u_open = ((bits & ((1 << 53) - 1)) + 1) * 2.0 ** -53
+    u_half = ((bits >> 53) & ((1 << 53) - 1)) * 2.0 ** -53
+    xi = former_draw(noise.distribution, u_open, u_half)
+    return 0.0 if noise.clamp_negative and xi < 0.0 else xi
+
+
+distributions = st.one_of(
+    st.builds(Gaussian, st.floats(1e-6, 10.0)),
+    st.builds(BoundedUniform, st.floats(0.0, 2.0)),
+    st.builds(ShiftedExponential, st.floats(0.1, 10.0)))
+
+
+@given(distributions, st.booleans(), st.integers(0, 2**64 - 1), st.integers(1, 100),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_multiplier_mask_matches_the_keyed_hash_reference(dist, clamp, seed, n, data):
+    noise = NoiseSpec(dist, clamp_negative=clamp)
+    oracle = PersistentNoisyOracle(Modular((1.0,) * n), noise, seed)
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    for mask in masks + [0, (1 << n) - 1]:
+        want = multiplier_by_keyed_hash(noise, seed, n, mask)
+        assert oracle.multiplier_mask(mask).hex() == want.hex()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisysubmax import setfn
 from noisysubmax.matroids import UniformMatroid
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
@@ -197,8 +198,9 @@ def test_random_generators_produce_submodular_nonnegative():
         assert float(np.min(value_table(spec))) >= -1e-9
 
 
-# Cut batch evaluation: `value_masks(rows)` must equal `value_mask` of each
-# row bit for bit, with n up to 100 so that masks span more than 64 bits.
+# Cut evaluation: the one-set `value_mask` and the batch `value_masks(rows)`
+# must both equal an edge loop bit for bit, with n up to 100 so that masks
+# span more than 64 bits.
 
 def rows_of(masks, n):
     return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
@@ -206,8 +208,7 @@ def rows_of(masks, n):
 
 
 def cut_by_edge_loop(spec, mask):
-    """The cut value added edge by edge: the reference for both cut paths,
-    since the scalar cut evaluation is the one-row batch."""
+    """The cut value added edge by edge: the reference for both cut paths."""
     total = 0.0
     for u, v, w in spec.edges:
         if ((mask >> u) & 1) != ((mask >> v) & 1):
@@ -259,3 +260,86 @@ def test_families_reject_an_empty_ground_set():
                  lambda: Coverage((), ()), lambda: CutFunction(0, ())):
         with pytest.raises(ValueError, match="ground set size"):
             make()
+
+
+@given(cut_and_masks(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_cut_value_masks_chunks_equal_one_batch(case, seed):
+    spec, _ = case
+    edges = max(1, len(spec.edges))
+    rows = np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5
+    want = spec.value_masks(rows)
+    # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
+    with pytest.MonkeyPatch.context() as mp:
+        for cells in (3 * edges, 1):
+            mp.setattr(setfn, "_CUT_CHUNK_CELLS", cells)
+            got = spec.value_masks(rows)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
+    assert [v.hex() for v in want.tolist()] == [cut_by_edge_loop(spec, m).hex() for m in masks]
+
+
+def test_cut_value_masks_chunk_boundary_at_default_size():
+    # an n=100 cut with about 2000 edges takes 32 rows per chunk; 70 rows
+    # cross two chunk boundaries
+    spec = random_cut(100, np.random.default_rng(5), 0.4)
+    step = setfn._CUT_CHUNK_CELLS // len(spec.edges)
+    rows = np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(setfn, "_CUT_CHUNK_CELLS", len(rows) * len(spec.edges))
+        whole = spec.value_masks(rows)
+    assert spec.value_masks(rows).tobytes() == whole.tobytes()
+
+
+# WAQ, `Modular` and `Coverage` add per-byte lookup tables: each table entry
+# sums the weights of one byte's set bits from 0.0, and the entries add up
+# from the low byte.  A loop over the bits in that grouping is the reference.
+
+def weight_sum_by_bit_loop(mask, weights):
+    total = 0.0
+    for start in range(0, len(weights), 8):
+        part = 0.0
+        for i in range(start, min(start + 8, len(weights))):
+            if (mask >> i) & 1:
+                part += weights[i]
+        total += part
+    return total
+
+
+def value_by_bit_loop(spec, mask):
+    if isinstance(spec, WeightedAdditiveQuadratic):
+        k = mask.bit_count()
+        return weight_sum_by_bit_loop(mask, spec.weights) - spec.cost * k * k
+    if isinstance(spec, Modular):
+        return weight_sum_by_bit_loop(mask, spec.weights)
+    covered = 0
+    for i in range(spec.n):
+        if (mask >> i) & 1:
+            covered |= spec.covers[i]
+    return weight_sum_by_bit_loop(covered, spec.item_weights)
+
+
+@st.composite
+def byte_table_family_and_masks(draw):
+    n = draw(st.integers(1, 100))
+    weights = st.floats(-5, 5, allow_nan=False)
+    kind = draw(st.sampled_from(["waq", "modular", "coverage"]))
+    if kind == "coverage":
+        items = draw(st.integers(1, 100))
+        spec = Coverage(tuple(draw(st.lists(st.integers(0, (1 << items) - 1),
+                                            min_size=n, max_size=n))),
+                        tuple(draw(st.lists(weights, min_size=items, max_size=items))))
+    else:
+        w = tuple(draw(st.lists(weights, min_size=n, max_size=n)))
+        spec = (WeightedAdditiveQuadratic(w, draw(st.floats(0, 1))) if kind == "waq"
+                else Modular(w))
+    masks = draw(st.lists(st.integers(0, (1 << n) - 1), max_size=10))
+    return spec, masks + [0, (1 << n) - 1]
+
+
+@given(byte_table_family_and_masks())
+@settings(max_examples=200, deadline=None)
+def test_byte_table_families_match_a_bit_loop(case):
+    spec, masks = case
+    got = [spec.value_mask(m).hex() for m in masks]
+    assert got == [value_by_bit_loop(spec, m).hex() for m in masks]

@@ -137,12 +137,13 @@ def test_mcg_sampled_mode_runs():
     assert x.sum() <= 3 + 1e-9
 
 
-@given(st.integers(0, 2), st.integers(1, 24), st.sampled_from([0.25, 0.1]),
+@given(st.integers(0, 2), st.integers(1, 100), st.sampled_from([0.25, 0.1]),
        st.integers(1, 8), st.integers(0, 2**32))
 @settings(max_examples=30, deadline=None)
 def test_mcg_batch_path_matches_the_loop_path(family, n, step, samples, seed):
-    """ExactOracle answers each coordinate's sampled sets in one vectorised
-    batch; PerturbedOracle(..., 0.0) answers them one query at a time."""
+    """ExactOracle answers each step's sampled sets in one vectorised batch
+    (in chunks on a cut); PerturbedOracle(..., 0.0) answers them one query
+    at a time."""
     spec = (random_waq, random_coverage, random_cut)[family](n, np.random.default_rng(seed))
     ground = GroundSet(n)
     m = PartitionMatroid(ground, parts=(ground.full_mask,), caps=(max(1, n // 3),))
@@ -191,6 +192,20 @@ def test_mcg_sampled_weights_match_the_loop_reference(monkeypatch):
     measured_continuous_greedy(ExactOracle(spec), m, cfg, np.random.default_rng(5))
     want = sampled_weights_by_loop(ExactOracle(spec), m, cfg, np.random.default_rng(5))
     assert [w.tobytes() for w in seen] == [w.tobytes() for w in want]
+
+
+def test_mcg_with_no_free_element():
+    # every element pinned: the step's batch has no rows and draws nothing
+    g = GroundSet(6)
+    m = contract(UniformMatroid(g, 6), g.full_set())
+    assert m.free_elements() == []
+    exact = ExactOracle(random_cut(6, np.random.default_rng(4)))
+    cfg = MeasuredContinuousGreedy(step=0.25, partial_samples=4)
+    for oracle in (exact, PerturbedOracle(exact, 0.0)):
+        rng = np.random.default_rng(3)
+        x = measured_continuous_greedy(oracle, m, cfg, rng)
+        assert x.tolist() == [0.0] * 6
+        assert rng.random() == np.random.default_rng(3).random()
 
 
 def test_second_partial_four_term_identity():
