@@ -147,6 +147,10 @@ class PersistentNoisyOracle(ValueOracle):
             digest_size=16, key=self.master_seed.to_bytes(8, "little"))
         self._multiplier = noise.multiplier
 
+    def __reduce__(self):
+        # a hasher cannot be pickled or deep-copied; rebuild the oracle
+        return (type(self), (self.base, self.noise, self.master_seed))
+
     def multiplier_mask(self, mask: int) -> float:
         if mask >> self._n:
             raise mask_error(mask, self._n)

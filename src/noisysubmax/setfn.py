@@ -75,11 +75,13 @@ def _weight_sum_table(weights) -> np.ndarray:
 # Each family evaluates one mask in closed form (`value_mask`) and its dense
 # table over all 2^n masks (`table`).  `CutFunction` also evaluates a batch
 # of masks given as the rows of a (k, n) boolean membership matrix
-# (`value_masks`, bit for bit equal to `value_mask` of each row), in chunks
-# of at most _CUT_CHUNK_CELLS rows x edges.  Lookup tables and edge arrays
-# are built on first use and kept on the instance.
+# (`value_masks`, bit for bit equal to `value_mask` of each row).  Lookup
+# tables and edge arrays are built on first use and kept on the instance.
 
+# A cut batch is evaluated in chunks of at most this many rows x edges, so
+# its transient float matrix stays within 512 KiB whatever the batch size.
 _CUT_CHUNK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class WeightedAdditiveQuadratic:

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -36,6 +38,12 @@ def test_persistence_across_oracle_instances():
         assert o1.value_mask(mask) == o2.value_mask(mask)
         differs |= o1.multiplier_mask(mask) != o3.multiplier_mask(mask)
     assert differs
+
+
+def test_oracle_survives_pickle_and_deepcopy():
+    spec, o = make_oracle(seed=11)
+    for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o)):
+        assert [twin.value_mask(m) for m in range(64)] == [o.value_mask(m) for m in range(64)]
 
 
 def test_multiplicative_structure():
