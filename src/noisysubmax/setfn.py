@@ -79,8 +79,8 @@ def _weight_sum_table(weights) -> np.ndarray:
 # tables and edge arrays are built on first use and kept on the instance.
 
 # A cut batch is evaluated in chunks of at most this many rows x edges, so
-# its transient float matrix stays within 512 KiB whatever the batch size.
-_CUT_CHUNK_CELLS = 1 << 16
+# its transient float matrix stays within 128 KiB whatever the batch size.
+_CUT_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -280,7 +280,7 @@ def test_cut_value_masks_chunks_equal_one_batch(case, seed):
 
 
 def test_cut_value_masks_chunk_boundary_at_default_size():
-    # an n=100 cut with about 2000 edges takes 32 rows per chunk; 70 rows
+    # an n=100 cut has about 2000 edges, so two chunks and a part of one
     # cross two chunk boundaries
     spec = random_cut(100, np.random.default_rng(5), 0.4)
     step = setfn._CUT_CHUNK_CELLS // len(spec.edges)
