@@ -280,8 +280,8 @@ def test_cut_value_masks_chunks_equal_one_batch(case, seed):
 
 
 def test_cut_value_masks_chunk_boundary_at_default_size():
-    # an n=100 cut has about 2000 edges, so two chunks and a part of one
-    # cross two chunk boundaries
+    # an n=100 cut with about 2000 edges: 2 * step + 6 rows cross two chunk
+    # boundaries at the default chunk size
     spec = random_cut(100, np.random.default_rng(5), 0.4)
     step = setfn._CUT_CHUNK_CELLS // len(spec.edges)
     rows = np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5
