@@ -45,6 +45,9 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.workers < 0:
+            raise ValueError(f"workers must be >= 0 (0 means available parallelism), "
+                             f"got {self.workers}")
 
     @property
     def cost(self) -> float:

@@ -12,7 +12,8 @@ import numpy as np
 
 from .matroids import Matroid, contract, rank, arbitrary_basis
 from .noise import PersistentNoisyOracle
-from .sets import ElementSet, random_k_subset
+from .sets import ElementSet, mask_rows, random_k_subset
+from .setfn import _left_sum
 from .solvers import SolverConfig, run_solver
 from .surrogate import SampledSurrogateOracle, SurrogateConfig
 
@@ -54,10 +55,10 @@ def comparison_surrogate_f0(o: PersistentNoisyOracle, s: ElementSet) -> float:
     """Average of the noisy oracle over all leave-one-out subsets of s."""
     if len(s) == 0:
         raise ValueError("comparison surrogate undefined for the empty set")
-    total = 0.0
-    for e in s:
-        total += o.value_mask(s.mask & ~(1 << e))
-    return total / len(s)
+    # the |S| subsets S - e as one batch, in element order, summed left to
+    # right as a loop over the elements would
+    rows = mask_rows([s.mask & ~(1 << e) for e in s], s.ground.n)
+    return float(_left_sum(o.value_masks(rows))) / len(s)
 
 
 def best_of_T(o: PersistentNoisyOracle, cfg: MetaConfig, T: int,

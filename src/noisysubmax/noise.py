@@ -6,11 +6,16 @@ by hashing the bits into uniform variates.  Each oracle keys one BLAKE2b
 hasher with its master seed once, and every query hashes its mask on a
 copy of it, so the key block is not absorbed again per query.  There is no
 memo table: memory stays flat across millions of distinct queries.
+
+A batch of sets (`value_masks`) hashes the same bytes on the same keyed
+hasher and maps the digests through the same `NoiseSpec.multiplier`, so
+each of its values equals `value_mask` of that set bit for bit.
 """
 from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, log, sqrt
@@ -18,8 +23,8 @@ from typing import Union
 
 import numpy as np
 
-from .oracles import ValueOracle, mask_error
-from .setfn import SetFunctionSpec, evaluate_mask, ground_of
+from .oracles import ValueOracle, check_rows, mask_error
+from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks, ground_of
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
@@ -130,13 +135,14 @@ class PersistentNoisyOracle(ValueOracle):
     """f-tilde(S) = xi_S * f(S) with unbiased, per-set-independent,
     query-persistent multipliers keyed by (master_seed, set bits).
 
-    The master seed is the 8-byte hash key, so it must lie in [0, 2^64).
+    The master seed is the 8-byte hash key, so it must be an integer in
+    [0, 2^64); a float seed raises TypeError rather than being truncated.
     """
 
     def __init__(self, base: SetFunctionSpec, noise: NoiseSpec, master_seed: int):
         self.base = base
         self.noise = noise
-        self.master_seed = int(master_seed)
+        self.master_seed = operator.index(master_seed)
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
         self.ground = ground_of(base)
@@ -165,3 +171,29 @@ class PersistentNoisyOracle(ValueOracle):
         # multiplier_mask rejects a mask outside the ground set before the
         # set function sees it
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)
+
+    def value_masks(self, rows) -> np.ndarray:
+        rows = check_rows(rows, self._n)
+        # each packed row is the bytes of mask.to_bytes(width, "little")
+        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
+        width, copy = self._width, self._hasher.copy
+
+        def digest(data: bytes) -> bytes:
+            hasher = copy()
+            hasher.update(data)
+            return hasher.digest()
+
+        digests = b"".join([digest(packed[i: i + width])
+                            for i in range(0, len(packed), width)])
+        # the 128-bit little-endian digest as (low, high) 64-bit words; the
+        # 53-bit fields and their conversion to float are exact
+        words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+        low, high = words[:, 0], words[:, 1]
+        u_open = ((low & np.uint64(_MASK_53)) + np.uint64(1)) * _INV_2_53
+        u_half = ((low >> np.uint64(53))
+                  | ((high & np.uint64((1 << 42) - 1)) << np.uint64(11))) * _INV_2_53
+        # math, not numpy: np.log can differ from math.log in the last bit
+        multiplier = self._multiplier
+        xi = np.array([multiplier(a, b) for a, b in zip(u_open.tolist(), u_half.tolist())],
+                      dtype=np.float64)
+        return xi * evaluate_masks(self.base, rows)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .sets import ElementSet, GroundSet, row_masks
-from .setfn import SetFunctionSpec, evaluate_mask, ground_of
+from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks, ground_of
 
 
 def mask_error(mask: int, n: int) -> ValueError:
@@ -16,10 +16,17 @@ def mask_error(mask: int, n: int) -> ValueError:
 
 
 def check_rows(rows, n: int) -> np.ndarray:
-    """A (k, n) boolean membership matrix, or ValueError."""
-    rows = np.asarray(rows, dtype=bool)
+    """A (k, n) boolean membership matrix, or ValueError.  Integer rows
+    are accepted when every entry is 0 or 1; any other entry (a 0.5, a 2)
+    is an error rather than being cast to True."""
+    rows = np.asarray(rows)
     if rows.ndim != 2 or rows.shape[1] != n:
         raise ValueError(f"rows of shape {rows.shape}, expected (k, {n})")
+    if rows.dtype != bool:
+        if rows.dtype.kind not in "iu" or not np.all((rows == 0) | (rows == 1)):
+            raise ValueError(f"rows of dtype {rows.dtype} must be boolean, "
+                             "or integers that are all 0 or 1")
+        rows = rows.astype(bool)
     return rows
 
 
@@ -58,9 +65,4 @@ class ExactOracle(ValueOracle):
         return evaluate_mask(self.spec, mask)
 
     def value_masks(self, rows) -> np.ndarray:
-        # only CutFunction evaluates a batch in numpy; the other families
-        # answer one row at a time through the default loop
-        batch = getattr(self.spec, "value_masks", None)
-        if batch is None:
-            return super().value_masks(rows)
-        return batch(check_rows(rows, self._n))
+        return evaluate_masks(self.spec, check_rows(rows, self._n))

@@ -6,13 +6,14 @@ dense value table over all 2^n subsets with numpy doubling tricks.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, popcount_array
+from .sets import ElementSet, GroundSet, popcount_array, row_masks
 
 BRUTE_FORCE_BUDGET = 24
 SUBMODULARITY_BUDGET = 14
@@ -63,6 +64,11 @@ def _check_size(n: int) -> None:
         raise ValueError(f"ground set size must be >= 1, got {n}")
 
 
+def _check_finite(what: str, values) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"{what} must be finite")
+
+
 def _weight_sum_table(weights) -> np.ndarray:
     """Sum of the weights of each of the 2^len(weights) subsets, indexed by mask."""
     wsum = np.zeros(1 << len(weights))
@@ -73,10 +79,11 @@ def _weight_sum_table(weights) -> np.ndarray:
 
 
 # Each family evaluates one mask in closed form (`value_mask`) and its dense
-# table over all 2^n masks (`table`).  `CutFunction` also evaluates a batch
-# of masks given as the rows of a (k, n) boolean membership matrix
-# (`value_masks`, bit for bit equal to `value_mask` of each row).  Lookup
-# tables and edge arrays are built on first use and kept on the instance.
+# table over all 2^n masks (`table`).  `Coverage` and `CutFunction` also
+# evaluate a batch of masks given as the rows of a (k, n) boolean membership
+# matrix (`value_masks`, bit for bit equal to `value_mask` of each row).
+# Lookup tables and edge arrays are built on first use and kept on the
+# instance.  Weights must be finite: a NaN weight would make every value NaN.
 
 # A cut batch is evaluated in chunks of at most this many rows x edges, so
 # its transient float matrix stays within 128 KiB whatever the batch size.
@@ -92,6 +99,7 @@ class WeightedAdditiveQuadratic:
 
     def __post_init__(self):
         _check_size(self.n)
+        _check_finite("weights and cost", (*self.weights, self.cost))
 
     @property
     def n(self) -> int:
@@ -122,6 +130,7 @@ class Coverage:
         for c in self.covers:
             if c < 0 or c >> len(self.item_weights):
                 raise ValueError(f"cover {c:#x} names an item outside [0, {len(self.item_weights)})")
+        _check_finite("item weights", self.item_weights)
 
     @property
     def n(self) -> int:
@@ -140,6 +149,38 @@ class Coverage:
             covered |= covers[low.bit_length() - 1]
             m ^= low
         return _mask_weight_sum(covered, self._tables)
+
+    @cached_property
+    def _cover_tables(self) -> np.ndarray:
+        """(element bytes, 256, item bytes) uint8: entry [b, c] holds the
+        little-endian bytes of the items covered by the elements of byte b
+        whose bits are set in c."""
+        n, width = self.n, len(self._tables)
+        covers = np.zeros((8 * ((n + 7) // 8), width), dtype=np.uint8)
+        for i, c in enumerate(self.covers):
+            covers[i] = np.frombuffer(c.to_bytes(width, "little"), dtype=np.uint8)
+        out = np.zeros((len(covers) // 8, 256, width), dtype=np.uint8)
+        for bit in range(8):
+            half = 1 << bit
+            out[:, half: 2 * half] = out[:, :half] | covers[bit::8, None]
+        return out
+
+    @cached_property
+    def _item_tables(self) -> np.ndarray:
+        """The item byte tables as one (item bytes, 256) array."""
+        return np.array(self._tables).reshape(len(self._tables), 256)
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # the covered items of each row, OR-ed byte by byte of the row, then
+        # their weights added byte by byte from the low byte, as value_mask
+        # does
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        cover_tables = self._cover_tables
+        covered = cover_tables[0][packed[:, 0]]
+        for byte in range(1, packed.shape[1]):
+            covered |= cover_tables[byte][packed[:, byte]]
+        item_tables = self._item_tables
+        return _left_sum(item_tables[np.arange(len(item_tables)), covered])
 
     def table(self) -> np.ndarray:
         covered = np.zeros(1 << self.n, dtype=np.uint64)
@@ -161,6 +202,7 @@ class CutFunction:
         for u, v, _ in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
+        _check_finite("edge weights", (w for _, _, w in self.edges))
 
     @property
     def n(self) -> int:
@@ -185,11 +227,19 @@ class CutFunction:
         return float(np.add.accumulate(crossing)[-1]) + 0.0
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # endpoint rows gathered from a transposed (n, k) chunk give an
+        # (edges, k) crossing matrix; its transpose sums in edge order per
+        # row.  With finite weights, crossing * w equals
+        # np.where(crossing, w, 0.0) up to the sign of a zero, which the
+        # sum's `+ 0.0` drops
         u, v, w = self._edge_arrays
+        w = w[:, None]
         step = max(1, _CUT_CHUNK_CELLS // max(1, len(w)))
-        return np.concatenate([
-            _left_sum(np.where(chunk[:, u] != chunk[:, v], w, 0.0))
-            for chunk in np.split(rows, range(step, len(rows), step))])
+        sums = []
+        for chunk in np.split(rows, range(step, len(rows), step)):
+            by_vertex = np.ascontiguousarray(chunk.T)
+            sums.append(_left_sum(((by_vertex[u] != by_vertex[v]) * w).T))
+        return np.concatenate(sums)
 
     def table(self) -> np.ndarray:
         masks = np.arange(1 << self.n, dtype=np.uint64)
@@ -206,6 +256,7 @@ class Modular:
 
     def __post_init__(self):
         _check_size(self.n)
+        _check_finite("weights", self.weights)
 
     @property
     def n(self) -> int:
@@ -232,6 +283,17 @@ def ground_of(spec: SetFunctionSpec) -> GroundSet:
 def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
     """Closed-form value of the subset given by `mask`."""
     return spec.value_mask(mask)
+
+
+def evaluate_masks(spec: SetFunctionSpec, rows: np.ndarray) -> np.ndarray:
+    """Values of the sets given by the rows of a checked (k, n) boolean
+    membership matrix: the family's numpy batch where it has one, else one
+    `evaluate_mask` per row, in row order."""
+    batch = getattr(spec, "value_masks", None)
+    if batch is not None:
+        return batch(rows)
+    return np.array([evaluate_mask(spec, mask) for mask in row_masks(rows)],
+                    dtype=np.float64)
 
 
 def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:

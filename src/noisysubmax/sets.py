@@ -179,3 +179,13 @@ def row_masks(rows: np.ndarray) -> list[int]:
     """The integer mask of each row of a (k, n) boolean membership matrix."""
     packed = np.packbits(rows, axis=1, bitorder="little")
     return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def mask_rows(masks, n: int) -> np.ndarray:
+    """The (k, n) boolean membership matrix of k masks over n elements;
+    the inverse of `row_masks`."""
+    width = (n + 7) // 8
+    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
+                        dtype=np.uint8)
+    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n,
+                         bitorder="little").view(bool)

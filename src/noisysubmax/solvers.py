@@ -10,7 +10,7 @@ import numpy as np
 
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, mask_members, random_k_subset_mask
+from .sets import ElementSet, GroundSet, mask_members, mask_rows, random_k_subset_mask
 from .setfn import _check_point, _inclusion_probs, _left_sum, _table_of
 
 POLYTOPE_TOL = 1e-9
@@ -83,24 +83,24 @@ SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubse
 
 def greedy_cardinality(oracle: ValueOracle, m: Matroid,
                        rng: np.random.Generator | None = None) -> ElementSet:
-    """Greedy: add the best feasible positive marginal each round, ties by id."""
+    """Greedy: add the best feasible positive marginal each round, ties by id.
+
+    The feasible candidates of a round go to the oracle as one `value_masks`
+    batch, in id order; the first one with the largest gain wins if that
+    gain is positive."""
     mask = 0
     current = oracle.value_mask(0)
     candidates = m.free_elements()
     for _ in range(m.rank()):
-        best_gain, best_elem, best_val = 0.0, None, None
-        for i in candidates:
-            bit = 1 << i
-            if mask & bit or not m.indep_mask(mask | bit):
-                continue
-            val = oracle.value_mask(mask | bit)
-            gain = val - current
-            if gain > best_gain:
-                best_gain, best_elem, best_val = gain, i, val
-        if best_elem is None:
+        grown = [mask | 1 << i for i in candidates
+                 if not mask >> i & 1 and m.indep_mask(mask | 1 << i)]
+        if not grown:
             break
-        mask |= 1 << best_elem
-        current = best_val
+        values = oracle.value_masks(mask_rows(grown, oracle.ground.n))
+        best = int(np.argmax(values - current))
+        if not values[best] - current > 0.0:
+            break
+        mask, current = grown[best], float(values[best])
     return ElementSet(oracle.ground, mask)
 
 

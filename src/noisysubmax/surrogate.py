@@ -4,6 +4,10 @@ The surrogate of f at S averages f over unions of S with size-t subsets
 of a smoothing set H.  The sampled variant freezes m distinct t-subsets
 once and averages the persistent noisy oracle over them, so persistence
 lifts from the raw oracle to the surrogate.
+
+A batch of k sets (`value_masks`) sends the k*m unions to the inner
+oracle's own batch and averages each set's m values left to right, so each
+of its values equals `value_mask` of that set bit for bit.
 """
 from __future__ import annotations
 
@@ -14,12 +18,17 @@ from math import comb
 import numpy as np
 
 from .noise import NoiseSpec
-from .oracles import ValueOracle
-from .sets import (ElementSet, all_k_subset_masks, random_k_subset_mask,
+from .oracles import ValueOracle, check_rows
+from .sets import (ElementSet, all_k_subset_masks, mask_rows, random_k_subset_mask,
                    unrank_k_subset_mask)
-from .setfn import SetFunctionSpec, evaluate_mask
+from .setfn import SetFunctionSpec, _left_sum, evaluate_mask
 
 SURROGATE_ENUM_BUDGET = 26
+
+# A surrogate batch sends its sets to the inner oracle in chunks of at most
+# this many sets x samples x elements, so the boolean union matrix of one
+# chunk stays within 64 KiB whatever the batch size.
+_SURROGATE_CHUNK_CELLS = 1 << 16
 
 
 def surrogate_exact(spec: SetFunctionSpec, H: ElementSet, t: int, s: ElementSet) -> float:
@@ -116,6 +125,7 @@ class SampledSurrogateOracle(ValueOracle):
         self.cfg = cfg
         self.ground = inner.ground
         self._sample_masks = [hs.mask for hs in cfg.fixed_samples]
+        self._sample_rows = mask_rows(self._sample_masks, self.ground.n)
 
     def value_mask(self, mask: int) -> float:
         inner_value = self.inner.value_mask
@@ -123,6 +133,19 @@ class SampledSurrogateOracle(ValueOracle):
         for hmask in self._sample_masks:
             total += inner_value(mask | hmask)
         return total / len(self._sample_masks)
+
+    def value_masks(self, rows) -> np.ndarray:
+        n = self.ground.n
+        rows = check_rows(rows, n)
+        samples = self._sample_rows
+        m = len(samples)
+        step = max(1, _SURROGATE_CHUNK_CELLS // (m * n))
+        means = []
+        for chunk in np.split(rows, range(step, len(rows), step)):
+            # row j of a set's m unions is the set | H'_j, in sample order
+            unions = (chunk[:, None, :] | samples).reshape(-1, n)
+            means.append(_left_sum(self.inner.value_masks(unions).reshape(-1, m)) / m)
+        return np.concatenate(means)
 
 
 @dataclass(frozen=True)

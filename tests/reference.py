@@ -1,6 +1,7 @@
 """Test-only oracles and reference functions shared by the tests: an
-adversarial eps-perturbed oracle, the sampled surrogate of one set, and
-the exact partial derivative of the multilinear extension."""
+adversarial eps-perturbed oracle, the sampled surrogate of one set, the
+exact partial derivative of the multilinear extension, and one-query-per-
+call forms of the solver loops that now send batches."""
 import numpy as np
 
 from noisysubmax.oracles import ValueOracle
@@ -36,3 +37,47 @@ def multilinear_partial_exact(fn_or_spec, x: np.ndarray, i: int) -> float:
     lo = x.copy()
     lo[i] = 0.0
     return multilinear_exact(fn_or_spec, hi) - multilinear_exact(fn_or_spec, lo)
+
+
+class RecordingOracle(ValueOracle):
+    """Passes queries to an inner oracle and records every queried mask in
+    order; a batch goes through ValueOracle's one-call-per-row loop, so its
+    rows are recorded one by one."""
+
+    def __init__(self, inner: ValueOracle):
+        self.inner = inner
+        self.ground = inner.ground
+        self.queries: list[int] = []
+
+    def value_mask(self, mask: int) -> float:
+        self.queries.append(mask)
+        return self.inner.value_mask(mask)
+
+
+def greedy_by_single_queries(oracle: ValueOracle, m) -> ElementSet:
+    """`greedy_cardinality` with one `value_mask` call per candidate."""
+    mask = 0
+    current = oracle.value_mask(0)
+    for _ in range(m.rank()):
+        best_gain, best_elem, best_val = 0.0, None, None
+        for i in m.free_elements():
+            bit = 1 << i
+            if mask & bit or not m.indep_mask(mask | bit):
+                continue
+            val = oracle.value_mask(mask | bit)
+            gain = val - current
+            if gain > best_gain:
+                best_gain, best_elem, best_val = gain, i, val
+        if best_elem is None:
+            break
+        mask |= 1 << best_elem
+        current = best_val
+    return ElementSet(oracle.ground, mask)
+
+
+def comparison_by_single_queries(oracle: ValueOracle, s: ElementSet) -> float:
+    """`comparison_surrogate_f0` with one `value_mask` call per element."""
+    total = 0.0
+    for e in s:
+        total += oracle.value_mask(s.mask & ~(1 << e))
+    return total / len(s)

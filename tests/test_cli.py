@@ -20,6 +20,11 @@ def test_params_reference_output(capsys):
     assert "fits_ground_set = no" in out
 
 
+def test_simulate_rejects_a_negative_worker_count():
+    with pytest.raises(ValueError, match="workers must be >= 0"):
+        main(["simulate", "--n", "5", "--trials", "1", "--workers", "-2"])
+
+
 def test_simulate_writes_csv(tmp_path, capsys):
     out = tmp_path / "r.csv"
     rc = main(["simulate", "--n", "15", "--trials", "3", "--h", "4", "--t", "1",

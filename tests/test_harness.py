@@ -17,6 +17,13 @@ def test_spec_validation():
     assert spec.cost == pytest.approx(10.0 / 50)
 
 
+def test_negative_worker_counts_are_rejected():
+    ExperimentSpec(n=10, trials=1, workers=0)
+    for workers in (-1, -3):
+        with pytest.raises(ValueError, match="workers must be >= 0"):
+            ExperimentSpec(n=10, trials=1, workers=workers)
+
+
 def test_nonnegative_certified_matches_enumeration():
     rng = np.random.default_rng(0)
     for _ in range(30):

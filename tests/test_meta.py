@@ -15,6 +15,7 @@ from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import Modular, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
 
+from reference import RecordingOracle, comparison_by_single_queries
 from table_oracle import TableOracle
 
 
@@ -221,3 +222,21 @@ def test_best_of_T_singleton_ties_with_the_empty_run():
             mp.setattr(meta, "meta_solve", lambda o, c, rng: next(script))
             # {0} scores f(∅) = 1.0, as ∅ does, so the earlier run is kept
             assert best_of_T(oracle, cfg, 2, np.random.default_rng(0)).mask == first
+
+
+# The leave-one-out score sends its |S| sets as one batch: the same sets in
+# the same order as one query per element, and the same score bit for bit.
+
+@given(st.integers(0, 2), st.integers(1, 100), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_comparison_surrogate_batch_queries_like_the_single_query_loop(family, n, seed):
+    rng = np.random.default_rng(seed)
+    spec = (random_waq, random_coverage, random_cut)[family](n, rng)
+    o = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.5)), seed)
+    mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1) | 1
+    s = ElementSet(GroundSet(n), mask)
+    batched, single = RecordingOracle(o), RecordingOracle(o)
+    want = comparison_by_single_queries(single, s)
+    assert comparison_surrogate_f0(batched, s).hex() == want.hex()
+    assert batched.queries == single.queries
+    assert comparison_surrogate_f0(o, s).hex() == want.hex()

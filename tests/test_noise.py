@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential,
                                sample_multiplier)
-from noisysubmax.random_instances import random_waq
-from noisysubmax.sets import ElementSet
+from noisysubmax.random_instances import random_coverage, random_cut, random_waq
+from noisysubmax.sets import ElementSet, mask_rows
 from noisysubmax.setfn import Modular, evaluate
 
 
@@ -128,6 +128,19 @@ def test_large_and_negative_master_seeds():
             PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), seed)
 
 
+def test_master_seeds_are_integers_and_never_truncated():
+    spec = Modular(weights=(1.0, 1.0))
+    noise = NoiseSpec(Gaussian(0.1))
+    for seed in (1.9, 1.0, np.float64(3.0), "7"):
+        with pytest.raises(TypeError):
+            PersistentNoisyOracle(spec, noise, seed)
+    # numpy integers are integers: they key the same stream as the int
+    for seed in (np.uint64(2**64 - 1), np.int64(5), np.uint8(3)):
+        o = PersistentNoisyOracle(spec, noise, seed)
+        assert type(o.master_seed) is int
+        assert o.value_mask(0b11) == PersistentNoisyOracle(spec, noise, int(seed)).value_mask(0b11)
+
+
 # The multiplier path must equal the construction it replaced bit for bit:
 # a BLAKE2b hash keyed per call, the 53-bit split, and each distribution's
 # transform with its constants computed inline.
@@ -167,3 +180,29 @@ def test_multiplier_mask_matches_the_keyed_hash_reference(dist, clamp, seed, n, 
     for mask in masks + [0, (1 << n) - 1]:
         want = multiplier_by_keyed_hash(noise, seed, n, mask)
         assert oracle.multiplier_mask(mask).hex() == want.hex()
+
+
+# The noisy batch hashes packed rows and splits the digests in numpy; each
+# value must equal `value_mask` of its row bit for bit, on every family
+# (the numpy batches of coverage and cut, the per-row loop of the others).
+
+def batch_family(kind, n, rng):
+    if kind == "modular":  # negative weights too
+        return Modular(tuple(float(w) for w in rng.uniform(-5.0, 5.0, size=n)))
+    return {"waq": random_waq, "coverage": random_coverage, "cut": random_cut}[kind](n, rng)
+
+
+@given(distributions, st.booleans(), st.integers(0, 2**64 - 1),
+       st.sampled_from(["waq", "coverage", "cut", "modular"]), st.integers(1, 100),
+       st.integers(0, 12), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed):
+    rng = np.random.default_rng(data_seed)
+    oracle = PersistentNoisyOracle(batch_family(kind, n, rng),
+                                   NoiseSpec(dist, clamp_negative=clamp), seed)
+    masks = [int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+             for _ in range(k)] + [0, (1 << n) - 1]
+    got = oracle.value_masks(mask_rows(masks, n))
+    assert got.shape == (len(masks),)
+    assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]
+    assert oracle.value_masks(mask_rows([], n)).shape == (0,)

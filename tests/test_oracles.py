@@ -75,10 +75,41 @@ def test_masks_inside_the_ground_set_are_accepted():
             assert np.isfinite(oracle.value_mask(mask))
 
 
+def _all_oracles():
+    """One oracle of each kind over n=10; the exact one on a coverage
+    function, whose batch is numpy."""
+    exact, noisy, surrogate = _oracles()
+    cover = ExactOracle(random_coverage(10, np.random.default_rng(4)))
+    return exact, noisy, surrogate, cover, PerturbedOracle(exact, 0.0)
+
+
 @pytest.mark.parametrize("shape", [(3, 9), (3, 11), (10,), (2, 3, 10), (0, 11)])
 def test_row_matrices_of_the_wrong_shape_are_rejected(shape):
     rows = np.zeros(shape, dtype=bool)
-    for oracle in (*_oracles(), PerturbedOracle(_oracles()[0], 0.0)):
+    for oracle in _all_oracles():
         with pytest.raises(ValueError, match="expected"):
             oracle.value_masks(rows)
         oracle.value_masks(np.zeros((2, 10), dtype=bool))
+
+
+@pytest.mark.parametrize("bad", [
+    [[0.5] + [0] * 9],                      # a fraction would be cast to True
+    [[2] + [0] * 9],                        # so would any other non-zero integer
+    [[-1] + [0] * 9],
+    np.zeros((2, 10)),                      # floats, even if all are 0 or 1
+    np.eye(2, 10),
+    np.full((1, 10), None),
+    [["1"] + ["0"] * 9],
+])
+def test_row_matrices_with_values_other_than_0_and_1_are_rejected(bad):
+    for oracle in _all_oracles():
+        with pytest.raises(ValueError, match="must be boolean"):
+            oracle.value_masks(bad)
+
+
+def test_integer_rows_of_0_and_1_equal_boolean_rows():
+    rows = np.random.default_rng(8).random((6, 10)) < 0.5
+    for oracle in _all_oracles():
+        want = oracle.value_masks(rows)
+        for ints in (rows.astype(np.int64), rows.astype(np.uint8), rows.astype(int).tolist()):
+            assert hexes(oracle.value_masks(ints)) == hexes(want)

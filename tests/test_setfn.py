@@ -10,7 +10,7 @@ from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, brute_force_opt,
                                check_submodular, evaluate, evaluate_mask,
-                               marginal, multilinear_exact,
+                               evaluate_masks, marginal, multilinear_exact,
                                table_is_submodular, value_table)
 
 from reference import multilinear_partial_exact
@@ -255,6 +255,18 @@ def test_cut_value_masks_edge_cases():
     assert_batch_matches_scalar(CutFunction(2, ((0, 1, -0.0),)), [0, 1, 2, 3])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_families_reject_non_finite_weights(bad):
+    makes = (lambda: WeightedAdditiveQuadratic((1.0, bad), 0.5),
+             lambda: WeightedAdditiveQuadratic((1.0, 2.0), bad),
+             lambda: Modular((bad,)),
+             lambda: Coverage((0b1, 0b10), (1.0, bad)),
+             lambda: CutFunction(3, ((0, 1, 1.0), (1, 2, bad))))
+    for make in makes:
+        with pytest.raises(ValueError, match="must be finite"):
+            make()
+
+
 def test_families_reject_an_empty_ground_set():
     for make in (lambda: WeightedAdditiveQuadratic((), 0.5), lambda: Modular(()),
                  lambda: Coverage((), ()), lambda: CutFunction(0, ())):
@@ -343,3 +355,33 @@ def test_byte_table_families_match_a_bit_loop(case):
     spec, masks = case
     got = [spec.value_mask(m).hex() for m in masks]
     assert got == [value_by_bit_loop(spec, m).hex() for m in masks]
+
+
+# `evaluate_masks` (the `Coverage` and cut numpy batches, the per-row loop
+# of WAQ and `Modular`) must equal `value_mask` of each row bit for bit.
+
+@st.composite
+def family_and_rows(draw):
+    case = draw(st.one_of(byte_table_family_and_masks(), cut_and_masks()))
+    spec, masks = case
+    return spec, rows_of(masks, spec.n)
+
+
+def test_coverage_with_no_items_or_uncovering_elements():
+    for spec in (Coverage((0, 0, 0), ()), Coverage((0,) * 9, (1.5,) * 9),
+                 Coverage((0b1,), (2.0,))):
+        masks = list(range(min(1 << spec.n, 64))) + [(1 << spec.n) - 1]
+        got = evaluate_masks(spec, rows_of(masks, spec.n))
+        assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in masks]
+
+
+@given(family_and_rows())
+@settings(max_examples=200, deadline=None)
+def test_evaluate_masks_equals_value_mask(case):
+    spec, rows = case
+    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+             for r in rows]
+    got = evaluate_masks(spec, rows)
+    assert got.shape == (len(masks),) and got.dtype == np.float64
+    assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in masks]
+    assert evaluate_masks(spec, rows[:0]).shape == (0,)

@@ -20,7 +20,8 @@ from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  measured_continuous_greedy, pipage_round,
                                  random_subset, run_solver)
 
-from reference import PerturbedOracle, multilinear_partial_exact
+from reference import (PerturbedOracle, RecordingOracle, greedy_by_single_queries,
+                       multilinear_partial_exact)
 
 
 def test_greedy_modular_example():
@@ -367,3 +368,28 @@ def test_run_solver_double_greedy_binding_matroid():
     for _ in range(20):
         s = run_solver(DoubleGreedy(), ExactOracle(spec), m, rng)
         assert len(s) <= 4
+
+
+# Greedy sends each round's feasible candidates as one batch.  It must query
+# the same sets in the same order as one query per candidate, and pick the
+# same set, on exact and noisy oracles, under uniform and partition matroids.
+
+@given(st.integers(0, 2), st.integers(1, 40), st.booleans(), st.integers(1, 5),
+       st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_greedy_batches_query_like_the_single_query_loop(family, n, noisy, parts, seed):
+    rng = np.random.default_rng(seed)
+    spec = (random_waq, random_coverage, random_cut)[family](n, rng)
+    oracle = (PersistentNoisyOracle(spec, NoiseSpec(BoundedUniform(0.5)), seed) if noisy
+              else ExactOracle(spec))
+    g = GroundSet(n)
+    labels = rng.integers(0, parts, size=n)
+    part_masks = tuple(sum(1 << i for i in range(n) if labels[i] == p) for p in range(parts))
+    caps = tuple(min(int(rng.integers(0, 4)), pm.bit_count()) for pm in part_masks)
+    for matroid in (UniformMatroid(g, int(rng.integers(0, n + 1))),
+                    PartitionMatroid(g, part_masks, caps)):
+        batched, single = RecordingOracle(oracle), RecordingOracle(oracle)
+        got = greedy_cardinality(batched, matroid)
+        assert got == greedy_by_single_queries(single, matroid)
+        assert batched.queries == single.queries
+        assert greedy_cardinality(oracle, matroid) == got

@@ -2,11 +2,16 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from noisysubmax import surrogate
 
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential)
-from noisysubmax.random_instances import random_submodular, random_waq
-from noisysubmax.sets import ElementSet, GroundSet, all_k_subset_masks
+from noisysubmax.oracles import ExactOracle
+from noisysubmax.random_instances import (random_coverage, random_cut,
+                                          random_submodular, random_waq)
+from noisysubmax.sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows
 from noisysubmax.setfn import evaluate
 from noisysubmax.surrogate import (ParamBudget, SampledSurrogateOracle,
                                    SurrogateConfig, SurrogateParams,
@@ -176,3 +181,50 @@ def test_fits_within():
     p = SurrogateParams(h=9, t=3, m=10)
     assert p.fits_within(10)
     assert not p.fits_within(8)
+
+
+# The surrogate batch sends the k*m unions to the inner oracle's batch and
+# averages each row left to right; each value must equal `value_mask`.
+
+def surrogate_case(family, n, h, exact, seed):
+    rng = np.random.default_rng(seed)
+    spec = (random_waq, random_coverage, random_cut)[family](n, rng)
+    inner = (ExactOracle(spec) if exact else
+             PersistentNoisyOracle(spec, NoiseSpec(ShiftedExponential(2.0)), seed))
+    g = GroundSet(n)
+    H = g.subset(rng.choice(n, size=min(h, n), replace=False).tolist())
+    if len(H) == 0:
+        cfg = SurrogateConfig.draw(H, 0, 1, rng)
+    else:
+        t = int(rng.integers(0, len(H)))
+        # m up to 20, past the 8 terms where numpy's pairwise sum departs
+        # from a left-to-right one
+        cfg = SurrogateConfig.draw(H, t, int(rng.integers(1, min(comb(len(H), t), 20) + 1)), rng)
+    return SampledSurrogateOracle(inner, cfg), rng
+
+
+@given(st.integers(0, 2), st.integers(1, 100), st.integers(0, 8), st.booleans(),
+       st.integers(0, 12), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_surrogate_batch_equals_value_mask(family, n, h, exact, k, seed):
+    oracle, rng = surrogate_case(family, n, h, exact, seed)
+    rows = rng.random((k, n)) < rng.random()
+    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+             for r in rows]
+    got = oracle.value_masks(rows)
+    assert got.shape == (k,)
+    assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]
+
+
+@given(st.integers(0, 2), st.integers(1, 100), st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_surrogate_batch_chunks_equal_one_batch(family, n, h, seed):
+    oracle, rng = surrogate_case(family, n, h, False, seed)
+    rows = rng.random((3 * 4 + 1, n)) < 0.5
+    whole = oracle.value_masks(rows)
+    cells_per_row = oracle.cfg.m * n
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of 4 rows (the last one 1 row), then chunks of 1 row
+        for cells in (4 * cells_per_row, 1):
+            mp.setattr(surrogate, "_SURROGATE_CHUNK_CELLS", cells)
+            assert oracle.value_masks(rows).tobytes() == whole.tobytes()
