@@ -1,6 +1,6 @@
 """Golden digests: the exact bytes of a small `simulate` run, the noise
-stream, the set-function values, the random choices of every solver, and
-the instance-file text.
+stream, the set-function values, the random choices of every solver, the
+instance-file text and the numbers of the smoothing-lemma suite.
 
 The other tests check properties, which a silent change of the noise stream
 or of a solver's random choices still passes.  These pin the outputs
@@ -12,6 +12,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisysubmax.checks import smoothing_lemma_gap
 from noisysubmax.cli import main
 from noisysubmax.instance_io import Instance, dumps_instance, loads_instance
 from noisysubmax.matroids import PartitionMatroid, UniformMatroid, contract
@@ -253,3 +254,29 @@ def test_family_value_digest():
         values = [evaluate_mask(fn, mask) for mask in _family_masks(fn.n)]
         got[label] = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
     assert got == FAMILY_VALUE_SHA256
+
+
+# The tuples `smoothing_lemma_gap` returns (expectation, optimum, t/(h-t))
+# on the six configurations `check_smoothing_lemma(seed=7)` draws: three cuts
+# and a coverage with t = 0, a cut and a coverage with t = 1.
+SMOOTHING_GAP_SHA256 = "35fc08e8cf1dda9dc2370217b2acabbccf85cc74260570ea1a1a022410e03db8"
+
+
+def _smoothing_configs(seed):
+    # the draws of check_smoothing_lemma, in its order
+    rng = np.random.default_rng(seed)
+    for _ in range(6):
+        n = int(rng.integers(8, 13))
+        r = int(rng.integers(5, min(n, 8) + 1))
+        h = int(rng.integers(1, 3))
+        t = int(rng.integers(0, h))
+        monotone = rng.random() < 0.5
+        spec = random_coverage(n, rng, items=n) if monotone else random_cut(n, rng)
+        yield spec, r, h, t
+
+
+def test_smoothing_lemma_gap_digest():
+    values = [v for spec, r, h, t in _smoothing_configs(7)
+              for v in smoothing_lemma_gap(spec, r, h, t)]
+    digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == SMOOTHING_GAP_SHA256

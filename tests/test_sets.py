@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from itertools import combinations
 from math import comb
 
 from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
@@ -79,6 +80,8 @@ def test_all_k_subset_masks_complete_and_distinct(n, k):
         assert len(masks) == comb(n, k)
         assert len(set(masks)) == len(masks)
         assert all(m.bit_count() == k for m in masks)
+        # lexicographic order of the member positions, as combinations yields
+        assert masks == [sum(1 << i for i in combo) for combo in combinations(members, k)]
 
 
 def test_unrank_matches_enumeration_order():
