@@ -14,8 +14,7 @@ from .surrogate import (ParamBudget, SampledSurrogateOracle, SurrogateConfig,
                         SurrogateParams, compute_parameters, surrogate_exact)
 from .solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                       RandomSubset, double_greedy, greedy_cardinality,
-                      measured_continuous_greedy, pipage_round, random_subset,
-                      run_solver)
+                      measured_continuous_greedy, pipage_round, run_solver)
 from .meta import MetaConfig, best_of_T, comparison_surrogate_f0, meta_solve
 from .instance_io import (Instance, dumps_instance, load_instance,
                           loads_instance, save_instance)
@@ -35,7 +34,7 @@ __all__ = [
     "SurrogateParams", "compute_parameters", "surrogate_exact",
     "DoubleGreedy", "Greedy", "MeasuredContinuousGreedy", "RandomSubset",
     "double_greedy", "greedy_cardinality", "measured_continuous_greedy",
-    "pipage_round", "random_subset", "run_solver",
+    "pipage_round", "run_solver",
     "MetaConfig", "best_of_T", "comparison_surrogate_f0", "meta_solve",
     "Instance", "dumps_instance", "load_instance", "loads_instance",
     "save_instance",

@@ -14,11 +14,10 @@ import sys
 import numpy as np
 
 from .harness import ExperimentSpec, run_experiment
-from .instance_io import load_instance
+from .instance_io import _DISTRIBUTIONS, load_instance
 from .matroids import UniformMatroid, rank
 from .meta import MetaConfig, meta_solve
-from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
-                    ShiftedExponential)
+from .noise import NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
 from .setfn import evaluate, ground_of
 from .solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
@@ -30,11 +29,8 @@ INNER_SOLVERS = {
     "double-greedy": DoubleGreedy,
     "continuous-greedy": MeasuredContinuousGreedy,
 }
-NOISE_FLAGS = {
-    "gaussian": (Gaussian, "sigma2"),
-    "bounded_uniform": (BoundedUniform, "halfwidth"),
-    "shifted_exponential": (ShiftedExponential, "rate"),
-}
+# distribution name -> (class, the one parameter, which is also its flag)
+NOISE_FLAGS = {name: (cls, fields[0][0]) for name, (cls, fields) in _DISTRIBUTIONS.items()}
 
 
 def _cmd_simulate(args) -> int:

@@ -20,9 +20,9 @@ from .matroids import UniformMatroid
 from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
-from .sets import ElementSet, GroundSet
+from .sets import ElementSet, GroundSet, random_k_subset
 from .setfn import WeightedAdditiveQuadratic
-from .solvers import DoubleGreedy, double_greedy, random_subset
+from .solvers import DoubleGreedy, double_greedy
 
 RESAMPLE_LIMIT = 10_000
 
@@ -126,7 +126,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> list[TrialRecord]:
         elif name == "dg_noisy":
             sol = double_greedy(noisy, ground, rng)
         elif name == "random":
-            sol = random_subset(ground, ground.n // 2, rng)
+            sol = random_k_subset(ground.full_set(), ground.n // 2, rng)
         else:
             m = int(name.removeprefix("ours_m"))
             cfg = MetaConfig(h=spec.h, t=spec.t, m=m, inner=DoubleGreedy(),
@@ -186,16 +186,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run all trials (optionally across a worker pool) and aggregate.
 
     Per-trial seeds derive from (master_seed, trial), so the result is
-    identical for any worker count.
+    identical for any worker count and any start method of the pool, and
+    the pool has no more workers than trials.
     """
-    workers = spec.workers or os.cpu_count() or 1
+    workers = min(spec.workers or os.cpu_count() or 1, spec.trials)
     result = ExperimentResult(spec)
-    if workers <= 1 or spec.trials == 1:
+    if workers == 1:
         for trial in range(spec.trials):
             result.records.extend(run_trial(spec, trial))
     else:
         import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.Pool(workers) as pool:
             for recs in pool.map(_worker, [(spec, t) for t in range(spec.trials)],
                                  chunksize=max(1, spec.trials // (8 * workers))):
                 result.records.extend(recs)

@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, mask_members, popcount_array
+from .sets import ElementSet, GroundSet, mask_members
 
 
 # Every matroid here is a partition matroid on its free elements.  `groups()`
@@ -53,7 +53,7 @@ class Matroid:
     def indep_masks(self, masks: np.ndarray) -> np.ndarray:
         ok = (masks & ~np.uint64(self.free_mask)) == 0
         for g, c in self._groups:
-            ok &= popcount_array(masks & np.uint64(g)) <= c
+            ok &= np.bitwise_count(masks & np.uint64(g)) <= c
         return ok
 
     def rank(self) -> int:

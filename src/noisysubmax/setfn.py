@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, popcount_array, row_masks
+from .sets import ElementSet, GroundSet, mask_members, row_masks
 
 BRUTE_FORCE_BUDGET = 24
 SUBMODULARITY_BUDGET = 14
@@ -22,20 +22,12 @@ CHECK_TOL = 1e-9
 
 
 def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits."""
-    n = len(weights)
-    tables = []
-    for byte in range((n + 7) // 8):
-        w = weights[8 * byte: 8 * byte + 8]
-        tab = [0.0] * 256
-        for chunk in range(256):
-            s = 0.0
-            for bit in range(len(w)):
-                if (chunk >> bit) & 1:
-                    s += w[bit]
-            tab[chunk] = s
-        tables.append(tuple(tab))
-    return tuple(tables)
+    """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits,
+    as Python floats (an np.float64 would change the repr of a value)."""
+    padded = np.zeros(8 * ((len(weights) + 7) // 8))
+    padded[:len(weights)] = weights
+    return tuple(tuple(_weight_sum_table(padded[b: b + 8]).tolist())
+                 for b in range(0, len(padded), 8))
 
 
 def _mask_weight_sum(mask: int, tables) -> float:
@@ -114,7 +106,7 @@ class WeightedAdditiveQuadratic:
         return _mask_weight_sum(mask, self._tables) - self.cost * k * k
 
     def table(self) -> np.ndarray:
-        k = popcount_array(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
+        k = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
         return _weight_sum_table(self.weights) - self.cost * k * k
 
 
@@ -143,11 +135,8 @@ class Coverage:
     def value_mask(self, mask: int) -> float:
         covered = 0
         covers = self.covers
-        m = mask
-        while m:
-            low = m & -m
-            covered |= covers[low.bit_length() - 1]
-            m ^= low
+        for i in mask_members(mask):
+            covered |= covers[i]
         return _mask_weight_sum(covered, self._tables)
 
     @cached_property

@@ -62,11 +62,7 @@ class ElementSet:
         return bool((self.mask >> i) & 1)
 
     def __iter__(self):
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_members(self.mask))
 
     def members(self) -> tuple[int, ...]:
         return tuple(self)
@@ -168,11 +164,6 @@ def random_k_subset_mask(members: list[int], k: int, rng: np.random.Generator) -
 def random_k_subset(s: ElementSet, k: int, rng: np.random.Generator) -> ElementSet:
     """Uniformly random k-subset of s."""
     return ElementSet(s.ground, random_k_subset_mask(list(s), k, rng))
-
-
-def popcount_array(masks: np.ndarray) -> np.ndarray:
-    """Bit counts of an integer numpy array."""
-    return np.bitwise_count(masks)
 
 
 def row_masks(rows: np.ndarray) -> list[int]:

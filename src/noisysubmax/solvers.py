@@ -10,7 +10,7 @@ import numpy as np
 
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, mask_members, mask_rows, random_k_subset_mask
+from .sets import ElementSet, GroundSet, mask_members, mask_rows
 from .setfn import _check_point, _inclusion_probs, _left_sum, _table_of
 
 POLYTOPE_TOL = 1e-9
@@ -118,9 +118,7 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
     """
     elements = list(universe) if universe is not None else list(range(ground.n))
     x_mask = 0
-    y_mask = 0
-    for i in elements:
-        y_mask |= 1 << i
+    y_mask = universe.mask if universe is not None else ground.full_mask
     value = oracle.value_mask
     fx = value(x_mask)
     fy = value(y_mask)
@@ -245,13 +243,6 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> Element
         raise ValueError("pipage rounding produced a dependent set: "
                          "the matroid's groups() disagree with its indep_mask")
     return ElementSet(m.ground, out_mask)
-
-
-def random_subset(ground: GroundSet, k: int, rng: np.random.Generator) -> ElementSet:
-    """Uniformly random k-subset of the ground set."""
-    if not 0 <= k <= ground.n:
-        raise ValueError(f"k={k} outside [0, {ground.n}]")
-    return ElementSet(ground, random_k_subset_mask(list(range(ground.n)), k, rng))
 
 
 def run_solver(cfg: SolverConfig, oracle: ValueOracle, m: Matroid,

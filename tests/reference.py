@@ -1,7 +1,8 @@
 """Test-only oracles and reference functions shared by the tests: an
 adversarial eps-perturbed oracle, the sampled surrogate of one set, the
-exact partial derivative of the multilinear extension, and one-query-per-
-call forms of the solver loops that now send batches."""
+exact partial derivative of the multilinear extension, one-query-per-call
+forms of the solver loops that now send batches, and a bit loop that builds
+the per-byte weight-sum tables."""
 import numpy as np
 
 from noisysubmax.oracles import ValueOracle
@@ -81,3 +82,20 @@ def comparison_by_single_queries(oracle: ValueOracle, s: ElementSet) -> float:
     for e in s:
         total += oracle.value_mask(s.mask & ~(1 << e))
     return total / len(s)
+
+
+def byte_sum_tables_by_bit_loop(weights) -> tuple[tuple[float, ...], ...]:
+    """`setfn._byte_sum_tables` as a triple loop: table[b][chunk] adds the
+    weights of the set bits of chunk from the low bit, starting at 0.0."""
+    tables = []
+    for byte in range((len(weights) + 7) // 8):
+        w = weights[8 * byte: 8 * byte + 8]
+        tab = [0.0] * 256
+        for chunk in range(256):
+            s = 0.0
+            for bit in range(len(w)):
+                if (chunk >> bit) & 1:
+                    s += w[bit]
+            tab[chunk] = s
+        tables.append(tuple(tab))
+    return tuple(tables)

@@ -6,9 +6,10 @@ import pytest
 from noisysubmax.cli import main
 from noisysubmax.instance_io import Instance, save_instance
 from noisysubmax.matroids import UniformMatroid
-from noisysubmax.noise import Gaussian, NoiseSpec
+from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec, ShiftedExponential
 from noisysubmax.sets import GroundSet
 from noisysubmax.setfn import Modular, WeightedAdditiveQuadratic
+from noisysubmax.surrogate import ParamBudget, compute_parameters
 
 
 def test_params_reference_output(capsys):
@@ -18,6 +19,18 @@ def test_params_reference_output(capsys):
     assert rc == 0
     assert "h = 81" in out and "t = 9" in out and "m = 117" in out
     assert "fits_ground_set = no" in out
+
+
+@pytest.mark.parametrize("name, flag, cls", [("gaussian", "sigma2", Gaussian),
+                                             ("bounded_uniform", "halfwidth", BoundedUniform),
+                                             ("shifted_exponential", "rate", ShiftedExponential)])
+def test_params_reads_each_distribution_from_its_flag(name, flag, cls, capsys):
+    budget = ParamBudget(epsilon=1.0, delta=0.04, f_max=1.0, noise=NoiseSpec(cls(0.75)))
+    want = compute_parameters(budget, 10)
+    assert main(["params", "--epsilon", "1", "--delta", "0.04", "--fmax", "1", "--n", "10",
+                 "--distribution", name, f"--{flag}", "0.75"]) == 0
+    out = capsys.readouterr().out
+    assert f"h = {want.h}\nt = {want.t}\nm = {want.m}\n" in out
 
 
 def test_simulate_rejects_a_negative_worker_count():

@@ -8,6 +8,8 @@ themselves.  When a change moves one of them on purpose (a new noise
 stream, say), re-pin the value here and record the change in CHANGES.md.
 """
 import hashlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -34,6 +36,19 @@ SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faa
 def test_simulate_csv_digest(tmp_path):
     out = tmp_path / "golden.csv"
     assert main(SIMULATE_ARGS + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
+
+
+def test_simulate_csv_digest_under_spawn(tmp_path):
+    # two pool workers that start from a fresh interpreter write the same bytes
+    out = tmp_path / "spawn.csv"
+    args = SIMULATE_ARGS[:-2] + ["--workers", "2", "--out", str(out)]
+    code = ("import multiprocessing, sys\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "from noisysubmax.cli import main\n"
+            f"sys.exit(main({args!r}))\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=600,
+                   stdout=subprocess.DEVNULL)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
 
 

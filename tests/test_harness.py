@@ -116,6 +116,38 @@ def test_determinism_across_worker_counts():
     assert serial == parallel == again
 
 
+class _SerialPool:
+    """A stand-in for multiprocessing.Pool that records its size and maps in
+    this process, so that a test of the pool size starts no process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return [fn(item) for item in items]
+
+
+def test_pool_has_no_more_workers_than_trials(monkeypatch):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
+    monkeypatch.setattr(_SerialPool, "sizes", [])
+    base = dict(n=8, h=2, t=1, m_values=(1,), master_seed=3)
+    for trials, workers in ((2, 64), (3, 3), (5, 2)):
+        run_experiment(ExperimentSpec(trials=trials, workers=workers, **base))
+    # one trial or one worker runs serially, without a pool
+    run_experiment(ExperimentSpec(trials=1, workers=8, **base))
+    run_experiment(ExperimentSpec(trials=4, workers=1, **base))
+    assert _SerialPool.sizes == [2, 3, 2]
+
+
 def test_different_seeds_differ():
     a = run_experiment(ExperimentSpec(n=15, trials=3, h=4, t=1, m_values=(2,),
                                       master_seed=0)).to_csv()

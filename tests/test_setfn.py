@@ -13,7 +13,7 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                evaluate_masks, marginal, multilinear_exact,
                                table_is_submodular, value_table)
 
-from reference import multilinear_partial_exact
+from reference import byte_sum_tables_by_bit_loop, multilinear_partial_exact
 
 
 def naive_value(spec, members):
@@ -355,6 +355,17 @@ def test_byte_table_families_match_a_bit_loop(case):
     spec, masks = case
     got = [spec.value_mask(m).hex() for m in masks]
     assert got == [value_by_bit_loop(spec, m).hex() for m in masks]
+
+
+@given(st.lists(st.one_of(st.just(-0.0), st.floats(-5, 5, allow_nan=False)),
+                min_size=1, max_size=70))
+@settings(max_examples=200, deadline=None)
+def test_byte_sum_tables_match_a_bit_loop(weights):
+    # Python floats with the same bits, -0.0 and a partial last byte included
+    got = setfn._byte_sum_tables(tuple(weights))
+    want = byte_sum_tables_by_bit_loop(tuple(weights))
+    assert all(type(v) is float for table in got for v in table)
+    assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
 
 
 # `evaluate_masks` (the `Coverage` and cut numpy batches, the per-row loop

@@ -5,9 +5,8 @@ from itertools import combinations
 from math import comb
 
 from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
-                              mask_members, popcount_array,
-                              random_k_subset, random_k_subset_mask,
-                              unrank_k_subset_mask)
+                              mask_members, random_k_subset,
+                              random_k_subset_mask, unrank_k_subset_mask)
 
 
 def test_ground_set_validation():
@@ -105,6 +104,16 @@ def test_random_k_subset_size_and_membership():
         random_k_subset_mask([0, 1], 3, rng)
 
 
+def test_random_k_subset_of_full_set():
+    full = GroundSet(6).full_set()
+    rng = np.random.default_rng(14)
+    assert len(random_k_subset(full, 0, rng)) == 0
+    assert random_k_subset(full, 6, rng) == full
+    assert len(random_k_subset(full, 3, rng)) == 3
+    with pytest.raises(ValueError):
+        random_k_subset(full, 7, rng)
+
+
 def test_random_k_subset_uniform_frequencies():
     rng = np.random.default_rng(1)
     members = list(range(6))
@@ -118,8 +127,3 @@ def test_random_k_subset_uniform_frequencies():
     assert len(counts) == 20
     for c in counts.values():
         assert abs(c - expected) < 4 * sigma
-
-
-def test_popcount_array():
-    arr = np.array([0, 1, 3, 255, 2**40 - 1], dtype=np.uint64)
-    assert popcount_array(arr).tolist() == [0, 1, 2, 8, 40]

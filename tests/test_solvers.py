@@ -18,7 +18,7 @@ from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, _exact_partials,
                                  double_greedy, greedy_cardinality,
                                  measured_continuous_greedy, pipage_round,
-                                 random_subset, run_solver)
+                                 run_solver)
 
 from reference import (PerturbedOracle, RecordingOracle, greedy_by_single_queries,
                        multilinear_partial_exact)
@@ -314,16 +314,6 @@ def test_pipage_expected_value_dominates_extension():
     ])
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     assert vals.mean() >= multilinear_exact(spec, x) - 3 * se
-
-
-def test_random_subset():
-    g = GroundSet(6)
-    rng = np.random.default_rng(14)
-    assert len(random_subset(g, 0, rng)) == 0
-    assert random_subset(g, 6, rng).mask == g.full_mask
-    assert len(random_subset(g, 3, rng)) == 3
-    with pytest.raises(ValueError):
-        random_subset(g, 7, rng)
 
 
 def test_random_subset_solver_independent_under_matroids():
