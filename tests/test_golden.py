@@ -295,3 +295,26 @@ def test_smoothing_lemma_gap_digest():
               for v in smoothing_lemma_gap(spec, r, h, t)]
     digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
     assert digest == SMOOTHING_GAP_SHA256
+
+
+# The 16 coverage/cut pairs the benchmark's constrained_mix workload draws in
+# set-up for seed 1 (n=40, cut density 0.25): the covers and item weights of
+# each coverage, then the edges of each cut, with floats as float.hex.
+BENCH_INPUTS_SHA256 = "535ca8cc97240a6e87141a229d2c69f8f8791405938e85d375d7b1c90c9729c6"
+
+
+def _bench_input_text(seed=1, n=40, pairs=16):
+    rng = np.random.default_rng(np.random.SeedSequence([seed, n]))
+    parts = []
+    for _ in range(pairs):
+        cover = random_coverage(n, rng)
+        cut = random_cut(n, rng, 0.25)
+        parts.append(",".join(f"{c:x}" for c in cover.covers))
+        parts.append(",".join(w.hex() for w in cover.item_weights))
+        parts.append(",".join(f"{u}-{v}-{w.hex()}" for u, v, w in cut.edges))
+    return ";".join(parts)
+
+
+def test_benchmark_input_digest():
+    digest = hashlib.sha256(_bench_input_text().encode()).hexdigest()
+    assert digest == BENCH_INPUTS_SHA256
