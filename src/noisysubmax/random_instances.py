@@ -1,15 +1,24 @@
-"""Random instance generators for tests and lemma suites."""
+"""Random instance generators for tests, lemma suites and the benchmark.
+
+`random_coverage` and `random_cut` draw their doubles in blocks, in the order
+of a loop that draws one scalar per decision (`rng.random()` per item or pair,
+`rng.uniform(0.2, 2.0)` per edge weight), and never more doubles than that
+loop would.  Each instance is bit for bit the loop's, and the generator ends
+in the same state.
+"""
 from __future__ import annotations
 
 import numpy as np
 
 from .harness import nonnegative_certified
+from .sets import row_masks
 from .setfn import (Coverage, CutFunction, SetFunctionSpec,
-                    WeightedAdditiveQuadratic)
+                    WeightedAdditiveQuadratic, _check_size)
 
 
 def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
     """Weighted additive with quadratic cost; resamples until non-negative."""
+    _check_size(n)
     high = 20.0
     cost = (high / 2.0) / n
     while True:
@@ -22,25 +31,39 @@ def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
 
 def random_coverage(n: int, rng: np.random.Generator, items: int | None = None) -> Coverage:
     """Each element covers a random subset of items; monotone submodular."""
-    items = items or 2 * n
-    covers = []
-    for _ in range(n):
-        mask = 0
-        for j in range(items):
-            if rng.random() < 0.25:
-                mask |= 1 << j
-        covers.append(mask)
+    _check_size(n)
+    if items is None:
+        items = 2 * n
+    if items < 0:
+        raise ValueError(f"items must be >= 0, got {items}")
+    # one block of `items` doubles per element; item j is covered if its
+    # double is below 0.25
+    covers = [row_masks(rng.random((1, items)) < 0.25)[0] for _ in range(n)]
     weights = tuple(float(w) for w in rng.uniform(0.5, 2.0, size=items))
     return Coverage(covers=tuple(covers), item_weights=weights)
 
 
 def random_cut(n: int, rng: np.random.Generator, p: float = 0.5) -> CutFunction:
-    """Random weighted graph cut; non-monotone submodular."""
+    """Random weighted graph cut; non-monotone submodular.  Each pair (u, v),
+    u < v in loop order, is an edge if its double is below p; an edge's
+    weight is the next double d as 0.2 + (2.0 - 0.2) * d, numpy's uniform."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must be in [0, 1], got {p}")
     edges = []
+    block, j = [], 0
     for u in range(n):
         for v in range(u + 1, n):
-            if rng.random() < p:
-                edges.append((u, v, float(rng.uniform(0.2, 2.0))))
+            # an empty block is refilled with one double per pair (u, v..n-1)
+            # still to come, or with the pending weight and the pairs after
+            # v: n - v doubles either way, which the loop draws for certain
+            if j == len(block):
+                block, j = rng.random(n - v).tolist(), 0
+            j += 1
+            if block[j - 1] < p:
+                if j == len(block):
+                    block, j = rng.random(n - v).tolist(), 0
+                edges.append((u, v, 0.2 + (2.0 - 0.2) * block[j]))
+                j += 1
     return CutFunction(n_vertices=n, edges=tuple(edges))
 
 

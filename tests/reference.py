@@ -1,13 +1,14 @@
 """Test-only oracles and reference functions shared by the tests: an
 adversarial eps-perturbed oracle, the sampled surrogate of one set, the
 exact partial derivative of the multilinear extension, one-query-per-call
-forms of the solver loops that now send batches, and a bit loop that builds
-the per-byte weight-sum tables."""
+forms of the solver loops that now send batches, a bit loop that builds
+the per-byte weight-sum tables, and the coverage and cut generators with one
+scalar draw per decision."""
 import numpy as np
 
 from noisysubmax.oracles import ValueOracle
 from noisysubmax.sets import ElementSet
-from noisysubmax.setfn import _check_point, multilinear_exact
+from noisysubmax.setfn import Coverage, CutFunction, _check_point, multilinear_exact
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 
@@ -99,3 +100,29 @@ def byte_sum_tables_by_bit_loop(weights) -> tuple[tuple[float, ...], ...]:
             tab[chunk] = s
         tables.append(tuple(tab))
     return tuple(tables)
+
+
+def random_coverage_by_scalar_draws(n: int, rng: np.random.Generator,
+                                    items: int | None = None) -> Coverage:
+    """`random_coverage` with one `rng.random()` per element and item."""
+    items = 2 * n if items is None else items
+    covers = []
+    for _ in range(n):
+        mask = 0
+        for j in range(items):
+            if rng.random() < 0.25:
+                mask |= 1 << j
+        covers.append(mask)
+    weights = tuple(float(w) for w in rng.uniform(0.5, 2.0, size=items))
+    return Coverage(covers=tuple(covers), item_weights=weights)
+
+
+def random_cut_by_scalar_draws(n: int, rng: np.random.Generator, p: float = 0.5) -> CutFunction:
+    """`random_cut` with one `rng.random()` per pair and one
+    `rng.uniform(0.2, 2.0)` per edge weight."""
+    edges = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                edges.append((u, v, float(rng.uniform(0.2, 2.0))))
+    return CutFunction(n_vertices=n, edges=tuple(edges))
