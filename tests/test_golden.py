@@ -14,6 +14,7 @@ import sys
 import numpy as np
 import pytest
 
+from noisysubmax import solvers
 from noisysubmax.checks import smoothing_lemma_gap
 from noisysubmax.cli import main
 from noisysubmax.instance_io import Instance, dumps_instance, loads_instance
@@ -173,6 +174,41 @@ def test_mcg_point_digest():
             points.extend(measured_continuous_greedy(ExactOracle(fn), matroid, cfg, rng))
         got[label] = hashlib.sha256(",".join(v.hex() for v in points).encode()).hexdigest()
     assert got == MCG_POINT_SHA256
+
+
+# meta_solve with a sampled measured-continuous-greedy inner on the noisy
+# oracle of each SOLUTION_MASKS problem: the solution mask, and the SHA-256
+# of the fractional point mcg returns on that run's surrogate over the
+# contracted matroid, before rounding.
+META_MCG = {
+    "coverage/uniform": (0xC14, "32e708a9e086d1aa6d71dae2ababd84e81a217ce9510b607698a970651631474"),
+    "coverage/partition": (0x50A, "fa524e7b508346e7ee2d8aa1274b51214d7dcb503b580e4d9a03c175eb067740"),
+    "coverage/contracted": (0x600, "b06248a8ca80233ccf3997d755f2ca44f268834c766976af4f1da4d4faf941d9"),
+    "cut/uniform": (0x144, "62f7bfdd3b478a1a91520cd6539003acbe7db582ba4953764e0058c8bbe7c11c"),
+    "cut/partition": (0x100, "c8e528897ce8e40e7e7820a2eaadb5b4fefe4d46e70862bf9dbe637e4e592d38"),
+    "cut/contracted": (0x108, "5fead0ffdf625efd629f960b5dde548d14601217d8ff643e28f05f30e7d3c10a"),
+}
+
+
+def test_meta_mcg_masks_and_points(monkeypatch):
+    points = []
+
+    def recording(*args):
+        x = measured_continuous_greedy(*args)
+        points.append(x)
+        return x
+
+    monkeypatch.setattr(solvers, "measured_continuous_greedy", recording)
+    inner = MeasuredContinuousGreedy(step=0.25, partial_samples=4)
+    got = {}
+    for label, fn, noise, matroid, key in _problems():
+        noisy = PersistentNoisyOracle(fn, noise, master_seed=7 + key[1])
+        cfg = MetaConfig(h=2, t=1, m=2, inner=inner, matroid=matroid)
+        mask = meta_solve(noisy, cfg, np.random.default_rng([*key, 102])).mask
+        x = points.pop()
+        got[label] = (mask, hashlib.sha256(",".join(v.hex() for v in x).encode()).hexdigest())
+    assert not points
+    assert got == META_MCG
 
 
 # Each instance with the exact text `dumps_instance` writes for it.  Together
