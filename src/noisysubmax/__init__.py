@@ -6,7 +6,7 @@ from .setfn import (Coverage, CutFunction, Modular, WeightedAdditiveQuadratic,
                     brute_force_opt, check_submodular, evaluate, marginal,
                     multilinear_exact, value_table)
 from .matroids import (ContractedMatroid, PartitionMatroid, UniformMatroid,
-                       arbitrary_basis, contract, is_independent, rank)
+                       arbitrary_basis, contract, is_independent)
 from .oracles import ExactOracle, ValueOracle
 from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
                     ShiftedExponential)
@@ -26,7 +26,7 @@ __all__ = [
     "brute_force_opt", "check_submodular", "evaluate", "marginal",
     "multilinear_exact", "value_table",
     "ContractedMatroid", "PartitionMatroid", "UniformMatroid",
-    "arbitrary_basis", "contract", "is_independent", "rank",
+    "arbitrary_basis", "contract", "is_independent",
     "ExactOracle", "ValueOracle",
     "BoundedUniform", "Gaussian", "NoiseSpec", "PersistentNoisyOracle",
     "ShiftedExponential",

@@ -91,11 +91,9 @@ def surrogate_table(table: np.ndarray, n: int, h_members: list[int], t: int) -> 
     """Dense table of the surrogate: mean of f(S ∪ H') over all t-subsets."""
     masks = np.arange(1 << n, dtype=np.int64)
     acc = np.zeros(1 << n)
-    count = 0
     for hmask in all_k_subset_masks(h_members, t):
         acc += table[masks | hmask]
-        count += 1
-    return acc / count
+    return acc / comb(len(h_members), t)
 
 
 def smoothing_lemma_gap(spec, r: int, h: int, t: int) -> tuple[float, float, float]:
@@ -114,13 +112,11 @@ def smoothing_lemma_gap(spec, r: int, h: int, t: int) -> tuple[float, float, flo
     basis = arbitrary_basis(matroid)
     masks = np.arange(1 << n, dtype=np.uint64)
     total = 0.0
-    count = 0
     for h_mask in all_k_subset_masks(list(basis), h):
         surr = surrogate_table(table, n, mask_members(h_mask), t)
         feasible = contract(matroid, ElementSet(ground, h_mask)).indep_masks(masks)
         total += np.max(surr[feasible])
-        count += 1
-    return total / count, opt, t / (h - t)
+    return total / comb(len(basis), h), opt, t / (h - t)
 
 
 def check_smoothing_lemma(seed: int = 0) -> CheckResult:
@@ -176,14 +172,12 @@ def surrogate_shift_bounds(spec, h: int, t: int, s_mask: int) -> bool:
     sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
     exp_shifted = 0.0
     exp_plain = 0.0
-    count = 0
     for h_mask in all_k_subset_masks(list(range(n)), h):
         surr = surrogate_table(table, n, mask_members(h_mask), t)
         exp_shifted += surr[s_mask & ~h_mask]
         exp_plain += surr[s_mask]
-        count += 1
-    exp_shifted /= count
-    exp_plain /= count
+    exp_shifted /= comb(n, h)
+    exp_plain /= comb(n, h)
     s_size = s_mask.bit_count()
     cap = s_size + h
     best_any = float(np.max(table[sizes <= cap]))

@@ -15,11 +15,12 @@ import numpy as np
 
 from .harness import ExperimentSpec, run_experiment
 from .instance_io import _DISTRIBUTIONS, load_instance
-from .matroids import UniformMatroid, rank
+from .matroids import UniformMatroid
 from .meta import MetaConfig, meta_solve
 from .noise import NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
-from .setfn import evaluate, ground_of
+from .sets import GroundSet
+from .setfn import evaluate
 from .solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                       RandomSubset, run_solver)
 from .surrogate import ParamBudget, compute_parameters
@@ -51,7 +52,7 @@ def _cmd_solve(args) -> int:
     if inst.function is None:
         print("instance file has no [function] section", file=sys.stderr)
         return 2
-    ground = ground_of(inst.function)
+    ground = GroundSet(inst.function.n)
     matroid = inst.matroid or UniformMatroid(ground, ground.n)
     if matroid.ground.n != ground.n:
         print("matroid and function ground sets disagree", file=sys.stderr)
@@ -72,7 +73,7 @@ def _cmd_solve(args) -> int:
                          inner=INNER_SOLVERS[args.inner](), matroid=matroid)
         solution = meta_solve(oracle, cfg, rng)
     elif args.algorithm == "random":
-        size = args.size if args.size is not None else rank(matroid)
+        size = args.size if args.size is not None else matroid.rank()
         solution = run_solver(RandomSubset(size), oracle, matroid, rng)
     else:
         solution = run_solver(INNER_SOLVERS[args.algorithm](), oracle, matroid, rng)

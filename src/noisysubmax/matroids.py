@@ -57,6 +57,7 @@ class Matroid:
         return ok
 
     def rank(self) -> int:
+        """Common size of all maximal independent sets."""
         return sum(c for _, c in self._groups)
 
     def free_elements(self) -> list[int]:
@@ -132,11 +133,6 @@ def is_independent(m: Matroid, s: ElementSet) -> bool:
     if s.ground.n != m.ground.n:
         raise ValueError("set and matroid over different ground sets")
     return m.indep_mask(s.mask)
-
-
-def rank(m: Matroid) -> int:
-    """Common size of all maximal independent sets."""
-    return m.rank()
 
 
 def arbitrary_basis(m: Matroid) -> ElementSet:

@@ -10,7 +10,7 @@ from math import comb
 
 import numpy as np
 
-from .matroids import Matroid, contract, rank, arbitrary_basis
+from .matroids import Matroid, contract, arbitrary_basis
 from .noise import PersistentNoisyOracle
 from .sets import ElementSet, mask_rows, random_k_subset
 from .setfn import _left_sum
@@ -29,9 +29,9 @@ class MetaConfig:
     def __post_init__(self):
         if not 0 <= self.t < max(self.h, 1):
             raise ValueError(f"need 0 <= t < h, or t=0 if h=0; got t={self.t}, h={self.h}")
-        if self.h > rank(self.matroid):
+        if self.h > self.matroid.rank():
             # silently shrinking h would corrupt experiment metadata
-            raise ValueError(f"h={self.h} exceeds the matroid rank {rank(self.matroid)}")
+            raise ValueError(f"h={self.h} exceeds the matroid rank {self.matroid.rank()}")
         if self.m > comb(self.h, self.t):
             raise ValueError(f"m={self.m} exceeds C({self.h},{self.t})")
         if self.m < 1:

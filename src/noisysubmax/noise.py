@@ -24,7 +24,8 @@ from typing import Union
 import numpy as np
 
 from .oracles import ValueOracle, check_rows, mask_error
-from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks, ground_of
+from .sets import GroundSet
+from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
@@ -36,6 +37,10 @@ class Gaussian:
     """Normal(mean 1, variance sigma2)."""
 
     sigma2: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -55,6 +60,10 @@ class BoundedUniform:
     """Uniform on [1 - halfwidth, 1 + halfwidth]."""
 
     halfwidth: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.halfwidth < math.inf:
+            raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -78,6 +87,10 @@ class ShiftedExponential:
     """Exponential(rate) shifted to mean 1; support [1 - 1/rate, inf)."""
 
     rate: float
+
+    def __post_init__(self):
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -145,7 +158,7 @@ class PersistentNoisyOracle(ValueOracle):
         self.master_seed = operator.index(master_seed)
         if not 0 <= self.master_seed < 1 << 64:
             raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
-        self.ground = ground_of(base)
+        self.ground = GroundSet(base.n)
         self._n = self.ground.n
         self._width = (self._n + 7) // 8
         # keyed once; each query hashes its mask on a copy

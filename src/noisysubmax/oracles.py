@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .sets import ElementSet, GroundSet, row_masks
-from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks, ground_of
+from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
 
 
 def mask_error(mask: int, n: int) -> ValueError:
@@ -56,7 +56,7 @@ class ValueOracle:
 class ExactOracle(ValueOracle):
     def __init__(self, spec: SetFunctionSpec):
         self.spec = spec
-        self.ground = ground_of(spec)
+        self.ground = GroundSet(spec.n)
         self._n = spec.n
 
     def value_mask(self, mask: int) -> float:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .sets import ElementSet, GroundSet, mask_members, row_masks
 
-BRUTE_FORCE_BUDGET = 24
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
@@ -265,10 +264,6 @@ class Modular:
 SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction, Modular]
 
 
-def ground_of(spec: SetFunctionSpec) -> GroundSet:
-    return GroundSet(spec.n)
-
-
 def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
     """Closed-form value of the subset given by `mask`."""
     return spec.value_mask(mask)
@@ -305,44 +300,21 @@ def value_table(spec: SetFunctionSpec) -> np.ndarray:
     return spec.table()
 
 
-def _table_of(fn_or_spec, n: int) -> np.ndarray:
-    """Dense table of a set-function family, or of a callable on ElementSets."""
-    if not callable(fn_or_spec):
-        return value_table(fn_or_spec)
-    if n > MULTILINEAR_BUDGET:
-        raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
-    ground = GroundSet(n)
-    return np.array([fn_or_spec(ElementSet(ground, mask)) for mask in range(1 << n)])
-
-
 def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, float]:
     """Exhaustive optimum over all feasible subsets.
 
     `feasible` is a matroid (or None for unconstrained).  Ties broken by
     the smallest mask, so the result is a deterministic test oracle.
     """
-    n = spec.n
-    if n > BRUTE_FORCE_BUDGET:
-        raise ValueError(f"n={n} over the enumeration budget {BRUTE_FORCE_BUDGET}")
-    ground = GroundSet(n)
-    if n <= MULTILINEAR_BUDGET:
-        values = value_table(spec)
-        if feasible is not None:
-            ok = feasible.indep_masks(np.arange(1 << n, dtype=np.uint64))
-            values = np.where(ok, values, -np.inf)
-        best_mask = int(np.argmax(values))  # argmax returns the lowest mask on ties
-        return ElementSet(ground, best_mask), float(values[best_mask])
-    best_mask, best_val = None, -np.inf
-    for mask in range(1 << n):
-        if feasible is not None and not feasible.indep_mask(mask):
-            continue
-        v = evaluate_mask(spec, mask)
-        if v > best_val:
-            best_mask, best_val = mask, v
-    return ElementSet(ground, best_mask), best_val
+    values = value_table(spec)
+    if feasible is not None:
+        ok = feasible.indep_masks(np.arange(1 << spec.n, dtype=np.uint64))
+        values = np.where(ok, values, -np.inf)
+    best_mask = int(np.argmax(values))  # argmax returns the lowest mask on ties
+    return ElementSet(GroundSet(spec.n), best_mask), float(values[best_mask])
 
 
-def check_submodular(fn_or_spec, ground: GroundSet, tol: float = CHECK_TOL) -> bool:
+def check_submodular(spec: SetFunctionSpec, tol: float = CHECK_TOL) -> bool:
     """Exhaustive diminishing-returns check.
 
     Uses the equivalent local condition f(S+i) + f(S+j) >= f(S+i+j) + f(S)
@@ -350,10 +322,9 @@ def check_submodular(fn_or_spec, ground: GroundSet, tol: float = CHECK_TOL) -> b
     inequality does (tests verify this equivalence against the direct
     triple enumeration).
     """
-    n = ground.n
-    if n > SUBMODULARITY_BUDGET:
-        raise ValueError(f"n={n} over the submodularity check budget {SUBMODULARITY_BUDGET}")
-    return table_is_submodular(_table_of(fn_or_spec, n), tol)
+    if spec.n > SUBMODULARITY_BUDGET:
+        raise ValueError(f"n={spec.n} over the submodularity check budget {SUBMODULARITY_BUDGET}")
+    return table_is_submodular(value_table(spec), tol)
 
 
 def table_is_submodular(table: np.ndarray, tol: float = CHECK_TOL) -> bool:
@@ -384,16 +355,13 @@ def _check_point(x: np.ndarray, n: int):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (n,):
         raise ValueError(f"point of shape {x.shape}, expected ({n},)")
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise ValueError("fractional point has coordinates outside [0, 1]")
+    if not np.all((x >= -1e-12) & (x <= 1.0 + 1e-12)):
+        raise ValueError("fractional point has coordinates that are NaN or outside [0, 1]")
     return np.clip(x, 0.0, 1.0)
 
 
-def multilinear_exact(fn_or_spec, x: np.ndarray) -> float:
+def multilinear_exact(spec: SetFunctionSpec, x: np.ndarray) -> float:
     """Exact multilinear extension: expectation of f under independent
     inclusion with probabilities x."""
-    n = fn_or_spec.n if hasattr(fn_or_spec, "n") else len(x)
-    if n > MULTILINEAR_BUDGET:
-        raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
-    x = _check_point(x, n)
-    return float(_inclusion_probs(x) @ _table_of(fn_or_spec, n))
+    table = value_table(spec)
+    return float(_inclusion_probs(_check_point(x, spec.n)) @ table)

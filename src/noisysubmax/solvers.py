@@ -11,7 +11,7 @@ import numpy as np
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, mask_members, mask_rows
-from .setfn import _check_point, _inclusion_probs, _left_sum, _table_of
+from .setfn import MULTILINEAR_BUDGET, _check_point, _inclusion_probs, _left_sum
 
 POLYTOPE_TOL = 1e-9
 RATIO_UNDERFLOW = 1e-12
@@ -24,7 +24,7 @@ RATIO_UNDERFLOW = 1e-12
 @dataclass(frozen=True)
 class Greedy:
     def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
-        return greedy_cardinality(oracle, m, rng)
+        return greedy_cardinality(oracle, m)
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class RandomSubset:
 SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubset]
 
 
-def greedy_cardinality(oracle: ValueOracle, m: Matroid,
-                       rng: np.random.Generator | None = None) -> ElementSet:
+def greedy_cardinality(oracle: ValueOracle, m: Matroid) -> ElementSet:
     """Greedy: add the best feasible positive marginal each round, ties by id.
 
     The feasible candidates of a round go to the oracle as one `value_masks`
@@ -170,16 +169,20 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
 
     Direction weights are expected marginals E[f(R + i) - f(R)] for R ~ x,
     which equal (1 - x_i) times the multilinear partial: computed exactly
-    when cfg.exact_extension, else averaged over `partial_samples` fresh
-    draws R_s per free coordinate.  The sets R_s + i and R_s of every free
-    coordinate of one step go to the oracle as one `value_masks` batch.
+    when cfg.exact_extension, from one `value_masks` batch of all 2^n sets,
+    else averaged over `partial_samples` fresh draws R_s per free
+    coordinate.  The sets R_s + i and R_s of every free coordinate of one
+    step go to the oracle as one `value_masks` batch.
     """
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
     free = np.array(m.free_elements(), dtype=np.intp)
     k, samples = len(free), cfg.partial_samples
-    table = _table_of(oracle.value, n) if cfg.exact_extension else None
+    if cfg.exact_extension:
+        if n > MULTILINEAR_BUDGET:
+            raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
+        table = oracle.value_masks(mask_rows(range(1 << n), n))
     for _ in range(steps):
         if cfg.exact_extension:
             weights = _exact_partials(table, x) * (1.0 - x)

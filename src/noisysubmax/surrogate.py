@@ -40,11 +40,9 @@ def surrogate_exact(spec: SetFunctionSpec, H: ElementSet, t: int, s: ElementSet)
         raise ValueError(f"invalid subset size t={t} for |H|={h}")
     members = list(H)
     total = 0.0
-    count = 0
     for hmask in all_k_subset_masks(members, t):
         total += evaluate_mask(spec, s.mask | hmask)
-        count += 1
-    return total / count
+    return total / comb(h, t)
 
 
 def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
@@ -158,8 +156,10 @@ class ParamBudget:
     noise: NoiseSpec
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be finite and > 0, got {self.epsilon}")
+        if not 0.0 < self.f_max < math.inf:
+            raise ValueError(f"f_max must be finite and > 0, got {self.f_max}")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
         nu, alpha = self.noise.sub_exponential_params

@@ -30,15 +30,14 @@ def surrogate_sampled(o: ValueOracle, cfg: SurrogateConfig, s: ElementSet) -> fl
     return SampledSurrogateOracle(o, cfg).value(s)
 
 
-def multilinear_partial_exact(fn_or_spec, x: np.ndarray, i: int) -> float:
+def multilinear_partial_exact(spec, x: np.ndarray, i: int) -> float:
     """Exact i-th partial derivative of the multilinear extension."""
-    n = fn_or_spec.n if hasattr(fn_or_spec, "n") else len(x)
-    x = _check_point(x, n)
+    x = _check_point(x, spec.n)
     hi = x.copy()
     hi[i] = 1.0
     lo = x.copy()
     lo[i] = 0.0
-    return multilinear_exact(fn_or_spec, hi) - multilinear_exact(fn_or_spec, lo)
+    return multilinear_exact(spec, hi) - multilinear_exact(spec, lo)
 
 
 class RecordingOracle(ValueOracle):

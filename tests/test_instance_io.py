@@ -123,6 +123,16 @@ def test_malformed_file_raises_value_error(text):
         loads_instance(text)
 
 
+@pytest.mark.parametrize("distribution, key, bad", [
+    ("gaussian", "sigma2", "nan"), ("gaussian", "sigma2", "-0.1"),
+    ("bounded_uniform", "halfwidth", "inf"), ("bounded_uniform", "halfwidth", "-0.5"),
+    ("shifted_exponential", "rate", "0.0"), ("shifted_exponential", "rate", "-2.0"),
+    ("shifted_exponential", "rate", "nan")])
+def test_bad_noise_parameter_in_file_raises_value_error(distribution, key, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        loads_instance(f"[noise]\ndistribution = {distribution}\n{key} = {bad}\n")
+
+
 def test_optional_keys_and_boolean_case():
     inst = loads_instance(NOISE + "[function]\nvariant = cut\nn = 2\n")
     assert inst.noise == NoiseSpec(Gaussian(0.1)) and inst.function == CutFunction(2, ())

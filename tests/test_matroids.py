@@ -3,8 +3,7 @@ import pytest
 
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
                                   UniformMatroid, arbitrary_basis, contract,
-                                  is_independent, max_weight_independent_set,
-                                  rank)
+                                  is_independent, max_weight_independent_set)
 from noisysubmax.sets import ElementSet, GroundSet
 
 
@@ -13,7 +12,7 @@ def test_uniform_matroid():
     m = UniformMatroid(g, 2)
     assert is_independent(m, g.subset([0, 3]))
     assert not is_independent(m, g.subset([0, 1, 3]))
-    assert rank(m) == 2
+    assert m.rank() == 2
     with pytest.raises(ValueError):
         UniformMatroid(g, 6)
 
@@ -23,7 +22,7 @@ def test_partition_matroid():
     m = PartitionMatroid(g, parts=(0b000111, 0b111000), caps=(1, 2))
     assert is_independent(m, g.subset([0, 3, 5]))
     assert not is_independent(m, g.subset([0, 1]))
-    assert rank(m) == 3
+    assert m.rank() == 3
     with pytest.raises(ValueError):  # overlap
         PartitionMatroid(g, parts=(0b000111, 0b001100), caps=(1, 1))
     with pytest.raises(ValueError):  # not covering
@@ -37,7 +36,7 @@ def test_contracted_matroid():
     base = UniformMatroid(g, 3)
     pinned = g.subset([1, 4])
     m = contract(base, pinned)
-    assert rank(m) == 1
+    assert m.rank() == 1
     assert is_independent(m, g.subset([0]))
     assert not is_independent(m, g.subset([1]))  # intersects pinned
     assert not is_independent(m, g.subset([0, 2]))  # pinned + 2 > 3
@@ -81,7 +80,7 @@ def test_arbitrary_basis_is_maximal():
               contract(UniformMatroid(g, 3), g.subset([4]))):
         b = arbitrary_basis(m)
         assert is_independent(m, b)
-        assert len(b) == rank(m)
+        assert len(b) == m.rank()
         for i in range(6):
             if i not in b:
                 assert not is_independent(m, b.add(i))

@@ -117,6 +117,20 @@ def test_sub_exponential_params():
     assert NoiseSpec(ShiftedExponential(4.0)).sub_exponential_norm == 0.5
 
 
+@pytest.mark.parametrize("dist", [Gaussian, BoundedUniform, ShiftedExponential])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1, -2.0])
+def test_bad_noise_parameters_rejected(dist, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        dist(bad)
+
+
+def test_zero_noise_parameters():
+    assert Gaussian(0.0).draw(0.5, 0.5) == 1.0
+    assert BoundedUniform(0.0).draw(0.5, 0.5) == 1.0
+    with pytest.raises(ValueError, match="finite and > 0"):
+        ShiftedExponential(0.0)
+
+
 def test_large_and_negative_master_seeds():
     spec = Modular(weights=(1.0, 1.0))
     for seed in (0, 2**64 - 1):

@@ -117,21 +117,19 @@ def test_pairwise_check_equals_direct_definition(seed):
 
 def test_known_families_are_submodular():
     rng = np.random.default_rng(7)
-    g = GroundSet(8)
-    assert check_submodular(WeightedAdditiveQuadratic(weights=(1.0,) * 8, cost=0.1), g)
+    assert check_submodular(WeightedAdditiveQuadratic(weights=(1.0,) * 8, cost=0.1))
     for _ in range(10):
-        assert check_submodular(random_submodular(8, rng), g)
+        assert check_submodular(random_submodular(8, rng))
 
 
 def test_non_submodular_detected():
-    # f(S) = |S|^2 is supermodular, not submodular
-    g = GroundSet(5)
-    assert not check_submodular(lambda s: float(len(s) ** 2), g)
+    # f(S) = |S|^2 (a negative cost) is supermodular, not submodular
+    assert not check_submodular(WeightedAdditiveQuadratic(weights=(0.0,) * 5, cost=-1.0))
 
 
 def test_submodularity_budget_enforced():
     with pytest.raises(ValueError):
-        check_submodular(lambda s: 0.0, GroundSet(15))
+        check_submodular(Modular((0.0,) * 15))
 
 
 def test_multilinear_exact_at_vertices():
@@ -165,6 +163,18 @@ def test_point_validation():
         multilinear_exact(spec, np.array([0.5, 1.5]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_point_rejects_non_finite_coordinates(bad):
+    spec = random_submodular(4, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="NaN or outside"):
+        multilinear_exact(spec, np.array([bad, 0.5, 0.5, 0.0]))
+
+
+def test_brute_force_over_the_table_budget_raises():
+    with pytest.raises(ValueError, match="enumeration budget"):
+        brute_force_opt(Modular((1.0,) * (setfn.MULTILINEAR_BUDGET + 1)))
+
+
 def test_cut_rejects_edge_outside_vertices():
     CutFunction(3, ((0, 2, 1.0),))
     for edge in ((0, 7, 1.0), (3, 0, 1.0), (-1, 1, 1.0)):
@@ -191,10 +201,9 @@ def test_modular_is_additive(weights):
 
 def test_random_generators_produce_submodular_nonnegative():
     rng = np.random.default_rng(21)
-    g = GroundSet(8)
     for gen in (random_waq, random_coverage, random_cut):
         spec = gen(8, rng)
-        assert check_submodular(spec, g)
+        assert check_submodular(spec)
         assert float(np.min(value_table(spec))) >= -1e-9
 
 

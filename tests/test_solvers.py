@@ -11,8 +11,8 @@ from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import ElementSet, GroundSet
-from noisysubmax.setfn import (Modular, _table_of, brute_force_opt, evaluate,
+from noisysubmax.sets import ElementSet, GroundSet, mask_rows
+from noisysubmax.setfn import (MULTILINEAR_BUDGET, Modular, brute_force_opt, evaluate,
                                multilinear_exact)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, _exact_partials,
@@ -27,7 +27,7 @@ from reference import (PerturbedOracle, RecordingOracle, greedy_by_single_querie
 def test_greedy_modular_example():
     spec = Modular(weights=(3.0, 1.0, 2.0))
     m = UniformMatroid(GroundSet(3), 2)
-    s = greedy_cardinality(ExactOracle(spec), m, np.random.default_rng(0))
+    s = greedy_cardinality(ExactOracle(spec), m)
     assert sorted(s) == [0, 2]
 
 
@@ -36,7 +36,7 @@ def test_greedy_coverage_guarantee():
     for _ in range(5):
         spec = random_coverage(10, rng)
         m = UniformMatroid(GroundSet(10), 3)
-        s = greedy_cardinality(ExactOracle(spec), m, rng)
+        s = greedy_cardinality(ExactOracle(spec), m)
         _, opt = brute_force_opt(spec, m)
         assert evaluate(spec, s) >= (1 - 1 / np.e) * opt - 1e-9
 
@@ -46,8 +46,8 @@ def test_greedy_zero_noise_matches_exact():
     spec = random_coverage(9, rng)
     m = UniformMatroid(GroundSet(9), 4)
     noisy = PersistentNoisyOracle(spec, NoiseSpec(BoundedUniform(0.0)), 5)
-    a = greedy_cardinality(ExactOracle(spec), m, np.random.default_rng(0))
-    b = greedy_cardinality(noisy, m, np.random.default_rng(0))
+    a = greedy_cardinality(ExactOracle(spec), m)
+    b = greedy_cardinality(noisy, m)
     assert a.mask == b.mask
 
 
@@ -236,8 +236,9 @@ def test_perturbed_partials_within_2eps():
     eps = 0.05
     perturbed = PerturbedOracle(exact, eps)
     x = rng.uniform(0.1, 0.9, size=7)
-    pa = _exact_partials(_table_of(exact.value, 7), x)
-    pb = _exact_partials(_table_of(perturbed.value, 7), x)
+    all_sets = mask_rows(range(1 << 7), 7)
+    pa = _exact_partials(exact.value_masks(all_sets), x)
+    pb = _exact_partials(perturbed.value_masks(all_sets), x)
     assert np.max(np.abs(pa - pb)) <= 2 * eps + 1e-12
 
 
@@ -301,6 +302,22 @@ def test_pipage_rejects_dependent_result():
     m = _LooseGroupsMatroid(g, 2)
     with pytest.raises(ValueError, match="dependent"):
         pipage_round(m, np.array([1.0, 1.0, 0.0, 0.0]), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_pipage_rejects_non_finite_coordinates(bad):
+    m = UniformMatroid(GroundSet(4), 2)
+    with pytest.raises(ValueError, match="NaN or outside"):
+        pipage_round(m, [bad, 0.5, 0.5, 0.0], np.random.default_rng(0))
+
+
+def test_exact_extension_over_the_table_budget_raises():
+    n = MULTILINEAR_BUDGET + 1
+    cfg = MeasuredContinuousGreedy(step=0.5, exact_extension=True)
+    with pytest.raises(ValueError, match="enumeration budget"):
+        measured_continuous_greedy(ExactOracle(Modular((1.0,) * n)),
+                                   UniformMatroid(GroundSet(n), 1), cfg,
+                                   np.random.default_rng(0))
 
 
 def test_pipage_expected_value_dominates_extension():

@@ -151,6 +151,16 @@ def test_param_budget_validation():
         ParamBudget(epsilon=1.0, delta=1.0, f_max=1.0, noise=noise)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("f_max", -1.0), ("f_max", 0.0), ("f_max", np.nan), ("f_max", np.inf),
+    ("epsilon", np.nan), ("epsilon", np.inf), ("epsilon", -1.0)])
+def test_param_budget_needs_finite_positive_epsilon_and_f_max(field, bad):
+    kwargs = dict(epsilon=1.0, delta=0.1, f_max=1.0, noise=NoiseSpec(Gaussian(0.1)))
+    kwargs[field] = bad
+    with pytest.raises(ValueError, match=f"{field} must be finite and > 0"):
+        ParamBudget(**kwargs)
+
+
 def test_compute_parameters_reference_values():
     budget = ParamBudget(epsilon=1.0, delta=0.04, f_max=1.0,
                          noise=NoiseSpec(Gaussian(1.0)))  # nu = 1
