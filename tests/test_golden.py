@@ -1,6 +1,7 @@
 """Golden digests: the exact bytes of a small `simulate` run, the noise
 stream, the set-function values, the random choices of every solver, the
-instance-file text and the numbers of the smoothing-lemma suite.
+instance-file text, the numbers of the smoothing-lemma suite and the exact
+surrogate values of acceptance criterion 08.
 
 The other tests check properties, which a silent change of the noise stream
 or of a solver's random choices still passes.  These pin the outputs
@@ -24,11 +25,12 @@ from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential)
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
-from noisysubmax.sets import GroundSet
+from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, evaluate_mask)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, measured_continuous_greedy, run_solver)
+from noisysubmax.surrogate import ParamBudget, compute_parameters, surrogate_exact
 
 SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
 SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faac0d"
@@ -331,6 +333,34 @@ def test_smoothing_lemma_gap_digest():
               for v in smoothing_lemma_gap(spec, r, h, t)]
     digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
     assert digest == SMOOTHING_GAP_SHA256
+
+
+# The exact surrogate F(S) of acceptance criterion 08 on its 50 probes:
+# n=30 WAQ, H = the first h elements, (h, t) = (25, 5), as float.hex.
+SURROGATE_08_SHA256 = "9df21e816f976d7f9e8309876015a9d759de639b052f3887397f50e854bc59db"
+
+
+def _criterion_08_problem():
+    # the draws of test_criterion_08_sampled_surrogate_concentration, in its order
+    n = 30
+    rng = np.random.default_rng(6)
+    spec = random_waq(n, rng)
+    g = GroundSet(n)
+    order = sorted(range(n), key=lambda i: -spec.weights[i])
+    f_max = max(sum(spec.weights[i] for i in order[:k]) - spec.cost * k * k
+                for k in range(n + 1))
+    params = compute_parameters(ParamBudget(epsilon=3.0 * f_max, delta=0.2, f_max=f_max,
+                                            noise=NoiseSpec(Gaussian(0.1))), n)
+    probes = [ElementSet(g, int(rng.integers(1 << n))) for _ in range(50)]
+    return spec, g.subset(range(params.h)), params.t, probes
+
+
+def test_criterion_08_exact_surrogate_digest():
+    spec, H, t, probes = _criterion_08_problem()
+    assert (len(H), t) == (25, 5)
+    values = [surrogate_exact(spec, H, t, s) for s in probes]
+    digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
+    assert digest == SURROGATE_08_SHA256
 
 
 # The 16 coverage/cut pairs the benchmark's constrained_mix workload draws in
