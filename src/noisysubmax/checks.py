@@ -14,9 +14,7 @@ from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
 from .random_instances import (random_coverage, random_cut, random_submodular,
                                random_waq)
 from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_members
-from .setfn import brute_force_opt, table_is_submodular, value_table
-
-TOL = 1e-9
+from .setfn import CHECK_TOL, table_is_submodular, value_table
 
 
 @dataclass
@@ -44,7 +42,7 @@ def lemma_remove_one_element(table: np.ndarray, pairs) -> bool:
         total = 0.0
         for x in mask_members(a_mask):
             total += table[s_mask] - table[s_mask & ~(1 << x)]
-        if total / size > table[s_mask] / size + TOL:
+        if total / size > table[s_mask] / size + CHECK_TOL:
             return False
     return True
 
@@ -64,7 +62,7 @@ def lemma_remove_subset(table: np.ndarray, pairs, k: int) -> bool:
         floor = inter.bit_count() - k
         best = max(table[sub] for sub in _submask_iter(inter)
                    if sub.bit_count() >= floor)
-        if mean < table[s_mask] - (k / (a - k)) * best - TOL:
+        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
             return False
     return True
 
@@ -82,7 +80,7 @@ def lemma_add_subset(table: np.ndarray, pairs, k: int) -> bool:
         mean = total / comb(a, k)
         extra = a_mask & ~s_mask
         best = max(table[s_mask | sub] for sub in _submask_iter(extra))
-        if mean < table[s_mask] - (k / (a - k)) * best - TOL:
+        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
             return False
     return True
 
@@ -108,9 +106,9 @@ def smoothing_lemma_gap(spec, r: int, h: int, t: int) -> tuple[float, float, flo
     ground = GroundSet(n)
     matroid = UniformMatroid(ground, r)
     table = value_table(spec)
-    _, opt = brute_force_opt(spec, matroid)
-    basis = arbitrary_basis(matroid)
     masks = np.arange(1 << n, dtype=np.uint64)
+    opt = float(np.max(table[matroid.indep_masks(masks)]))
+    basis = arbitrary_basis(matroid)
     total = 0.0
     for h_mask in all_k_subset_masks(list(basis), h):
         surr = surrogate_table(table, n, mask_members(h_mask), t)
@@ -134,7 +132,7 @@ def check_smoothing_lemma(seed: int = 0) -> CheckResult:
         bound = (1.0 - h / (r - h) - t_term) * opt
         if monotone:
             bound = max(bound, (1.0 - h / (r - h)) * opt)
-        if expectation < bound - TOL:
+        if expectation < bound - CHECK_TOL:
             ok = False
             details.append(f"n={n} r={r} h={h} t={t} exp={expectation:.6f} bound={bound:.6f}")
     return CheckResult("smoothing-lemma", ok, "; ".join(details))
@@ -160,9 +158,10 @@ def check_appendix_removal_lemmas(seed: int = 0) -> CheckResult:
     return CheckResult("appendix-removal-lemmas", bool(ok))
 
 
-def surrogate_shift_bounds(spec, h: int, t: int, s_mask: int) -> bool:
-    """Both expectation bounds relating the surrogate to f when the
-    smoothing set is a uniform h-subset of the whole ground set:
+def surrogate_shift_bounds(spec, h: int, t: int, s_masks: list[int]) -> bool:
+    """Whether both expectation bounds relating the surrogate to f hold at
+    every S in `s_masks` when the smoothing set is a uniform h-subset of the
+    whole ground set:
       E_H[F(S \\ H)] >= E_H[F(S)] - h/(n-h) * max_{|S'| <= |S|+h} f(S')
       E_H[F(S)]      >= f(S) - h/(n-h) * max_{S ⊆ S', |S'| <= |S|+h} f(S')
     """
@@ -170,22 +169,25 @@ def surrogate_shift_bounds(spec, h: int, t: int, s_mask: int) -> bool:
     table = value_table(spec)
     masks = np.arange(1 << n, dtype=np.int64)
     sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
-    exp_shifted = 0.0
-    exp_plain = 0.0
+    probes = np.array(s_masks, dtype=np.int64)
+    exp_shifted = np.zeros(len(probes))
+    exp_plain = np.zeros(len(probes))
     for h_mask in all_k_subset_masks(list(range(n)), h):
         surr = surrogate_table(table, n, mask_members(h_mask), t)
-        exp_shifted += surr[s_mask & ~h_mask]
-        exp_plain += surr[s_mask]
+        exp_shifted += surr[probes & ~h_mask]
+        exp_plain += surr[probes]
     exp_shifted /= comb(n, h)
     exp_plain /= comb(n, h)
-    s_size = s_mask.bit_count()
-    cap = s_size + h
-    best_any = float(np.max(table[sizes <= cap]))
-    superset = (masks & s_mask) == s_mask
-    best_super = float(np.max(table[superset & (sizes <= cap)]))
     gap = h / (n - h)
-    return (exp_shifted >= exp_plain - gap * best_any - TOL
-            and exp_plain >= table[s_mask] - gap * best_super - TOL)
+    for s_mask, shifted, plain in zip(s_masks, exp_shifted, exp_plain):
+        cap = s_mask.bit_count() + h
+        best_any = float(np.max(table[sizes <= cap]))
+        superset = (masks & s_mask) == s_mask
+        best_super = float(np.max(table[superset & (sizes <= cap)]))
+        if not (shifted >= plain - gap * best_any - CHECK_TOL
+                and plain >= table[s_mask] - gap * best_super - CHECK_TOL):
+            return False
+    return True
 
 
 def check_surrogate_shift_lemmas(seed: int = 0) -> CheckResult:
@@ -196,9 +198,8 @@ def check_surrogate_shift_lemmas(seed: int = 0) -> CheckResult:
         spec = random_submodular(n, rng)
         for h in (1, 2, 3):
             for t in range(min(h, 3)):
-                for _ in range(6):
-                    s_mask = int(rng.integers(1 << n))
-                    ok &= surrogate_shift_bounds(spec, h, t, s_mask)
+                s_masks = [int(rng.integers(1 << n)) for _ in range(6)]
+                ok &= surrogate_shift_bounds(spec, h, t, s_masks)
     return CheckResult("surrogate-shift-lemmas", bool(ok))
 
 

@@ -6,6 +6,7 @@ classic greedy for max-weight independent sets.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -72,6 +73,7 @@ class UniformMatroid(Matroid):
     r: int
 
     def __post_init__(self):
+        object.__setattr__(self, "r", operator.index(self.r))
         if not 0 <= self.r <= self.ground.n:
             raise ValueError(f"rank {self.r} outside [0, {self.ground.n}]")
 
@@ -91,6 +93,7 @@ class PartitionMatroid(Matroid):
     caps: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "caps", tuple(operator.index(c) for c in self.caps))
         if len(self.parts) != len(self.caps):
             raise ValueError("parts and caps length mismatch")
         union = 0

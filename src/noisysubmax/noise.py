@@ -125,11 +125,6 @@ class NoiseSpec:
     def sub_exponential_params(self) -> tuple[float, float]:
         return self.distribution.sub_exponential_params
 
-    @property
-    def sub_exponential_norm(self) -> float:
-        nu, alpha = self.sub_exponential_params
-        return max(nu, alpha)
-
     def multiplier(self, u_open: float, u_half: float) -> float:
         """Map uniforms (u_open in (0,1], u_half in [0,1)) to one multiplier draw."""
         xi = self.distribution.draw(u_open, u_half)

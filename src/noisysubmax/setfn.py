@@ -286,13 +286,6 @@ def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
     return evaluate_mask(spec, s.mask)
 
 
-def marginal(spec: SetFunctionSpec, s: ElementSet, x: int) -> float:
-    """f(S+x) - f(S); x must not already be in S."""
-    if x in s:
-        raise ValueError(f"element {x} already in the set")
-    return evaluate(spec, s.add(x)) - evaluate(spec, s)
-
-
 def value_table(spec: SetFunctionSpec) -> np.ndarray:
     """Dense table of f over all 2^n subsets, indexed by mask."""
     if spec.n > MULTILINEAR_BUDGET:

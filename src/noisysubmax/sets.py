@@ -5,6 +5,7 @@ and the same bits can key the persistent noise streams.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -18,6 +19,7 @@ class GroundSet:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", operator.index(self.n))
         if self.n < 1:
             raise ValueError(f"ground set size must be >= 1, got {self.n}")
 
@@ -27,9 +29,6 @@ class GroundSet:
 
     def full_set(self) -> "ElementSet":
         return ElementSet(self, self.full_mask)
-
-    def empty_set(self) -> "ElementSet":
-        return ElementSet(self, 0)
 
     def subset(self, members) -> "ElementSet":
         mask = 0
@@ -67,26 +66,9 @@ class ElementSet:
     def members(self) -> tuple[int, ...]:
         return tuple(self)
 
-    def add(self, i: int) -> "ElementSet":
-        return ElementSet(self.ground, self.mask | (1 << i))
-
-    def remove(self, i: int) -> "ElementSet":
-        return ElementSet(self.ground, self.mask & ~(1 << i))
-
     def union(self, other: "ElementSet") -> "ElementSet":
         self._check_same_ground(other)
         return ElementSet(self.ground, self.mask | other.mask)
-
-    def minus(self, other: "ElementSet") -> "ElementSet":
-        self._check_same_ground(other)
-        return ElementSet(self.ground, self.mask & ~other.mask)
-
-    def intersect(self, other: "ElementSet") -> "ElementSet":
-        self._check_same_ground(other)
-        return ElementSet(self.ground, self.mask & other.mask)
-
-    def complement(self) -> "ElementSet":
-        return ElementSet(self.ground, self.ground.full_mask & ~self.mask)
 
     def issubset(self, other: "ElementSet") -> bool:
         self._check_same_ground(other)

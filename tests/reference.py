@@ -1,13 +1,16 @@
 """Test-only oracles and reference functions shared by the tests: an
 adversarial eps-perturbed oracle, the sampled surrogate of one set, the
-exact partial derivative of the multilinear extension, one-query-per-call
+exact surrogate of a smoothing set too large to tabulate, the exact partial
+derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, and the coverage and cut generators with one
 scalar draw per decision."""
+from math import comb
+
 import numpy as np
 
-from noisysubmax.oracles import ValueOracle
-from noisysubmax.sets import ElementSet
+from noisysubmax.oracles import ExactOracle, ValueOracle
+from noisysubmax.sets import ElementSet, all_k_subset_masks
 from noisysubmax.setfn import Coverage, CutFunction, _check_point, multilinear_exact
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
@@ -28,6 +31,14 @@ class PerturbedOracle(ValueOracle):
 
 def surrogate_sampled(o: ValueOracle, cfg: SurrogateConfig, s: ElementSet) -> float:
     return SampledSurrogateOracle(o, cfg).value(s)
+
+
+def exact_surrogate(spec, H: ElementSet, t: int) -> SampledSurrogateOracle:
+    """The exact surrogate F of f: the sampled surrogate over an exact
+    oracle with every t-subset of H frozen, in `all_k_subset_masks` order."""
+    samples = tuple(ElementSet(H.ground, mask) for mask in all_k_subset_masks(list(H), t))
+    return SampledSurrogateOracle(ExactOracle(spec),
+                                  SurrogateConfig(H, t, comb(len(H), t), samples))
 
 
 def multilinear_partial_exact(spec, x: np.ndarray, i: int) -> float:

@@ -23,10 +23,9 @@ from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import brute_force_opt, evaluate, multilinear_exact
 from noisysubmax.solvers import (MeasuredContinuousGreedy, double_greedy,
                                  measured_continuous_greedy, pipage_round)
-from noisysubmax.surrogate import (ParamBudget, SurrogateConfig,
-                                   compute_parameters, surrogate_exact)
+from noisysubmax.surrogate import ParamBudget, SurrogateConfig, compute_parameters
 
-from reference import PerturbedOracle, surrogate_sampled
+from reference import PerturbedOracle, exact_surrogate, surrogate_sampled
 from table_oracle import TableOracle
 
 BENCH_TOL = 0.03
@@ -196,7 +195,8 @@ def test_criterion_08_sampled_surrogate_concentration():
     assert params.h <= n and comb(params.h, params.t) >= params.m
     H = g.subset(range(params.h))
     probes = [ElementSet(g, int(rng.integers(1 << n))) for _ in range(50)]
-    exact = {s.mask: surrogate_exact(spec, H, params.t, s) for s in probes}
+    surrogate = exact_surrogate(spec, H, params.t)
+    exact = {s.mask: surrogate.value(s) for s in probes}
     failures = 0
     worlds = 200
     for seed in range(worlds):

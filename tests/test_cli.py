@@ -33,6 +33,14 @@ def test_params_reads_each_distribution_from_its_flag(name, flag, cls, capsys):
     assert f"h = {want.h}\nt = {want.t}\nm = {want.m}\n" in out
 
 
+@pytest.mark.parametrize("n", ["0", "-100"])
+def test_params_rejects_an_empty_ground_set(n, capsys):
+    with pytest.raises(ValueError, match="ground set size must be >= 1"):
+        main(["params", "--epsilon", "1", "--delta", "0.04", "--fmax", "1",
+              "--n", n, "--distribution", "gaussian", "--sigma2", "1"])
+    assert capsys.readouterr().out == ""
+
+
 def test_simulate_rejects_a_negative_worker_count():
     with pytest.raises(ValueError, match="workers must be >= 0"):
         main(["simulate", "--n", "5", "--trials", "1", "--workers", "-2"])

