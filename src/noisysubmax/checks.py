@@ -203,10 +203,10 @@ def check_surrogate_shift_lemmas(seed: int = 0) -> CheckResult:
     return CheckResult("surrogate-shift-lemmas", bool(ok))
 
 
-def check_surrogate_submodularity(seed: int = 0, configs: int = 50) -> CheckResult:
+def check_surrogate_submodularity(seed: int = 0) -> CheckResult:
     rng = np.random.default_rng(seed)
     ok = True
-    for _ in range(configs):
+    for _ in range(50):
         n = int(rng.integers(6, 13))
         spec = random_submodular(n, rng)
         h = int(rng.integers(1, min(n, 5)))

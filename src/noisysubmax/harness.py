@@ -1,7 +1,7 @@
 """Monte-Carlo experiment runner for the noisy unconstrained benchmark.
 
 Instances are weighted-additive-with-quadratic-cost functions with
-weights ~ Uniform[0, high], cost high/2 / n, and Gaussian multiplicative
+weights ~ Uniform[0, 20], cost 10 / n, and Gaussian multiplicative
 noise.  Each trial samples a fresh instance and noise world, runs every
 algorithm once, and records the true-value ratio against the closed-form
 optimum.
@@ -21,7 +21,7 @@ from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
 from .sets import ElementSet, GroundSet, random_k_subset
-from .setfn import WeightedAdditiveQuadratic
+from .setfn import WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified
 from .solvers import DoubleGreedy, double_greedy
 
 RESAMPLE_LIMIT = 10_000
@@ -35,7 +35,6 @@ class ExperimentSpec:
     t: int = 4
     m_values: tuple[int, ...] = (50, 200)
     sigma2: float = 0.1
-    weight_high: float = 20.0
     master_seed: int = 0
     workers: int = 0  # 0 means available parallelism
     timing: bool = False
@@ -52,7 +51,7 @@ class ExperimentSpec:
     @property
     def cost(self) -> float:
         # cost scales so the full ground set has expected value 0
-        return (self.weight_high / 2.0) / self.n
+        return (WAQ_WEIGHT_HIGH / 2.0) / self.n
 
 
 @dataclass(frozen=True)
@@ -63,19 +62,10 @@ class TrialRecord:
     seconds: float
 
 
-def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
-    """True iff sum_{i in S} w_i - cost|S|^2 >= 0 for every subset,
-    via the closed-form check on ascending prefix sums."""
-    asc = np.sort(weights)
-    prefix = np.cumsum(asc)
-    k = np.arange(1, len(weights) + 1)
-    return bool(np.min(prefix - cost * k * k) >= 0.0)
-
-
 def generate_instance(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
     """Fresh non-negative-certified instance and noise world for one trial."""
     for _ in range(RESAMPLE_LIMIT):
-        weights = rng.uniform(0.0, spec.weight_high, size=spec.n)
+        weights = rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=spec.n)
         if nonnegative_certified(weights, spec.cost):
             break
     else:

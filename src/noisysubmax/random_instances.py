@@ -10,19 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .harness import nonnegative_certified
 from .sets import row_masks
-from .setfn import (Coverage, CutFunction, SetFunctionSpec,
-                    WeightedAdditiveQuadratic, _check_size)
+from .setfn import (WAQ_WEIGHT_HIGH, Coverage, CutFunction, SetFunctionSpec,
+                    WeightedAdditiveQuadratic, _check_size, nonnegative_certified)
 
 
 def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
     """Weighted additive with quadratic cost; resamples until non-negative."""
     _check_size(n)
-    high = 20.0
-    cost = (high / 2.0) / n
+    cost = (WAQ_WEIGHT_HIGH / 2.0) / n
     while True:
-        w = np.sort(rng.uniform(0.0, high, size=n))
+        w = np.sort(rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=n))
         if nonnegative_certified(w, cost):
             perm = rng.permutation(n)
             return WeightedAdditiveQuadratic(

@@ -2,7 +2,7 @@
 
 All families evaluate in closed form.  For exhaustive work (brute-force
 optimization, submodularity checks, the multilinear extension) we build a
-dense value table over all 2^n subsets with numpy doubling tricks.
+dense value table over all 2^n subsets in numpy.
 """
 from __future__ import annotations
 
@@ -13,11 +13,12 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, mask_members, row_masks
+from .sets import ElementSet, GroundSet, mask_members, mask_rows, row_masks
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
+WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
 
 
 def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
@@ -72,7 +73,8 @@ def _weight_sum_table(weights) -> np.ndarray:
 # Each family evaluates one mask in closed form (`value_mask`) and its dense
 # table over all 2^n masks (`table`).  `Coverage` and `CutFunction` also
 # evaluate a batch of masks given as the rows of a (k, n) boolean membership
-# matrix (`value_masks`, bit for bit equal to `value_mask` of each row).
+# matrix (`value_masks`, bit for bit equal to `value_mask` of each row), and
+# tabulate all 2^n rows through it, in O(2^n) memory whatever the item count.
 # Lookup tables and edge arrays are built on first use and kept on the
 # instance.  Weights must be finite: a NaN weight would make every value NaN.
 
@@ -107,6 +109,15 @@ class WeightedAdditiveQuadratic:
     def table(self) -> np.ndarray:
         k = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
         return _weight_sum_table(self.weights) - self.cost * k * k
+
+
+def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
+    """True iff sum_{i in S} w_i - cost|S|^2 >= 0 for every subset,
+    via the closed-form check on ascending prefix sums."""
+    asc = np.sort(weights)
+    prefix = np.cumsum(asc)
+    k = np.arange(1, len(weights) + 1)
+    return bool(np.min(prefix - cost * k * k) >= 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,24 +169,28 @@ class Coverage:
         """The item byte tables as one (item bytes, 256) array."""
         return np.array(self._tables).reshape(len(self._tables), 256)
 
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # the covered items of each row, OR-ed byte by byte of the row, then
-        # their weights added byte by byte from the low byte, as value_mask
-        # does
+    def _covered(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's covered items as (k, item bytes) little-endian uint8."""
         packed = np.packbits(rows, axis=1, bitorder="little")
         cover_tables = self._cover_tables
         covered = cover_tables[0][packed[:, 0]]
         for byte in range(1, packed.shape[1]):
             covered |= cover_tables[byte][packed[:, byte]]
+        return covered
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # the covered items' weights added from the low byte, as value_mask does
         item_tables = self._item_tables
-        return _left_sum(item_tables[np.arange(len(item_tables)), covered])
+        return _left_sum(item_tables[np.arange(len(item_tables)), self._covered(rows)])
 
     def table(self) -> np.ndarray:
-        covered = np.zeros(1 << self.n, dtype=np.uint64)
-        for i, c in enumerate(self.covers):
-            half = 1 << i
-            covered[half: 2 * half] = covered[:half] | np.uint64(c)
-        return _weight_sum_table(self.item_weights)[covered]
+        # the weights added item by item in ascending order from 0.0, the
+        # order of a subset-sum table over the items indexed by the cover
+        covered = self._covered(mask_rows(range(1 << self.n), self.n))
+        total = np.zeros(len(covered))
+        for j, w in enumerate(self.item_weights):
+            total = np.where(covered[:, j >> 3] & (1 << (j & 7)), total + w, total)
+        return total
 
 
 @dataclass(frozen=True)
@@ -230,12 +245,7 @@ class CutFunction:
         return np.concatenate(sums)
 
     def table(self) -> np.ndarray:
-        masks = np.arange(1 << self.n, dtype=np.uint64)
-        total = np.zeros(1 << self.n)
-        for u, v, w in self.edges:
-            cross = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-            total += w * cross.astype(np.float64)
-        return total
+        return self.value_masks(mask_rows(range(1 << self.n), self.n))
 
 
 @dataclass(frozen=True)
@@ -307,7 +317,7 @@ def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, f
     return ElementSet(GroundSet(spec.n), best_mask), float(values[best_mask])
 
 
-def check_submodular(spec: SetFunctionSpec, tol: float = CHECK_TOL) -> bool:
+def check_submodular(spec: SetFunctionSpec) -> bool:
     """Exhaustive diminishing-returns check.
 
     Uses the equivalent local condition f(S+i) + f(S+j) >= f(S+i+j) + f(S)
@@ -317,10 +327,10 @@ def check_submodular(spec: SetFunctionSpec, tol: float = CHECK_TOL) -> bool:
     """
     if spec.n > SUBMODULARITY_BUDGET:
         raise ValueError(f"n={spec.n} over the submodularity check budget {SUBMODULARITY_BUDGET}")
-    return table_is_submodular(value_table(spec), tol)
+    return table_is_submodular(value_table(spec))
 
 
-def table_is_submodular(table: np.ndarray, tol: float = CHECK_TOL) -> bool:
+def table_is_submodular(table: np.ndarray) -> bool:
     """Pairwise local submodularity condition over a dense value table."""
     n = (len(table) - 1).bit_length()
     masks = np.arange(1 << n, dtype=np.int64)
@@ -331,7 +341,7 @@ def table_is_submodular(table: np.ndarray, tol: float = CHECK_TOL) -> bool:
             base = masks[(masks & (bi | bj)) == 0]
             lhs = table[base | bi] + table[base | bj]
             rhs = table[base | bi | bj] + table[base]
-            if np.any(lhs - rhs < -tol):
+            if np.any(lhs - rhs < -CHECK_TOL):
                 return False
     return True
 

@@ -95,7 +95,7 @@ class SurrogateConfig:
     @classmethod
     def draw(cls, H: ElementSet, t: int, m: int, rng: np.random.Generator) -> "SurrogateConfig":
         if len(H) == 0:
-            return cls(H, 0, 1, (H,))
+            return cls(H, t, m, (H,))
         samples = sample_t_subsets_without_replacement(H, t, m, rng)
         return cls(H, t, m, tuple(samples))
 

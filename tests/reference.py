@@ -3,15 +3,17 @@ adversarial eps-perturbed oracle, the sampled surrogate of one set, the
 exact surrogate of a smoothing set too large to tabulate, the exact partial
 derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
-the per-byte weight-sum tables, and the coverage and cut generators with one
-scalar draw per decision."""
+the per-byte weight-sum tables, the coverage and cut generators with one
+scalar draw per decision, and the cut and coverage tables built by doubling
+over the edges and items."""
 from math import comb
 
 import numpy as np
 
 from noisysubmax.oracles import ExactOracle, ValueOracle
 from noisysubmax.sets import ElementSet, all_k_subset_masks
-from noisysubmax.setfn import Coverage, CutFunction, _check_point, multilinear_exact
+from noisysubmax.setfn import (Coverage, CutFunction, _check_point, _weight_sum_table,
+                               multilinear_exact)
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 
@@ -136,3 +138,25 @@ def random_cut_by_scalar_draws(n: int, rng: np.random.Generator, p: float = 0.5)
             if rng.random() < p:
                 edges.append((u, v, float(rng.uniform(0.2, 2.0))))
     return CutFunction(n_vertices=n, edges=tuple(edges))
+
+
+def cut_table_by_edge_loop(spec: CutFunction) -> np.ndarray:
+    """The cut's dense table, each edge's crossing weight added over all 2^n
+    masks at once, in edge order from 0.0."""
+    masks = np.arange(1 << spec.n, dtype=np.uint64)
+    total = np.zeros(1 << spec.n)
+    for u, v, w in spec.edges:
+        cross = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
+        total += w * cross.astype(np.float64)
+    return total
+
+
+def coverage_table_by_item_sums(spec: Coverage) -> np.ndarray:
+    """The coverage's dense table: the subset-sum table over all 2^items item
+    sets, indexed by each set's cover, built by doubling over the elements
+    (at most 64 items)."""
+    covered = np.zeros(1 << spec.n, dtype=np.uint64)
+    for i, c in enumerate(spec.covers):
+        half = 1 << i
+        covered[half: 2 * half] = covered[:half] | np.uint64(c)
+    return _weight_sum_table(spec.item_weights)[covered]

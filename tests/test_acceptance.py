@@ -173,7 +173,7 @@ def test_criterion_06_continuous_greedy_non_monotone():
 
 
 def test_criterion_07_surrogate_submodular():
-    r = check_surrogate_submodularity(seed=5, configs=50)
+    r = check_surrogate_submodularity(seed=5)
     report("7 smoothed surrogate is submodular on 50 random configurations",
            r.passed, r.detail)
 

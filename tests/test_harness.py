@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from noisysubmax.harness import (ExperimentSpec, generate_instance,
-                                 nonnegative_certified, optimum_exact,
-                                 run_experiment, run_trial)
+                                 optimum_exact, run_experiment, run_trial)
 from noisysubmax.setfn import (WeightedAdditiveQuadratic, brute_force_opt,
-                               value_table)
+                               nonnegative_certified, value_table)
 
 
 def test_spec_validation():

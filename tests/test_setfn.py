@@ -13,7 +13,8 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                evaluate_masks, multilinear_exact,
                                table_is_submodular, value_table)
 
-from reference import byte_sum_tables_by_bit_loop, multilinear_partial_exact
+from reference import (byte_sum_tables_by_bit_loop, coverage_table_by_item_sums,
+                       cut_table_by_edge_loop, multilinear_partial_exact)
 
 
 def naive_value(spec, members):
@@ -396,3 +397,79 @@ def test_evaluate_masks_equals_value_mask(case):
     assert got.shape == (len(masks),) and got.dtype == np.float64
     assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in masks]
     assert evaluate_masks(spec, rows[:0]).shape == (0,)
+
+
+# Cut and coverage tables are their batches over all 2^n rows.  They must
+# equal, sign bits included, the formulas they replaced: the crossing weights
+# added edge by edge from 0.0 over all masks, and the subset-sum table over
+# the items indexed by each set's cover.
+
+finite_or_signed_zero = st.one_of(st.just(-0.0), st.just(0.0),
+                                  st.floats(-5, 5, allow_nan=False))
+
+
+@st.composite
+def small_cut(draw):
+    n = draw(st.integers(1, 10))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex, finite_or_signed_zero), max_size=40))
+    return CutFunction(n, tuple(edges))
+
+
+@st.composite
+def small_coverage(draw):
+    n = draw(st.integers(1, 10))
+    items = draw(st.integers(0, 16))
+    covers = draw(st.lists(st.one_of(st.just(0), st.integers(0, (1 << items) - 1)),
+                           min_size=n, max_size=n))
+    weights = draw(st.lists(finite_or_signed_zero, min_size=items, max_size=items))
+    return Coverage(tuple(covers), tuple(weights))
+
+
+@given(small_cut())
+@settings(max_examples=200, deadline=None)
+def test_cut_table_equals_the_edge_loop(spec):
+    assert value_table(spec).tobytes() == cut_table_by_edge_loop(spec).tobytes()
+
+
+@given(small_coverage())
+@settings(max_examples=200, deadline=None)
+def test_coverage_table_equals_the_item_subset_sums(spec):
+    assert value_table(spec).tobytes() == coverage_table_by_item_sums(spec).tobytes()
+
+
+def test_tables_equal_the_replaced_formulas_on_fixed_cases():
+    # a non-crossing negative weight is -0.0 in the cut batch's product, and
+    # the table must still read +0.0 there, as the edge loop from 0.0 does;
+    # over two item bytes of random doubles, adding the items byte by byte,
+    # as value_mask does, rounds differently from adding them in item order
+    rng = np.random.default_rng(19)
+    specs = [CutFunction(2, ((0, 1, -1.0),)), CutFunction(3, ((1, 1, -2.0),)),
+             CutFunction(3, ()), Coverage((0, 0b10, 0b11), (-0.0, -1.5)), Coverage((0, 0), ())]
+    for _ in range(3):
+        specs += [random_coverage(10, rng, items=16), random_cut(10, rng)]
+    for spec in specs:
+        want = (cut_table_by_edge_loop(spec) if isinstance(spec, CutFunction)
+                else coverage_table_by_item_sums(spec))
+        assert value_table(spec).tobytes() == want.tobytes()
+
+
+def assert_table_matches_value_mask(spec, masks):
+    table = value_table(spec)
+    assert table.shape == (1 << spec.n,)
+    # the table adds item weights in item order, value_mask byte by byte
+    for mask in masks:
+        assert table[mask] == pytest.approx(evaluate_mask(spec, mask), rel=1e-13, abs=1e-13)
+
+
+def test_coverage_table_at_the_budget_with_40_items():
+    rng = np.random.default_rng(17)
+    spec = random_coverage(setfn.MULTILINEAR_BUDGET, rng)
+    assert len(spec.item_weights) == 40
+    masks = [0, (1 << spec.n) - 1] + [int(m) for m in rng.integers(1 << spec.n, size=200)]
+    assert_table_matches_value_mask(spec, masks)
+
+
+def test_coverage_table_with_more_items_than_a_word():
+    spec = random_coverage(12, np.random.default_rng(18), items=70)
+    assert_table_matches_value_mask(spec, range(1 << 12))

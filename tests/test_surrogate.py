@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from noisysubmax import surrogate
 
-from noisysubmax.checks import (smoothing_lemma_gap, surrogate_shift_bounds,
-                                surrogate_table)
+from noisysubmax.checks import (lemma_add_subset, lemma_remove_one_element,
+                                lemma_remove_subset, smoothing_lemma_gap,
+                                surrogate_shift_bounds, surrogate_table)
 from noisysubmax.matroids import UniformMatroid
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential)
@@ -70,6 +71,26 @@ def test_surrogate_shift_bounds_fail_at_any_failing_probe():
     assert surrogate_shift_bounds(spec, 1, 0, [0, 0b1010])
     assert not surrogate_shift_bounds(spec, 1, 0, [0xFF])
     assert not surrogate_shift_bounds(spec, 1, 0, [0, 0xFF, 0b1010])
+
+
+def test_removal_lemmas_fail_on_a_supermodular_table():
+    # f(S) = |S|^2 at n=4, S = A = the full set: removing one element loses
+    # 7 on average, more than f(S)/|A| = 4, and removing a 1-subset leaves
+    # 9 on average, below 16 - 16/3
+    table = value_table(WeightedAdditiveQuadratic(weights=(0.0,) * 4, cost=-1.0))
+    assert not lemma_remove_one_element(table, [(0, 0b1111), (0b1111, 0b1111)])
+    assert not lemma_remove_subset(table, [(0, 0b1111), (0b1111, 0b1111)], 1)
+    assert lemma_remove_one_element(table, [(0, 0b1111)])
+    assert lemma_remove_subset(table, [(0, 0b1111)], 1)
+
+
+def test_add_subset_lemma_fails_on_a_table_that_drops_after_the_empty_set():
+    # f is 10 at the empty set and 0 elsewhere: adding a 1-subset to S = {}
+    # gives 0 on average, below 10 - 10/3
+    table = np.zeros(16)
+    table[0] = 10.0
+    assert not lemma_add_subset(table, [(0b1, 0b1111), (0, 0b1111)], 1)
+    assert lemma_add_subset(table, [(0b1, 0b1111)], 1)
 
 
 def test_smoothing_lemma_gap_optimum_is_over_the_matroid():
@@ -138,6 +159,14 @@ def test_surrogate_config_needs_a_frozen_sample(m):
         SurrogateConfig.draw(H, 1, m, np.random.default_rng(5))
     with pytest.raises(ValueError, match="m >= 1"):
         SurrogateConfig(H, 1, m, ())
+
+
+@pytest.mark.parametrize("t, m", [(3, 7), (1, 1), (0, 2)])
+def test_empty_smoothing_set_draw_keeps_t_and_m(t, m):
+    # an empty smoothing set has one t-subset, at t=0: the empty set
+    empty = ElementSet(GroundSet(5), 0)
+    with pytest.raises(ValueError, match="t=0, m=1"):
+        SurrogateConfig.draw(empty, t, m, np.random.default_rng(5))
 
 
 def test_sampled_surrogate_zero_noise_full_m_equals_exact():
