@@ -10,7 +10,7 @@ import numpy as np
 
 from .matroids import UniformMatroid, arbitrary_basis, contract
 from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
-                    sample_multiplier)
+                    sample_multipliers)
 from .random_instances import (random_coverage, random_cut, random_submodular,
                                random_waq)
 from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_members
@@ -264,8 +264,7 @@ def check_noise_properties(seed: int = 0) -> CheckResult:
     nu, _ = bu.sub_exponential_params
     m, eps, trials = 20, 0.35, 100_000
     stream = np.random.default_rng(seed + 1)
-    draws = np.array([[sample_multiplier(bu, stream) for _ in range(m)]
-                      for _ in range(trials)])
+    draws = sample_multipliers(bu, stream, trials * m).reshape(trials, m)
     tail = float(np.mean(np.abs(draws.mean(axis=1) - 1.0) >= eps))
     bound = 2.0 * np.exp(-m * eps * eps / (2.0 * nu * nu))
     if tail > 4.0 * bound:

@@ -21,7 +21,8 @@ from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
 from .sets import ElementSet, GroundSet, random_k_subset
-from .setfn import WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified
+from .setfn import (WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified,
+                    waq_cost)
 from .solvers import DoubleGreedy, double_greedy
 
 RESAMPLE_LIMIT = 10_000
@@ -50,8 +51,7 @@ class ExperimentSpec:
 
     @property
     def cost(self) -> float:
-        # cost scales so the full ground set has expected value 0
-        return (WAQ_WEIGHT_HIGH / 2.0) / self.n
+        return waq_cost(self.n)
 
 
 @dataclass(frozen=True)

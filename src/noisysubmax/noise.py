@@ -133,10 +133,11 @@ class NoiseSpec:
         return xi
 
 
-def sample_multiplier(spec: NoiseSpec, stream: np.random.Generator) -> float:
-    """One multiplier draw from an ordinary RNG stream."""
-    u1, u2 = stream.random(2)
-    return spec.multiplier(1.0 - u1, u2)
+def sample_multipliers(spec: NoiseSpec, stream: np.random.Generator, size: int) -> np.ndarray:
+    """`size` multiplier draws from an ordinary RNG stream, each from the
+    stream's next two doubles, mapped in `math` as the noisy oracles map them."""
+    draws = stream.random((size, 2)).tolist()
+    return np.array([spec.multiplier(1.0 - u1, u2) for u1, u2 in draws], dtype=np.float64)
 
 
 class PersistentNoisyOracle(ValueOracle):

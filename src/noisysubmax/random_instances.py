@@ -12,13 +12,13 @@ import numpy as np
 
 from .sets import row_masks
 from .setfn import (WAQ_WEIGHT_HIGH, Coverage, CutFunction, SetFunctionSpec,
-                    WeightedAdditiveQuadratic, _check_size, nonnegative_certified)
+                    WeightedAdditiveQuadratic, _check_size, nonnegative_certified, waq_cost)
 
 
 def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
     """Weighted additive with quadratic cost; resamples until non-negative."""
     _check_size(n)
-    cost = (WAQ_WEIGHT_HIGH / 2.0) / n
+    cost = waq_cost(n)
     while True:
         w = np.sort(rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=n))
         if nonnegative_certified(w, cost):

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, mask_members, mask_rows, row_masks
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_members
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
@@ -21,23 +21,10 @@ CHECK_TOL = 1e-9
 WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
 
 
-def _byte_sum_tables(weights: tuple[float, ...]) -> tuple[tuple[float, ...], ...]:
-    """Per-byte lookup tables: table[b][chunk] = sum of weights of set bits,
-    as Python floats (an np.float64 would change the repr of a value)."""
-    padded = np.zeros(8 * ((len(weights) + 7) // 8))
-    padded[:len(weights)] = weights
-    return tuple(tuple(_weight_sum_table(padded[b: b + 8]).tolist())
-                 for b in range(0, len(padded), 8))
-
-
-def _mask_weight_sum(mask: int, tables) -> float:
-    """Sum of the weights of the set bits, added byte by byte from the low
-    byte.  A zero byte adds table[0] = 0.0, which leaves the total exact
-    (the total starts at 0.0, so it is never -0.0)."""
-    total = 0.0
-    for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-        total += table[byte]
-    return total
+def waq_cost(n: int) -> float:
+    """The quadratic cost of a random WAQ over n elements: the full ground
+    set has expected value 0 under weights drawn from [0, WAQ_WEIGHT_HIGH]."""
+    return (WAQ_WEIGHT_HIGH / 2.0) / n
 
 
 def _left_sum(a: np.ndarray) -> np.ndarray:
@@ -70,13 +57,43 @@ def _weight_sum_table(weights) -> np.ndarray:
     return wsum
 
 
-# Each family evaluates one mask in closed form (`value_mask`) and its dense
-# table over all 2^n masks (`table`).  `Coverage` and `CutFunction` also
-# evaluate a batch of masks given as the rows of a (k, n) boolean membership
-# matrix (`value_masks`, bit for bit equal to `value_mask` of each row), and
-# tabulate all 2^n rows through it, in O(2^n) memory whatever the item count.
-# Lookup tables and edge arrays are built on first use and kept on the
-# instance.  Weights must be finite: a NaN weight would make every value NaN.
+class _ByteTables:
+    """The one summation order of the weights of a mask's set bits (WAQ,
+    `Modular`, `Coverage`'s covered items): tables[b][chunk] sums the weights
+    of byte b's set bits in chunk from the low bit, as Python floats (an
+    np.float64 would change the repr of a value), added from the low byte."""
+
+    def __init__(self, weights: tuple[float, ...]):
+        padded = np.zeros(8 * ((len(weights) + 7) // 8))
+        padded[:len(weights)] = weights
+        self.tables = tuple(tuple(_weight_sum_table(padded[b: b + 8]).tolist())
+                            for b in range(0, len(padded), 8))
+
+    def sum_mask(self, mask: int) -> float:
+        """The sum of one mask.  A zero byte adds table[0] = 0.0, which
+        leaves the total exact (it starts at 0.0, so it is never -0.0)."""
+        total = 0.0
+        tables = self.tables
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            total += table[byte]
+        return total
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        return np.array(self.tables).reshape(-1, 256)
+
+    def sum_rows(self, packed: np.ndarray) -> np.ndarray:
+        """The sums of the masks given as (k, bytes) uint8 rows of their
+        little-endian bytes, each bit for bit equal to `sum_mask`."""
+        return _left_sum(self._array[np.arange(len(self.tables)), packed])
+
+
+# Each family evaluates one mask in closed form (`value_mask`) and a batch of
+# masks given as the rows of a (k, n) boolean membership matrix
+# (`value_masks`, bit for bit equal to `value_mask` of each row); its dense
+# table is the batch over all 2^n rows.  Lookup tables and edge arrays are
+# built on first use and kept on the instance.  Weights must be finite: a
+# NaN weight would make every value NaN.
 
 # A cut batch is evaluated in chunks of at most this many rows x edges, so
 # its transient float matrix stays within 128 KiB whatever the batch size.
@@ -99,16 +116,17 @@ class WeightedAdditiveQuadratic:
         return len(self.weights)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.weights)
 
     def value_mask(self, mask: int) -> float:
         k = mask.bit_count()
-        return _mask_weight_sum(mask, self._tables) - self.cost * k * k
+        return self._tables.sum_mask(mask) - self.cost * k * k
 
-    def table(self) -> np.ndarray:
-        k = np.bitwise_count(np.arange(1 << self.n, dtype=np.uint64)).astype(np.float64)
-        return _weight_sum_table(self.weights) - self.cost * k * k
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        k = np.count_nonzero(rows, axis=1)
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        return self._tables.sum_rows(packed) - self.cost * k * k
 
 
 def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
@@ -139,22 +157,22 @@ class Coverage:
         return len(self.covers)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.item_weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.item_weights)
 
     def value_mask(self, mask: int) -> float:
         covered = 0
         covers = self.covers
         for i in mask_members(mask):
             covered |= covers[i]
-        return _mask_weight_sum(covered, self._tables)
+        return self._tables.sum_mask(covered)
 
     @cached_property
     def _cover_tables(self) -> np.ndarray:
         """(element bytes, 256, item bytes) uint8: entry [b, c] holds the
         little-endian bytes of the items covered by the elements of byte b
         whose bits are set in c."""
-        n, width = self.n, len(self._tables)
+        n, width = self.n, len(self._tables.tables)
         covers = np.zeros((8 * ((n + 7) // 8), width), dtype=np.uint8)
         for i, c in enumerate(self.covers):
             covers[i] = np.frombuffer(c.to_bytes(width, "little"), dtype=np.uint8)
@@ -164,33 +182,14 @@ class Coverage:
             out[:, half: 2 * half] = out[:, :half] | covers[bit::8, None]
         return out
 
-    @cached_property
-    def _item_tables(self) -> np.ndarray:
-        """The item byte tables as one (item bytes, 256) array."""
-        return np.array(self._tables).reshape(len(self._tables), 256)
-
-    def _covered(self, rows: np.ndarray) -> np.ndarray:
-        """Each row's covered items as (k, item bytes) little-endian uint8."""
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        # each row's covered items as (k, item bytes) little-endian uint8
         packed = np.packbits(rows, axis=1, bitorder="little")
         cover_tables = self._cover_tables
         covered = cover_tables[0][packed[:, 0]]
         for byte in range(1, packed.shape[1]):
             covered |= cover_tables[byte][packed[:, byte]]
-        return covered
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # the covered items' weights added from the low byte, as value_mask does
-        item_tables = self._item_tables
-        return _left_sum(item_tables[np.arange(len(item_tables)), self._covered(rows)])
-
-    def table(self) -> np.ndarray:
-        # the weights added item by item in ascending order from 0.0, the
-        # order of a subset-sum table over the items indexed by the cover
-        covered = self._covered(mask_rows(range(1 << self.n), self.n))
-        total = np.zeros(len(covered))
-        for j, w in enumerate(self.item_weights):
-            total = np.where(covered[:, j >> 3] & (1 << (j & 7)), total + w, total)
-        return total
+        return self._tables.sum_rows(covered)
 
 
 @dataclass(frozen=True)
@@ -244,9 +243,6 @@ class CutFunction:
             sums.append(_left_sum(((by_vertex[u] != by_vertex[v]) * w).T))
         return np.concatenate(sums)
 
-    def table(self) -> np.ndarray:
-        return self.value_masks(mask_rows(range(1 << self.n), self.n))
-
 
 @dataclass(frozen=True)
 class Modular:
@@ -261,14 +257,14 @@ class Modular:
         return len(self.weights)
 
     @cached_property
-    def _tables(self):
-        return _byte_sum_tables(self.weights)
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self.weights)
 
     def value_mask(self, mask: int) -> float:
-        return _mask_weight_sum(mask, self._tables)
+        return self._tables.sum_mask(mask)
 
-    def table(self) -> np.ndarray:
-        return _weight_sum_table(self.weights)
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        return self._tables.sum_rows(np.packbits(rows, axis=1, bitorder="little"))
 
 
 SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction, Modular]
@@ -281,13 +277,8 @@ def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
 
 def evaluate_masks(spec: SetFunctionSpec, rows: np.ndarray) -> np.ndarray:
     """Values of the sets given by the rows of a checked (k, n) boolean
-    membership matrix: the family's numpy batch where it has one, else one
-    `evaluate_mask` per row, in row order."""
-    batch = getattr(spec, "value_masks", None)
-    if batch is not None:
-        return batch(rows)
-    return np.array([evaluate_mask(spec, mask) for mask in row_masks(rows)],
-                    dtype=np.float64)
+    membership matrix, each bit for bit equal to `evaluate_mask` of its row."""
+    return spec.value_masks(rows)
 
 
 def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
@@ -297,10 +288,10 @@ def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
 
 
 def value_table(spec: SetFunctionSpec) -> np.ndarray:
-    """Dense table of f over all 2^n subsets, indexed by mask."""
+    """Dense table of f over all 2^n subsets, indexed by mask: the family's batch."""
     if spec.n > MULTILINEAR_BUDGET:
         raise ValueError(f"n={spec.n} over the enumeration budget {MULTILINEAR_BUDGET}")
-    return spec.table()
+    return spec.value_masks(all_mask_rows(spec.n))
 
 
 def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, float]:

@@ -162,3 +162,10 @@ def mask_rows(masks, n: int) -> np.ndarray:
                         dtype=np.uint8)
     return np.unpackbits(raw.reshape(-1, width), axis=1, count=n,
                          bitorder="little").view(bool)
+
+
+def all_mask_rows(n: int) -> np.ndarray:
+    """`mask_rows(range(1 << n), n)`, the membership matrix of every mask in
+    mask order, unpacked from the little-endian bytes of one arange (n <= 32)."""
+    raw = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)

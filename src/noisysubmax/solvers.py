@@ -10,7 +10,7 @@ import numpy as np
 
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, mask_members, mask_rows
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_members, mask_rows
 from .setfn import MULTILINEAR_BUDGET, _check_point, _inclusion_probs, _left_sum
 
 POLYTOPE_TOL = 1e-9
@@ -182,7 +182,7 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     if cfg.exact_extension:
         if n > MULTILINEAR_BUDGET:
             raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
-        table = oracle.value_masks(mask_rows(range(1 << n), n))
+        table = oracle.value_masks(all_mask_rows(n))
     for _ in range(steps):
         if cfg.exact_extension:
             weights = _exact_partials(table, x) * (1.0 - x)

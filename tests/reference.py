@@ -4,16 +4,16 @@ exact surrogate of a smoothing set too large to tabulate, the exact partial
 derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, the coverage and cut generators with one
-scalar draw per decision, and the cut and coverage tables built by doubling
-over the edges and items."""
+scalar draw per decision, the noise multipliers drawn one at a time, and
+the cut table added edge by edge."""
 from math import comb
 
 import numpy as np
 
 from noisysubmax.oracles import ExactOracle, ValueOracle
 from noisysubmax.sets import ElementSet, all_k_subset_masks
-from noisysubmax.setfn import (Coverage, CutFunction, _check_point, _weight_sum_table,
-                               multilinear_exact)
+from noisysubmax.noise import NoiseSpec
+from noisysubmax.setfn import Coverage, CutFunction, _check_point, multilinear_exact
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 
@@ -98,7 +98,7 @@ def comparison_by_single_queries(oracle: ValueOracle, s: ElementSet) -> float:
 
 
 def byte_sum_tables_by_bit_loop(weights) -> tuple[tuple[float, ...], ...]:
-    """`setfn._byte_sum_tables` as a triple loop: table[b][chunk] adds the
+    """`setfn._ByteTables(weights).tables` as a triple loop: table[b][chunk] adds the
     weights of the set bits of chunk from the low bit, starting at 0.0."""
     tables = []
     for byte in range((len(weights) + 7) // 8):
@@ -151,12 +151,12 @@ def cut_table_by_edge_loop(spec: CutFunction) -> np.ndarray:
     return total
 
 
-def coverage_table_by_item_sums(spec: Coverage) -> np.ndarray:
-    """The coverage's dense table: the subset-sum table over all 2^items item
-    sets, indexed by each set's cover, built by doubling over the elements
-    (at most 64 items)."""
-    covered = np.zeros(1 << spec.n, dtype=np.uint64)
-    for i, c in enumerate(spec.covers):
-        half = 1 << i
-        covered[half: 2 * half] = covered[:half] | np.uint64(c)
-    return _weight_sum_table(spec.item_weights)[covered]
+
+def multipliers_by_scalar_draws(spec: NoiseSpec, stream: np.random.Generator,
+                                size: int) -> np.ndarray:
+    """`noise.sample_multipliers` with one `stream.random(2)` per draw."""
+    out = []
+    for _ in range(size):
+        u1, u2 = stream.random(2)
+        out.append(spec.multiplier(1.0 - u1, u2))
+    return np.array(out, dtype=np.float64)

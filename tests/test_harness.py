@@ -3,8 +3,9 @@ import pytest
 
 from noisysubmax.harness import (ExperimentSpec, generate_instance,
                                  optimum_exact, run_experiment, run_trial)
+from noisysubmax.random_instances import random_waq
 from noisysubmax.setfn import (WeightedAdditiveQuadratic, brute_force_opt,
-                               nonnegative_certified, value_table)
+                               nonnegative_certified, value_table, waq_cost)
 
 
 def test_spec_validation():
@@ -14,6 +15,14 @@ def test_spec_validation():
         ExperimentSpec(n=0, trials=1)
     spec = ExperimentSpec(n=50, trials=1)
     assert spec.cost == pytest.approx(10.0 / 50)
+
+
+def test_both_waq_generators_take_the_cost_from_waq_cost():
+    for n in (1, 7, 50, 100):
+        cost = waq_cost(n)
+        assert cost == (20.0 / 2.0) / n
+        assert ExperimentSpec(n=n, trials=1).cost == cost
+        assert random_waq(n, np.random.default_rng(n)).cost == cost
 
 
 def test_negative_worker_counts_are_rejected():

@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential,
-                               sample_multiplier)
+                               sample_multipliers)
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from noisysubmax.sets import ElementSet, mask_rows
 from noisysubmax.setfn import Modular, evaluate
+
+from reference import multipliers_by_scalar_draws
 
 
 def make_oracle(seed=0, n=10, sigma2=0.1):
@@ -92,7 +94,7 @@ def test_zero_amplitude_noise_is_exact():
 def test_shifted_exponential_mean_and_support():
     spec = NoiseSpec(ShiftedExponential(2.0))
     rng = np.random.default_rng(2)
-    draws = np.array([sample_multiplier(spec, rng) for _ in range(200000)])
+    draws = sample_multipliers(spec, rng, 200000)
     assert np.min(draws) >= 1.0 - 1.0 / 2.0 - 1e-12
     se = (1.0 / 2.0) / np.sqrt(len(draws))
     assert abs(draws.mean() - 1.0) < 3 * se
@@ -196,8 +198,8 @@ def test_multiplier_mask_matches_the_keyed_hash_reference(dist, clamp, seed, n, 
 
 
 # The noisy batch hashes packed rows and splits the digests in numpy; each
-# value must equal `value_mask` of its row bit for bit, on every family
-# (the numpy batches of coverage and cut, the per-row loop of the others).
+# value must equal `value_mask` of its row bit for bit, on every family's
+# numpy batch.
 
 def batch_family(kind, n, rng):
     if kind == "modular":  # negative weights too
@@ -219,3 +221,15 @@ def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed)
     assert got.shape == (len(masks),)
     assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]
     assert oracle.value_masks(mask_rows([], n)).shape == (0,)
+
+
+@given(distributions, st.booleans(), st.integers(0, 2**32), st.integers(0, 300))
+@settings(max_examples=100, deadline=None)
+def test_sample_multipliers_equal_scalar_draws(dist, clamp, seed, size):
+    # one (size, 2) block holds the doubles of `size` draws of two, in order
+    noise = NoiseSpec(dist, clamp_negative=clamp)
+    stream, scalar_stream = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_multipliers(noise, stream, size)
+    want = multipliers_by_scalar_draws(noise, scalar_stream, size)
+    assert got.shape == (size,) and got.tobytes() == want.tobytes()
+    assert stream.random() == scalar_stream.random()

@@ -13,8 +13,8 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                evaluate_masks, multilinear_exact,
                                table_is_submodular, value_table)
 
-from reference import (byte_sum_tables_by_bit_loop, coverage_table_by_item_sums,
-                       cut_table_by_edge_loop, multilinear_partial_exact)
+from reference import (byte_sum_tables_by_bit_loop, cut_table_by_edge_loop,
+                       multilinear_partial_exact)
 
 
 def naive_value(spec, members):
@@ -363,18 +363,41 @@ def test_byte_table_families_match_a_bit_loop(case):
 @settings(max_examples=200, deadline=None)
 def test_byte_sum_tables_match_a_bit_loop(weights):
     # Python floats with the same bits, -0.0 and a partial last byte included
-    got = setfn._byte_sum_tables(tuple(weights))
+    got = setfn._ByteTables(tuple(weights)).tables
     want = byte_sum_tables_by_bit_loop(tuple(weights))
     assert all(type(v) is float for table in got for v in table)
     assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
 
 
-# `evaluate_masks` (the `Coverage` and cut numpy batches, the per-row loop
-# of WAQ and `Modular`) must equal `value_mask` of each row bit for bit.
+# `evaluate_masks` (each family's numpy batch) must equal `value_mask` of
+# each row bit for bit.
+
+finite_or_signed_zero = st.one_of(st.just(-0.0), st.just(0.0),
+                                  st.floats(-5, 5, allow_nan=False))
+
+
+@st.composite
+def additive_family(draw, max_n):
+    # WAQ or `Modular`, negative weights and costs and signed zeros included
+    n = draw(st.integers(1, max_n))
+    w = tuple(draw(st.lists(finite_or_signed_zero, min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        return Modular(w)
+    return WeightedAdditiveQuadratic(w, draw(finite_or_signed_zero))
+
+
+@st.composite
+def additive_and_masks(draw):
+    # up to 130 elements: masks of three 64-bit words
+    spec = draw(additive_family(130))
+    masks = draw(st.lists(st.integers(0, (1 << spec.n) - 1), max_size=12))
+    return spec, masks + [0, (1 << spec.n) - 1]
+
 
 @st.composite
 def family_and_rows(draw):
-    case = draw(st.one_of(byte_table_family_and_masks(), cut_and_masks()))
+    case = draw(st.one_of(additive_and_masks(), byte_table_family_and_masks(),
+                          cut_and_masks()))
     spec, masks = case
     return spec, rows_of(masks, spec.n)
 
@@ -399,13 +422,10 @@ def test_evaluate_masks_equals_value_mask(case):
     assert evaluate_masks(spec, rows[:0]).shape == (0,)
 
 
-# Cut and coverage tables are their batches over all 2^n rows.  They must
-# equal, sign bits included, the formulas they replaced: the crossing weights
-# added edge by edge from 0.0 over all masks, and the subset-sum table over
-# the items indexed by each set's cover.
-
-finite_or_signed_zero = st.one_of(st.just(-0.0), st.just(0.0),
-                                  st.floats(-5, 5, allow_nan=False))
+# Every table is its family's batch over all 2^n rows, so it must equal
+# `value_mask` on every mask, sign bits included; the cut table must also
+# equal the formula it replaced, the crossing weights added edge by edge
+# from 0.0 over all masks.
 
 
 @st.composite
@@ -432,17 +452,22 @@ def test_cut_table_equals_the_edge_loop(spec):
     assert value_table(spec).tobytes() == cut_table_by_edge_loop(spec).tobytes()
 
 
-@given(small_coverage())
-@settings(max_examples=200, deadline=None)
-def test_coverage_table_equals_the_item_subset_sums(spec):
-    assert value_table(spec).tobytes() == coverage_table_by_item_sums(spec).tobytes()
+def table_by_value_mask(spec) -> np.ndarray:
+    return np.array([spec.value_mask(mask) for mask in range(1 << spec.n)])
+
+
+@given(st.one_of(additive_family(10), small_coverage(), small_cut()))
+@settings(max_examples=300, deadline=None)
+def test_table_equals_value_mask_for_every_family(spec):
+    assert value_table(spec).tobytes() == table_by_value_mask(spec).tobytes()
 
 
 def test_tables_equal_the_replaced_formulas_on_fixed_cases():
     # a non-crossing negative weight is -0.0 in the cut batch's product, and
     # the table must still read +0.0 there, as the edge loop from 0.0 does;
     # over two item bytes of random doubles, adding the items byte by byte,
-    # as value_mask does, rounds differently from adding them in item order
+    # as value_mask does, rounds differently from adding them in item order,
+    # the order of the coverage table this batch replaced
     rng = np.random.default_rng(19)
     specs = [CutFunction(2, ((0, 1, -1.0),)), CutFunction(3, ((1, 1, -2.0),)),
              CutFunction(3, ()), Coverage((0, 0b10, 0b11), (-0.0, -1.5)), Coverage((0, 0), ())]
@@ -450,16 +475,15 @@ def test_tables_equal_the_replaced_formulas_on_fixed_cases():
         specs += [random_coverage(10, rng, items=16), random_cut(10, rng)]
     for spec in specs:
         want = (cut_table_by_edge_loop(spec) if isinstance(spec, CutFunction)
-                else coverage_table_by_item_sums(spec))
+                else table_by_value_mask(spec))
         assert value_table(spec).tobytes() == want.tobytes()
 
 
 def assert_table_matches_value_mask(spec, masks):
     table = value_table(spec)
     assert table.shape == (1 << spec.n,)
-    # the table adds item weights in item order, value_mask byte by byte
     for mask in masks:
-        assert table[mask] == pytest.approx(evaluate_mask(spec, mask), rel=1e-13, abs=1e-13)
+        assert table[mask].hex() == evaluate_mask(spec, mask).hex()
 
 
 def test_coverage_table_at_the_budget_with_40_items():

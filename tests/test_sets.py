@@ -5,8 +5,9 @@ from itertools import combinations
 from math import comb
 
 from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
-                              mask_members, random_k_subset,
-                              random_k_subset_mask, unrank_k_subset_mask)
+                              all_mask_rows, mask_members, mask_rows,
+                              random_k_subset, random_k_subset_mask,
+                              unrank_k_subset_mask)
 
 
 def test_ground_set_validation():
@@ -128,3 +129,10 @@ def test_random_k_subset_uniform_frequencies():
     assert len(counts) == 20
     for c in counts.values():
         assert abs(c - expected) < 4 * sigma
+
+
+def test_all_mask_rows_equals_mask_rows_of_every_mask():
+    for n in range(1, 21):
+        got = all_mask_rows(n)
+        assert got.dtype == bool and got.shape == (1 << n, n)
+        assert np.array_equal(got, mask_rows(range(1 << n), n))
