@@ -24,65 +24,64 @@ class CheckResult:
     detail: str = ""
 
 
-def _submask_iter(mask: int):
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
+# The appendix lemmas are checked at all (S, A) pairs at once: each helper
+# loops over subsets of the ground set, masked to the pairs they belong to,
+# so a pair's sum adds its terms in its own loop's order, plus exact 0.0s.
+def _pair_arrays(table: np.ndarray, pairs) -> tuple[int, np.ndarray, np.ndarray]:
+    """n of a dense table, and the int64 S and A masks of the (S, A) pairs."""
+    s, a = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T
+    return len(table).bit_length() - 1, s, a
 
 
 def lemma_remove_one_element(table: np.ndarray, pairs) -> bool:
     """Mean over x in A of f(S) - f(S-x) is at most f(S)/|A|."""
-    for s_mask, a_mask in pairs:
-        size = a_mask.bit_count()
-        if size == 0:
-            continue
-        total = 0.0
-        for x in mask_members(a_mask):
-            total += table[s_mask] - table[s_mask & ~(1 << x)]
-        if total / size > table[s_mask] / size + CHECK_TOL:
-            return False
-    return True
+    n, s, a = _pair_arrays(table, pairs)
+    total = np.zeros(len(s))
+    for x in range(n):
+        total += np.where(a & (1 << x) != 0, table[s] - table[s & ~(1 << x)], 0.0)
+    size = np.bitwise_count(a)
+    per = np.maximum(size, 1)  # A = {} holds; it sums nothing
+    return not np.any((size > 0) & (total / per > table[s] / per + CHECK_TOL))
+
+
+def _k_subset_bound_holds(table: np.ndarray, n: int, s: np.ndarray, a: np.ndarray,
+                          k: int, join, best: np.ndarray) -> bool:
+    """Whether the mean of f(join(B)) over B in A[k] is at least f(S) - k/(|A|-k)
+    * best at every pair with |A| > k; B runs over the ground set's k-subsets
+    in rank order, masked to B ⊆ A: the rank order of A's own k-subsets."""
+    total = np.zeros(len(s))
+    for b in all_k_subset_masks(range(n), k):
+        total += np.where(a & b == b, table[join(b)], 0.0)
+    size = np.bitwise_count(a).astype(np.int64)
+    big = size > k  # |A| <= k holds
+    mean = total / np.array([max(comb(i, k), 1) for i in range(n + 1)], dtype=np.float64)[size]
+    gap = k / np.where(big, size - k, 1)
+    return not np.any(big & (mean < table[s] - gap * best - CHECK_TOL))
 
 
 def lemma_remove_subset(table: np.ndarray, pairs, k: int) -> bool:
     """Exhaustive mean over B in A[k] of f(S \\ B) is at least
     f(S) - k/(|A|-k) * max f(S') over S' in S∩A with |S'| >= |S∩A| - k."""
-    for s_mask, a_mask in pairs:
-        a = a_mask.bit_count()
-        if a <= k:
-            continue
-        total = 0.0
-        for b_mask in all_k_subset_masks(mask_members(a_mask), k):
-            total += table[s_mask & ~b_mask]
-        mean = total / comb(a, k)
-        inter = s_mask & a_mask
-        floor = inter.bit_count() - k
-        best = max(table[sub] for sub in _submask_iter(inter)
-                   if sub.bit_count() >= floor)
-        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
-            return False
-    return True
+    n, s, a = _pair_arrays(table, pairs)
+    inter = s & a
+    # S' = S∩A \ C over the subsets C of S∩A with |C| <= k
+    best = np.full(len(s), -np.inf)
+    for size in range(k + 1):
+        for c in all_k_subset_masks(range(n), size):
+            best = np.where(inter & c == c, np.maximum(best, table[inter & ~c]), best)
+    return _k_subset_bound_holds(table, n, s, a, k, lambda b: s & ~b, best)
 
 
 def lemma_add_subset(table: np.ndarray, pairs, k: int) -> bool:
     """Exhaustive mean over B in A[k] of f(S ∪ B) is at least
     f(S) - k/(|A|-k) * max f(S') over S ⊆ S' ⊆ S∪A."""
-    for s_mask, a_mask in pairs:
-        a = a_mask.bit_count()
-        if a <= k:
-            continue
-        total = 0.0
-        for b_mask in all_k_subset_masks(mask_members(a_mask), k):
-            total += table[s_mask | b_mask]
-        mean = total / comb(a, k)
-        extra = a_mask & ~s_mask
-        best = max(table[s_mask | sub] for sub in _submask_iter(extra))
-        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
-            return False
-    return True
+    n, s, a = _pair_arrays(table, pairs)
+    extra = a & ~s
+    # S' = S ∪ C over the subsets C of A \ S
+    best = np.full(len(s), -np.inf)
+    for c in range(1 << n):
+        best = np.where(extra & c == c, np.maximum(best, table[s | c]), best)
+    return _k_subset_bound_holds(table, n, s, a, k, lambda b: s | b, best)
 
 
 def surrogate_table(table: np.ndarray, n: int, h_members: list[int], t: int) -> np.ndarray:
@@ -106,7 +105,7 @@ def smoothing_lemma_gap(spec, r: int, h: int, t: int) -> tuple[float, float, flo
     ground = GroundSet(n)
     matroid = UniformMatroid(ground, r)
     table = value_table(spec)
-    masks = np.arange(1 << n, dtype=np.uint64)
+    masks = np.arange(1 << n, dtype=np.int64)
     opt = float(np.max(table[matroid.indep_masks(masks)]))
     basis = arbitrary_basis(matroid)
     total = 0.0
@@ -147,7 +146,7 @@ def check_appendix_removal_lemmas(seed: int = 0) -> CheckResult:
             spec = random_submodular(n, rng)
             table = value_table(spec)
             if sample_pairs is None:
-                pairs = [(s, a) for s in range(1 << n) for a in range(1 << n)]
+                pairs = np.column_stack(np.divmod(np.arange(1 << 2 * n), 1 << n))
             else:
                 pairs = [(int(rng.integers(1 << n)), int(rng.integers(1, 1 << n)))
                          for _ in range(sample_pairs)]
@@ -168,7 +167,7 @@ def surrogate_shift_bounds(spec, h: int, t: int, s_masks: list[int]) -> bool:
     n = spec.n
     table = value_table(spec)
     masks = np.arange(1 << n, dtype=np.int64)
-    sizes = np.bitwise_count(masks.astype(np.uint64)).astype(np.int64)
+    sizes = np.bitwise_count(masks).astype(np.int64)
     probes = np.array(s_masks, dtype=np.int64)
     exp_shifted = np.zeros(len(probes))
     exp_plain = np.zeros(len(probes))

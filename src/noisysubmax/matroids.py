@@ -21,7 +21,7 @@ from .sets import ElementSet, GroundSet, mask_members
 # no bit outside the free elements and meets every group in at most its
 # capacity.  A new class defines only its fields, its validation and
 # `groups()`; the base class derives independence (for one mask and for an
-# array of uint64 masks, n <= 63), rank and the free elements from them.
+# int64 or uint64 mask array, n <= 63), rank and the free elements from them.
 
 class Matroid:
     """Base class: independence, rank and free elements from `groups()`."""
@@ -52,9 +52,9 @@ class Matroid:
         return True
 
     def indep_masks(self, masks: np.ndarray) -> np.ndarray:
-        ok = (masks & ~np.uint64(self.free_mask)) == 0
+        ok = (masks & self.free_mask) == masks
         for g, c in self._groups:
-            ok &= np.bitwise_count(masks & np.uint64(g)) <= c
+            ok &= np.bitwise_count(masks & g) <= c
         return ok
 
     def rank(self) -> int:

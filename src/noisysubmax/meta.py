@@ -6,7 +6,6 @@ best-of-T repetition built on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from .noise import PersistentNoisyOracle
 from .sets import ElementSet, mask_rows, random_k_subset
 from .setfn import _left_sum
 from .solvers import SolverConfig, run_solver
-from .surrogate import SampledSurrogateOracle, SurrogateConfig
+from .surrogate import SampledSurrogateOracle, SurrogateConfig, check_surrogate_sizes
 
 
 @dataclass(frozen=True)
@@ -27,15 +26,10 @@ class MetaConfig:
     matroid: Matroid
 
     def __post_init__(self):
-        if not 0 <= self.t < max(self.h, 1):
-            raise ValueError(f"need 0 <= t < h, or t=0 if h=0; got t={self.t}, h={self.h}")
+        check_surrogate_sizes(self.h, self.t, self.m)
         if self.h > self.matroid.rank():
             # silently shrinking h would corrupt experiment metadata
             raise ValueError(f"h={self.h} exceeds the matroid rank {self.matroid.rank()}")
-        if self.m > comb(self.h, self.t):
-            raise ValueError(f"m={self.m} exceeds C({self.h},{self.t})")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
 
 
 def meta_solve(o: PersistentNoisyOracle, cfg: MetaConfig,

@@ -302,7 +302,7 @@ def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, f
     """
     values = value_table(spec)
     if feasible is not None:
-        ok = feasible.indep_masks(np.arange(1 << spec.n, dtype=np.uint64))
+        ok = feasible.indep_masks(np.arange(1 << spec.n, dtype=np.int64))
         values = np.where(ok, values, -np.inf)
     best_mask = int(np.argmax(values))  # argmax returns the lowest mask on ties
     return ElementSet(GroundSet(spec.n), best_mask), float(values[best_mask])

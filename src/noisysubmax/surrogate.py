@@ -56,6 +56,20 @@ def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
     return [ElementSet(H.ground, mask) for mask in masks]
 
 
+def check_surrogate_sizes(h: int, t: int, m: int) -> None:
+    """The sizes `SurrogateConfig` and `meta.MetaConfig` share:
+    0 <= t < h (t = 0 and m = 1 when h = 0) and 1 <= m <= C(h, t)."""
+    if m < 1:
+        raise ValueError(f"need m >= 1 frozen samples, got m={m}")
+    if h == 0:
+        if t != 0 or m != 1:
+            raise ValueError("degenerate surrogate requires t=0, m=1")
+    elif not 0 <= t < h:
+        raise ValueError(f"need 0 <= t < h, got t={t}, h={h}")
+    if m > comb(h, t):
+        raise ValueError(f"m={m} exceeds C({h},{t})")
+
+
 @dataclass(frozen=True)
 class SurrogateConfig:
     """Smoothing set H with m frozen distinct t-subsets of it.
@@ -70,18 +84,9 @@ class SurrogateConfig:
     fixed_samples: tuple[ElementSet, ...]
 
     def __post_init__(self):
-        h = len(self.smoothing_set)
-        if self.m < 1:
-            raise ValueError(f"need m >= 1 frozen samples, got m={self.m}")
-        if h == 0:
-            if self.t != 0 or self.m != 1:
-                raise ValueError("degenerate surrogate requires t=0, m=1")
-        elif not 0 <= self.t < h:
-            raise ValueError(f"need 0 <= t < h, got t={self.t}, h={h}")
+        check_surrogate_sizes(len(self.smoothing_set), self.t, self.m)
         if len(self.fixed_samples) != self.m:
             raise ValueError("number of frozen samples differs from m")
-        if self.m > comb(h, self.t):
-            raise ValueError(f"m={self.m} exceeds C({h},{self.t})")
         if len({hs.mask for hs in self.fixed_samples}) != self.m:
             raise ValueError("frozen samples must be pairwise distinct")
         for hs in self.fixed_samples:

@@ -4,16 +4,17 @@ exact surrogate of a smoothing set too large to tabulate, the exact partial
 derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, the coverage and cut generators with one
-scalar draw per decision, the noise multipliers drawn one at a time, and
-the cut table added edge by edge."""
+scalar draw per decision, the noise multipliers drawn one at a time, the
+cut table added edge by edge, and the appendix lemmas checked one (S, A)
+pair at a time."""
 from math import comb
 
 import numpy as np
 
 from noisysubmax.oracles import ExactOracle, ValueOracle
-from noisysubmax.sets import ElementSet, all_k_subset_masks
+from noisysubmax.sets import ElementSet, all_k_subset_masks, mask_members
 from noisysubmax.noise import NoiseSpec
-from noisysubmax.setfn import Coverage, CutFunction, _check_point, multilinear_exact
+from noisysubmax.setfn import CHECK_TOL, Coverage, CutFunction, _check_point, multilinear_exact
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 
@@ -160,3 +161,64 @@ def multipliers_by_scalar_draws(spec: NoiseSpec, stream: np.random.Generator,
         u1, u2 = stream.random(2)
         out.append(spec.multiplier(1.0 - u1, u2))
     return np.array(out, dtype=np.float64)
+
+
+def _submask_iter(mask: int):
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def lemma_remove_one_element(table: np.ndarray, pairs) -> bool:
+    """Mean over x in A of f(S) - f(S-x) is at most f(S)/|A|."""
+    for s_mask, a_mask in pairs:
+        size = a_mask.bit_count()
+        if size == 0:
+            continue
+        total = 0.0
+        for x in mask_members(a_mask):
+            total += table[s_mask] - table[s_mask & ~(1 << x)]
+        if total / size > table[s_mask] / size + CHECK_TOL:
+            return False
+    return True
+
+
+def lemma_remove_subset(table: np.ndarray, pairs, k: int) -> bool:
+    """Exhaustive mean over B in A[k] of f(S \\ B) is at least
+    f(S) - k/(|A|-k) * max f(S') over S' in S∩A with |S'| >= |S∩A| - k."""
+    for s_mask, a_mask in pairs:
+        a = a_mask.bit_count()
+        if a <= k:
+            continue
+        total = 0.0
+        for b_mask in all_k_subset_masks(mask_members(a_mask), k):
+            total += table[s_mask & ~b_mask]
+        mean = total / comb(a, k)
+        inter = s_mask & a_mask
+        floor = inter.bit_count() - k
+        best = max(table[sub] for sub in _submask_iter(inter)
+                   if sub.bit_count() >= floor)
+        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
+            return False
+    return True
+
+
+def lemma_add_subset(table: np.ndarray, pairs, k: int) -> bool:
+    """Exhaustive mean over B in A[k] of f(S ∪ B) is at least
+    f(S) - k/(|A|-k) * max f(S') over S ⊆ S' ⊆ S∪A."""
+    for s_mask, a_mask in pairs:
+        a = a_mask.bit_count()
+        if a <= k:
+            continue
+        total = 0.0
+        for b_mask in all_k_subset_masks(mask_members(a_mask), k):
+            total += table[s_mask | b_mask]
+        mean = total / comb(a, k)
+        extra = a_mask & ~s_mask
+        best = max(table[s_mask | sub] for sub in _submask_iter(extra))
+        if mean < table[s_mask] - (k / (a - k)) * best - CHECK_TOL:
+            return False
+    return True

@@ -74,14 +74,24 @@ def test_downward_closure_exhaustive():
 
 def test_indep_masks_matches_scalar():
     g = GroundSet(7)
-    masks = np.arange(1 << 7, dtype=np.uint64)
     pm = PartitionMatroid(g, parts=(0b0001111, 0b1110000), caps=(2, 1))
-    for m in (UniformMatroid(g, 3), pm,
-              contract(UniformMatroid(g, 4), g.subset([0, 5])),
-              contract(pm, g.subset([1, 6]))):
-        vec = m.indep_masks(masks)
-        for mask in range(1 << 7):
-            assert vec[mask] == is_independent(m, ElementSet(g, mask))
+    small = (UniformMatroid(g, 3), pm, contract(UniformMatroid(g, 4), g.subset([0, 5])),
+             contract(pm, g.subset([1, 6])))
+    # n = 63, the widest ground set an int64 mask holds
+    wide = GroundSet(63)
+    top = wide.full_mask
+    wide_pm = PartitionMatroid(wide, parts=(0xFF, top & ~0xFF), caps=(2, 54))
+    probe = [0, 1 << 62, top, top & ~0x3, top & ~0xFF, top >> 1 & ~0xFF,
+             top >> 1 & ~0xFC, top >> 1 & ~0xF8, 0x3 | 1 << 62]
+    for dtype in (np.int64, np.uint64):
+        masks = np.arange(1 << 7, dtype=dtype)
+        for m in small:
+            vec = m.indep_masks(masks)
+            for mask in range(1 << 7):
+                assert vec[mask] == is_independent(m, ElementSet(g, mask))
+        for m in (UniformMatroid(wide, 61), wide_pm, contract(wide_pm, wide.subset([0, 62]))):
+            vec = m.indep_masks(np.array(probe, dtype=dtype))
+            assert vec.tolist() == [is_independent(m, ElementSet(wide, mask)) for mask in probe]
 
 
 def test_arbitrary_basis_is_maximal():

@@ -14,6 +14,7 @@ from noisysubmax.oracles import ValueOracle
 from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import Modular, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
+from noisysubmax.surrogate import SurrogateConfig
 
 from reference import RecordingOracle, comparison_by_single_queries
 from table_oracle import TableOracle
@@ -33,6 +34,19 @@ def test_meta_config_validation():
         MetaConfig(h=0, t=1, m=1, inner=DoubleGreedy(), matroid=m)
     with pytest.raises(ValueError):  # m > C(0,0) = 1
         MetaConfig(h=0, t=0, m=2, inner=DoubleGreedy(), matroid=m)
+    with pytest.raises(ValueError):  # h < 0
+        MetaConfig(h=-1, t=0, m=1, inner=DoubleGreedy(), matroid=m)
+
+
+@pytest.mark.parametrize("h, t, m", [(2, 2, 1), (3, -1, 1), (3, 1, 4), (4, 2, 7),
+                                     (3, 1, 0), (0, 1, 1), (0, 0, 2)])
+def test_meta_and_surrogate_configs_reject_bad_sizes_alike(h, t, m):
+    g = GroundSet(10)
+    with pytest.raises(ValueError) as surrogate_error:
+        SurrogateConfig(g.subset(range(h)), t, m, ())
+    with pytest.raises(ValueError) as meta_error:
+        MetaConfig(h=h, t=t, m=m, inner=DoubleGreedy(), matroid=UniformMatroid(g, 5))
+    assert str(meta_error.value) == str(surrogate_error.value)
 
 
 def test_degenerate_meta_equals_double_greedy():

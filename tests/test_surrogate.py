@@ -15,7 +15,8 @@ from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows
+from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks, mask_members,
+                              mask_rows)
 from noisysubmax.setfn import (Modular, WeightedAdditiveQuadratic, brute_force_opt,
                                evaluate, value_table)
 from noisysubmax.surrogate import (ParamBudget, SampledSurrogateOracle,
@@ -23,6 +24,7 @@ from noisysubmax.surrogate import (ParamBudget, SampledSurrogateOracle,
                                    compute_parameters,
                                    sample_t_subsets_without_replacement)
 
+import reference
 from reference import surrogate_sampled
 
 
@@ -91,6 +93,95 @@ def test_add_subset_lemma_fails_on_a_table_that_drops_after_the_empty_set():
     table[0] = 10.0
     assert not lemma_add_subset(table, [(0b1, 0b1111), (0, 0b1111)], 1)
     assert lemma_add_subset(table, [(0b1, 0b1111)], 1)
+
+
+@st.composite
+def lemma_cases(draw):
+    """A dense table at n <= 7, drawn submodular or i.i.d. normal, a k, and
+    (S, A) pairs of each shape the lemmas treat apart: any pair, A empty,
+    |A| <= k, S ⊆ A, or S and A disjoint."""
+    n, k = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        table = value_table(random_submodular(n, rng))
+    else:
+        table = rng.normal(size=1 << n)
+    pairs = []
+    for _ in range(draw(st.integers(0, 12))):
+        s, a = draw(st.integers(0, (1 << n) - 1)), draw(st.integers(0, (1 << n) - 1))
+        shape = draw(st.sampled_from(["any", "empty", "small", "inside", "disjoint"]))
+        if shape == "empty":
+            a = 0
+        elif shape == "small":
+            a = sum(1 << x for x in mask_members(a)[:k])
+        elif shape == "inside":
+            s &= a
+        elif shape == "disjoint":
+            s &= ~a
+        pairs.append((s, a))
+    return table, pairs, k
+
+
+def _lemma_outcomes(table: np.ndarray, pairs, k: int) -> list[tuple[bool, bool]]:
+    """(vectorised, one-pair-at-a-time reference) outcome of each lemma."""
+    return [(lemma_remove_one_element(table, pairs), reference.lemma_remove_one_element(table, pairs)),
+            (lemma_remove_subset(table, pairs, k), reference.lemma_remove_subset(table, pairs, k)),
+            (lemma_add_subset(table, pairs, k), reference.lemma_add_subset(table, pairs, k))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(lemma_cases())
+def test_appendix_lemmas_match_the_pair_loops(case):
+    for vectorised, loop in _lemma_outcomes(*case):
+        assert vectorised is loop
+
+
+def test_appendix_lemmas_match_the_pair_loops_on_both_outcomes():
+    # fixed draws on which each lemma both holds and fails for every k
+    seen = set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 8))
+        if seed % 2:
+            table = value_table(random_submodular(n, rng))
+        else:
+            table = rng.normal(size=1 << n)
+        pairs = [(int(rng.integers(1 << n)), int(rng.integers(1 << n)))
+                 for _ in range(int(rng.integers(1, 6)))]
+        for k in (1, 2, 3):
+            for lemma, (vectorised, loop) in enumerate(_lemma_outcomes(table, pairs, k)):
+                assert vectorised is loop
+                seen.add((lemma, k, loop))
+    assert seen == {(lemma, k, held) for lemma in range(3) for k in (1, 2, 3)
+                    for held in (True, False)}
+
+
+def test_appendix_lemma_sums_add_in_the_pair_loops_order():
+    # n = 8, S = A = the full set (S = {} for the add lemma).  Each sum's
+    # eight terms are 2^53 and seven 1s: added left to right, as the pair
+    # loops add them, they total 2^53; np.sum adds them pairwise to 2^53 + 6.
+    # Each bound lies between the two means, so only the loop order gives
+    # the loops' outcome.
+    n, full, big = 8, 0xFF, 2.0 ** 53
+    one_element = np.zeros(1 << n)
+    one_element[full] = big
+    remove = np.zeros(1 << n)
+    remove[full] = 2.0 ** 50 + big / 7 + 0.5
+    remove[full & ~1] = big
+    add = np.zeros(1 << n)
+    add[0] = remove[full]
+    add[1] = big
+    for x in range(1, n):
+        one_element[full & ~(1 << x)] = big - 1.0
+        remove[full & ~(1 << x)] = 1.0
+        add[1 << x] = 1.0
+    pairs = [(full, full)]
+    assert lemma_remove_one_element(one_element, pairs)
+    assert reference.lemma_remove_one_element(one_element, pairs)
+    assert not lemma_remove_subset(remove, pairs, 1)
+    assert not reference.lemma_remove_subset(remove, pairs, 1)
+    assert not lemma_add_subset(add, [(0, full)], 1)
+    assert not reference.lemma_add_subset(add, [(0, full)], 1)
 
 
 def test_smoothing_lemma_gap_optimum_is_over_the_matroid():
