@@ -29,7 +29,8 @@ from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, evaluate_mask)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
-                                 RandomSubset, measured_continuous_greedy, run_solver)
+                                 RandomSubset, measured_continuous_greedy, pipage_round,
+                                 run_solver)
 from noisysubmax.surrogate import ParamBudget, compute_parameters
 
 from reference import exact_surrogate
@@ -178,6 +179,53 @@ def test_mcg_point_digest():
             points.extend(measured_continuous_greedy(ExactOracle(fn), matroid, cfg, rng))
         got[label] = hashlib.sha256(",".join(v.hex() for v in points).encode()).hexdigest()
     assert got == MCG_POINT_SHA256
+
+
+# The benchmark's constrained_mix composition at n=40 under a 5x3 partition
+# matroid (parts of 8, cap 3), on two coverage/cut pairs: exact greedy and
+# meta_solve (Greedy inner, h=8, t=2, m=20) on the coverage under
+# BoundedUniform(0.5) noise, sampled mcg (step 0.1, 4 samples) and pipage on
+# the cut, and best_of_T (T=3, DoubleGreedy inner, m=10) on the cut under
+# ShiftedExponential(2.0) noise.  Each entry is the solution mask and the
+# float.hex of f at it.  SOLUTION_MASKS pins only n=12, where a mask fits in
+# 2 bytes and a cut has about 33 edges; here masks span 5 bytes and a cut
+# about 200 edges.
+MIX40_SOLUTIONS = {
+    0: {"greedy": (0x0014490140, "0x1.8ca2059d0025cp+6"),
+        "meta": (0x4010031220, "0x1.59e357ef66ea1p+6"),
+        "pipage": (0x41914222A2, "0x1.928859be3aad3p+6"),
+        "best_of_T": (0x0506071004, "0x1.50e4bf15607eep+6")},
+    1: {"greedy": (0x0180220C28, "0x1.867eda6172101p+6"),
+        "meta": (0x0B00020080, "0x1.48b37e6f8968cp+6"),
+        "pipage": (0x2142288511, "0x1.794e175b78bd8p+6"),
+        "best_of_T": (0x0106600306, "0x1.5abd6a301ceb0p+6")},
+}
+
+
+def _mix40_solutions(seed):
+    n = 40
+    matroid = PartitionMatroid(GroundSet(n), parts=tuple(0xFF << (8 * p) for p in range(5)),
+                               caps=(3,) * 5)
+    rng = np.random.default_rng([40, seed])
+    cover, cut = random_coverage(n, rng), random_cut(n, rng, 0.25)
+    rngs = [np.random.default_rng([40, seed, k]) for k in range(4)]
+    yield "greedy", cover, run_solver(Greedy(), ExactOracle(cover), matroid, rngs[0])
+    noisy = PersistentNoisyOracle(cover, NoiseSpec(BoundedUniform(0.5)), master_seed=40 + seed)
+    cfg = MetaConfig(h=8, t=2, m=20, inner=Greedy(), matroid=matroid)
+    yield "meta", cover, meta_solve(noisy, cfg, rngs[1])
+    mcg = MeasuredContinuousGreedy(step=0.1, partial_samples=4)
+    x = measured_continuous_greedy(ExactOracle(cut), matroid, mcg, rngs[2])
+    yield "pipage", cut, pipage_round(matroid, x, rngs[2])
+    noisy = PersistentNoisyOracle(cut, NoiseSpec(ShiftedExponential(2.0)), master_seed=40 + seed)
+    cfg = MetaConfig(h=8, t=2, m=10, inner=DoubleGreedy(), matroid=matroid)
+    yield "best_of_T", cut, best_of_T(noisy, cfg, 3, rngs[3])
+
+
+def test_constrained_mix_n40_solutions():
+    got = {seed: {label: (s.mask, evaluate_mask(fn, s.mask).hex())
+                  for label, fn, s in _mix40_solutions(seed)}
+           for seed in MIX40_SOLUTIONS}
+    assert got == MIX40_SOLUTIONS
 
 
 # meta_solve with a sampled measured-continuous-greedy inner on the noisy
