@@ -21,7 +21,8 @@ from .sets import ElementSet, GroundSet, mask_members
 # no bit outside the free elements and meets every group in at most its
 # capacity.  A new class defines only its fields, its validation and
 # `groups()`; the base class derives independence (for one mask and for an
-# int64 or uint64 mask array, n <= 63), rank and the free elements from them.
+# int64 or uint64 mask array, n <= 63), the elements an independent mask can
+# take, rank and the free elements from them.
 
 class Matroid:
     """Base class: independence, rank and free elements from `groups()`."""
@@ -50,6 +51,15 @@ class Matroid:
             if (mask & g).bit_count() > c:
                 return False
         return True
+
+    def addable_mask(self, mask: int) -> int:
+        """The elements whose addition keeps the independent `mask`
+        independent: the union of the groups with room left, minus `mask`."""
+        room = 0
+        for g, c in self._groups:
+            if (mask & g).bit_count() < c:
+                room |= g
+        return room & ~mask
 
     def indep_masks(self, masks: np.ndarray) -> np.ndarray:
         ok = (masks & self.free_mask) == masks
@@ -141,10 +151,11 @@ def is_independent(m: Matroid, s: ElementSet) -> bool:
 def arbitrary_basis(m: Matroid) -> ElementSet:
     """Deterministic basis: greedy by ascending element id."""
     mask = 0
+    room = m.addable_mask(mask)
     for i in range(m.ground.n):
-        cand = mask | (1 << i)
-        if m.indep_mask(cand):
-            mask = cand
+        if room >> i & 1:
+            mask |= 1 << i
+            room = m.addable_mask(mask)
     return ElementSet(m.ground, mask)
 
 
@@ -160,12 +171,13 @@ def max_weight_independent_set(m: Matroid, weights) -> ElementSet:
         raise ValueError(f"expected {m.ground.n} weights, got shape {weights.shape}")
     order = sorted(range(m.ground.n), key=lambda i: (-weights[i], i))
     mask = 0
+    room = m.addable_mask(mask)
     for i in order:
         if weights[i] <= 0:
             break
-        cand = mask | (1 << i)
-        if m.indep_mask(cand):
-            mask = cand
+        if room >> i & 1:
+            mask |= 1 << i
+            room = m.addable_mask(mask)
     return ElementSet(m.ground, mask)
 
 

@@ -8,8 +8,9 @@ copy of it, so the key block is not absorbed again per query.  There is no
 memo table: memory stays flat across millions of distinct queries.
 
 A batch of sets (`value_masks`) hashes the same bytes on the same keyed
-hasher and maps the digests through the same `NoiseSpec.multiplier`, so
-each of its values equals `value_mask` of that set bit for bit.
+hasher and maps the digests through `NoiseSpec.multipliers`, the array
+form of `NoiseSpec.multiplier`, so each of its values equals `value_mask`
+of that set bit for bit.
 """
 from __future__ import annotations
 
@@ -32,8 +33,18 @@ _INV_2_53 = 2.0 ** -53
 _MASK_53 = (1 << 53) - 1
 
 
+class _MappedInMath:
+    """`draws` maps the scalar `draw` over arrays of uniforms in `math`:
+    np.log can differ from math.log in the last bit."""
+
+    def draws(self, u_open: np.ndarray, u_half: np.ndarray) -> np.ndarray:
+        draw = self.draw
+        return np.array([draw(a, b) for a, b in zip(u_open.tolist(), u_half.tolist())],
+                        dtype=np.float64)
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_MappedInMath):
     """Normal(mean 1, variance sigma2)."""
 
     sigma2: float
@@ -81,9 +92,13 @@ class BoundedUniform:
     def draw(self, u_open: float, u_half: float) -> float:
         return self._low + self._width * u_half
 
+    def draws(self, u_open: np.ndarray, u_half: np.ndarray) -> np.ndarray:
+        # a numpy multiply, then an add: each rounds as the scalar's does
+        return self._low + self._width * u_half
+
 
 @dataclass(frozen=True)
-class ShiftedExponential:
+class ShiftedExponential(_MappedInMath):
     """Exponential(rate) shifted to mean 1; support [1 - 1/rate, inf)."""
 
     rate: float
@@ -132,12 +147,19 @@ class NoiseSpec:
             return 0.0
         return xi
 
+    def multipliers(self, u_open: np.ndarray, u_half: np.ndarray) -> np.ndarray:
+        """`multiplier` over arrays of uniforms, each draw bit for bit equal."""
+        xi = self.distribution.draws(u_open, u_half)
+        if self.clamp_negative:
+            return np.where(xi < 0.0, 0.0, xi)
+        return xi
+
 
 def sample_multipliers(spec: NoiseSpec, stream: np.random.Generator, size: int) -> np.ndarray:
     """`size` multiplier draws from an ordinary RNG stream, each from the
-    stream's next two doubles, mapped in `math` as the noisy oracles map them."""
-    draws = stream.random((size, 2)).tolist()
-    return np.array([spec.multiplier(1.0 - u1, u2) for u1, u2 in draws], dtype=np.float64)
+    stream's next two doubles, mapped as the noisy oracles map them."""
+    u = stream.random((size, 2))
+    return spec.multipliers(1.0 - u[:, 0], u[:, 1])
 
 
 class PersistentNoisyOracle(ValueOracle):
@@ -201,8 +223,4 @@ class PersistentNoisyOracle(ValueOracle):
         u_open = ((low & np.uint64(_MASK_53)) + np.uint64(1)) * _INV_2_53
         u_half = ((low >> np.uint64(53))
                   | ((high & np.uint64((1 << 42) - 1)) << np.uint64(11))) * _INV_2_53
-        # math, not numpy: np.log can differ from math.log in the last bit
-        multiplier = self._multiplier
-        xi = np.array([multiplier(a, b) for a, b in zip(u_open.tolist(), u_half.tolist())],
-                      dtype=np.float64)
-        return xi * evaluate_masks(self.base, rows)
+        return self.noise.multipliers(u_open, u_half) * evaluate_masks(self.base, rows)

@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, all_mask_rows, mask_members
+from .sets import BYTE_BITS, ElementSet, GroundSet, all_mask_rows, mask_members
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
@@ -212,21 +212,50 @@ class CutFunction:
 
     @cached_property
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoints and weights of the edges, in edge order."""
+        """Endpoints and weights of the edges, in edge order, for the batch."""
         return (np.array([u for u, _, _ in self.edges], dtype=np.intp),
                 np.array([v for _, v, _ in self.edges], dtype=np.intp),
                 np.array([w for _, _, w in self.edges], dtype=np.float64))
 
+    @cached_property
+    def _crossing_tables(self) -> tuple[tuple[int, ...], ...]:
+        """One 256-entry table per mask byte: entry c is the XOR of the edge
+        incidence ints of the byte's vertices whose bits are set in c, so
+        bit e of the XOR over a mask's bytes says that edge e has exactly
+        one endpoint in the set.  A self-loop never crosses and is in no
+        incidence."""
+        incidence = [0] * (8 * ((self.n + 7) // 8))
+        for e, (u, v, _) in enumerate(self.edges):
+            if u != v:
+                incidence[u] |= 1 << e
+                incidence[v] |= 1 << e
+        tables = []
+        for b in range(0, len(incidence), 8):
+            table = [0]
+            for inc in incidence[b: b + 8]:
+                table += [entry ^ inc for entry in table]
+            tables.append(tuple(table))
+        return tuple(tables)
+
+    @cached_property
+    def _weight_bytes(self) -> tuple[tuple[float, ...], ...]:
+        """The edge weights in groups of 8, one per byte of a crossing int."""
+        weights = [float(w) for _, _, w in self.edges]
+        return tuple(tuple(weights[e: e + 8]) for e in range(0, len(weights), 8))
+
     def value_mask(self, mask: int) -> float:
-        # the crossing weights summed in edge order, as a loop over the
-        # edges would; `+ 0.0` maps a -0.0 total to 0.0, as in _left_sum
-        u, v, w = self._edge_arrays
-        raw = np.frombuffer(mask.to_bytes((self.n + 7) // 8, "little"), dtype=np.uint8)
-        bits = np.unpackbits(raw, count=self.n, bitorder="little")
-        crossing = w[bits[u] != bits[v]]
-        if crossing.size == 0:
-            return 0.0
-        return float(np.add.accumulate(crossing)[-1]) + 0.0
+        # the crossing weights added in edge order, as the batch's
+        # np.add.accumulate adds them; a total that starts from 0.0 is never
+        # -0.0, as the batch's `+ 0.0` makes its totals
+        tables, weights = self._crossing_tables, self._weight_bytes
+        crossing = 0
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            crossing ^= table[byte]
+        total = 0.0
+        for chunk, byte in zip(weights, crossing.to_bytes(len(weights), "little")):
+            for bit in BYTE_BITS[byte]:
+                total += chunk[bit]
+        return total
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
         # endpoint rows gathered from a transposed (n, k) chunk give an

@@ -84,13 +84,15 @@ class ElementSet:
             raise ValueError("element sets over different ground sets")
 
 
+# The positions of the set bits of each byte value, from the low bit.
+BYTE_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
+
+
 def mask_members(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """The set bits of a mask in ascending order, read byte by byte
+    through `BYTE_BITS`."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return [8 * i + bit for i, byte in enumerate(raw) if byte for bit in BYTE_BITS[byte]]
 
 
 def all_k_subset_masks(members: list[int], k: int):

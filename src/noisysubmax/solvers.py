@@ -84,15 +84,13 @@ SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubse
 def greedy_cardinality(oracle: ValueOracle, m: Matroid) -> ElementSet:
     """Greedy: add the best feasible positive marginal each round, ties by id.
 
-    The feasible candidates of a round go to the oracle as one `value_masks`
-    batch, in id order; the first one with the largest gain wins if that
-    gain is positive."""
+    The feasible candidates of a round, the matroid's addable elements, go
+    to the oracle as one `value_masks` batch, in id order; the first one
+    with the largest gain wins if that gain is positive."""
     mask = 0
     current = oracle.value_mask(0)
-    candidates = m.free_elements()
     for _ in range(m.rank()):
-        grown = [mask | 1 << i for i in candidates
-                 if not mask >> i & 1 and m.indep_mask(mask | 1 << i)]
+        grown = [mask | 1 << i for i in mask_members(m.addable_mask(mask))]
         if not grown:
             break
         values = oracle.value_masks(mask_rows(grown, oracle.ground.n))

@@ -5,8 +5,9 @@ derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, the coverage and cut generators with one
 scalar draw per decision, the noise multipliers drawn one at a time, the
-cut table added edge by edge, and the appendix lemmas checked one (S, A)
-pair at a time."""
+cut value and table added edge by edge, the set-bit walk and the matroid
+scans as per-bit and per-element loops, and the appendix lemmas checked
+one (S, A) pair at a time."""
 from math import comb
 
 import numpy as np
@@ -141,6 +142,16 @@ def random_cut_by_scalar_draws(n: int, rng: np.random.Generator, p: float = 0.5)
     return CutFunction(n_vertices=n, edges=tuple(edges))
 
 
+def cut_value_by_edge_loop(spec: CutFunction, mask: int) -> float:
+    """`CutFunction.value_mask` as a loop over the edges: the weights of the
+    edges with exactly one endpoint in the set, added in edge order from 0.0."""
+    total = 0.0
+    for u, v, w in spec.edges:
+        if ((mask >> u) & 1) != ((mask >> v) & 1):
+            total += w
+    return total
+
+
 def cut_table_by_edge_loop(spec: CutFunction) -> np.ndarray:
     """The cut's dense table, each edge's crossing weight added over all 2^n
     masks at once, in edge order from 0.0."""
@@ -161,6 +172,44 @@ def multipliers_by_scalar_draws(spec: NoiseSpec, stream: np.random.Generator,
         u1, u2 = stream.random(2)
         out.append(spec.multiplier(1.0 - u1, u2))
     return np.array(out, dtype=np.float64)
+
+
+def mask_members_by_low_bit(mask: int) -> list[int]:
+    """`sets.mask_members` as a loop that strips the lowest set bit."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def addable_mask_by_probes(m, mask: int) -> int:
+    """`Matroid.addable_mask` with one `indep_mask` probe per element."""
+    return sum(1 << i for i in range(m.ground.n)
+               if not mask >> i & 1 and m.indep_mask(mask | 1 << i))
+
+
+def arbitrary_basis_by_probes(m) -> int:
+    """The mask of `matroids.arbitrary_basis` with one `indep_mask` probe
+    per element, in ascending id order."""
+    mask = 0
+    for i in range(m.ground.n):
+        if m.indep_mask(mask | 1 << i):
+            mask |= 1 << i
+    return mask
+
+
+def max_weight_by_probes(m, weights) -> int:
+    """The mask of `matroids.max_weight_independent_set` with one
+    `indep_mask` probe per positive element, by descending weight."""
+    mask = 0
+    for i in sorted(range(m.ground.n), key=lambda i: (-weights[i], i)):
+        if weights[i] <= 0:
+            break
+        if m.indep_mask(mask | 1 << i):
+            mask |= 1 << i
+    return mask
 
 
 def _submask_iter(mask: int):

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
                                   UniformMatroid, arbitrary_basis, contract,
                                   is_independent, max_weight_independent_set)
 from noisysubmax.sets import ElementSet, GroundSet
+
+from reference import addable_mask_by_probes, arbitrary_basis_by_probes, max_weight_by_probes
 
 
 def test_uniform_matroid():
@@ -162,3 +165,45 @@ def test_ground_mismatch_rejected():
     m = UniformMatroid(GroundSet(5), 2)
     with pytest.raises(ValueError):
         is_independent(m, ElementSet(GroundSet(6), 0b1))
+
+
+@st.composite
+def matroids(draw):
+    """A uniform, partition or (nested) contracted matroid on up to 70
+    elements, so that masks can span two 64-bit words."""
+    n = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    g = GroundSet(n)
+    labels = rng.integers(draw(st.integers(1, 6)), size=n)
+    parts = tuple(sum(1 << int(i) for i in np.flatnonzero(labels == p))
+                  for p in np.unique(labels))
+    caps = tuple(int(rng.integers(p.bit_count() + 1)) for p in parts)
+    m = draw(st.sampled_from([UniformMatroid(g, int(rng.integers(n + 1))),
+                              PartitionMatroid(g, parts, caps)]))
+    for _ in range(draw(st.integers(0, 2))):
+        pinned = 0
+        for i in rng.permutation(n):
+            if rng.random() < 0.3 and m.indep_mask(pinned | 1 << int(i)):
+                pinned |= 1 << int(i)
+        m = contract(m, ElementSet(g, pinned))
+    return m, rng
+
+
+@given(matroids())
+@settings(max_examples=150, deadline=None)
+def test_addable_mask_equals_per_element_probes(case):
+    m, rng = case
+    # random independent masks, from empty to a basis
+    masks = [0, arbitrary_basis(m).mask]
+    for p in (0.2, 0.5, 0.9):
+        mask = 0
+        for i in rng.permutation(m.ground.n):
+            if rng.random() < p and m.indep_mask(mask | 1 << int(i)):
+                mask |= 1 << int(i)
+        masks.append(mask)
+    for mask in masks:
+        assert m.addable_mask(mask) == addable_mask_by_probes(m, mask)
+    assert arbitrary_basis(m).mask == arbitrary_basis_by_probes(m)
+    weights = rng.normal(size=m.ground.n)
+    weights[rng.random(m.ground.n) < 0.2] = 0.0
+    assert max_weight_independent_set(m, weights).mask == max_weight_by_probes(m, weights)

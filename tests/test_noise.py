@@ -233,3 +233,17 @@ def test_sample_multipliers_equal_scalar_draws(dist, clamp, seed, size):
     want = multipliers_by_scalar_draws(noise, scalar_stream, size)
     assert got.shape == (size,) and got.tobytes() == want.tobytes()
     assert stream.random() == scalar_stream.random()
+
+
+@given(distributions, st.booleans(), st.integers(0, 2**32), st.integers(0, 200))
+@settings(max_examples=100, deadline=None)
+def test_multipliers_equal_the_scalar_multiplier(dist, clamp, seed, size):
+    # the array map of each distribution, at the ends of both uniforms too
+    noise = NoiseSpec(dist, clamp_negative=clamp)
+    u = np.random.default_rng(seed).random((size, 2))
+    u_open = np.concatenate([1.0 - u[:, 0], [1.0, 1.0, 2.0 ** -53, 2.0 ** -53]])
+    u_half = np.concatenate([u[:, 1], [0.0, 1.0 - 2.0 ** -53, 0.0, 0.5]])
+    got = noise.multipliers(u_open, u_half)
+    want = np.array([noise.multiplier(a, b) for a, b in zip(u_open.tolist(), u_half.tolist())],
+                    dtype=np.float64)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

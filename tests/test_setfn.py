@@ -14,7 +14,7 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                table_is_submodular, value_table)
 
 from reference import (byte_sum_tables_by_bit_loop, cut_table_by_edge_loop,
-                       multilinear_partial_exact)
+                       cut_value_by_edge_loop, multilinear_partial_exact)
 
 
 def naive_value(spec, members):
@@ -200,21 +200,12 @@ def test_random_generators_produce_submodular_nonnegative():
 
 
 # Cut evaluation: the one-set `value_mask` and the batch `value_masks(rows)`
-# must both equal an edge loop bit for bit, with n up to 100 so that masks
-# span more than 64 bits.
+# must both equal an edge loop bit for bit, with n up to 100 (130 for the
+# one-set path alone) so that masks span more than 64 bits.
 
 def rows_of(masks, n):
     return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
                     dtype=bool).reshape(len(masks), n)
-
-
-def cut_by_edge_loop(spec, mask):
-    """The cut value added edge by edge: the reference for both cut paths."""
-    total = 0.0
-    for u, v, w in spec.edges:
-        if ((mask >> u) & 1) != ((mask >> v) & 1):
-            total += w
-    return total
 
 
 def assert_batch_matches_scalar(spec, masks):
@@ -222,7 +213,7 @@ def assert_batch_matches_scalar(spec, masks):
     assert got.shape == (len(masks),)
     want = [float(spec.value_mask(m)) for m in masks]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-    assert [v.hex() for v in want] == [cut_by_edge_loop(spec, m).hex() for m in masks]
+    assert [v.hex() for v in want] == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
 
 
 @st.composite
@@ -254,6 +245,46 @@ def test_cut_value_masks_edge_cases():
     assert messy.value_masks(np.zeros((0, 70), dtype=bool)).shape == (0,)
     # an edge loop starts from 0.0, so a lone -0.0 weight adds up to 0.0
     assert_batch_matches_scalar(CutFunction(2, ((0, 1, -0.0),)), [0, 1, 2, 3])
+
+
+@st.composite
+def wide_cut_and_masks(draw):
+    """A cut with n up to 130 and up to about 600 edges, with self-loops,
+    parallel edges and negative and signed-zero weights (or no edges at
+    all), and masks that include the empty and the full set."""
+    n, count = draw(st.integers(1, 130)), draw(st.integers(0, 550))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    ends = rng.integers(n, size=(count, 2))
+    loops = rng.random(count) < 0.05
+    ends[loops, 1] = ends[loops, 0]
+    weights = rng.uniform(-5.0, 5.0, size=count)
+    zeros = rng.random(count) < 0.05
+    weights[zeros] = np.where(rng.random(count) < 0.5, 0.0, -0.0)[zeros]
+    edges = [(int(u), int(v), float(w)) for (u, v), w in zip(ends, weights)]
+    # a parallel copy of some edges, each at a random place
+    for e in rng.integers(max(count, 1), size=count // 10):
+        edges.insert(int(rng.integers(len(edges) + 1)), edges[e])
+    masks = [0, (1 << n) - 1] + [int.from_bytes(rng.bytes((n + 7) // 8), "little")
+                                 & ((1 << n) - 1) for _ in range(10)]
+    return CutFunction(n, tuple(edges)), masks
+
+
+@given(wide_cut_and_masks())
+@settings(max_examples=150, deadline=None)
+def test_cut_value_mask_equals_the_edge_loop(case):
+    spec, masks = case
+    got = [spec.value_mask(m).hex() for m in masks]
+    assert got == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
+
+
+def test_cut_value_mask_adds_in_edge_order():
+    # a star whose 16 edges all cross at {0}: 2^53, then 15 ones.  Added left
+    # to right in edge order, each 1 rounds away and the total is 2^53;
+    # np.sum adds them pairwise, to 2^53 + 14.  A self-loop at 0 never crosses.
+    edges = ((0, 1, 2.0 ** 53),) + tuple((0, v, 1.0) for v in range(2, 17)) + ((0, 0, 1.0),)
+    spec = CutFunction(17, edges)
+    assert spec.value_mask(1) == 2.0 ** 53 == cut_value_by_edge_loop(spec, 1)
+    assert spec.value_masks(rows_of([1], 17)).tolist() == [2.0 ** 53]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -289,7 +320,7 @@ def test_cut_value_masks_chunks_equal_one_batch(case, seed):
             got = spec.value_masks(rows)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
     masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
-    assert [v.hex() for v in want.tolist()] == [cut_by_edge_loop(spec, m).hex() for m in masks]
+    assert [v.hex() for v in want.tolist()] == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
 
 
 def test_cut_value_masks_chunk_boundary_at_default_size():

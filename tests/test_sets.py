@@ -9,6 +9,8 @@ from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
                               random_k_subset, random_k_subset_mask,
                               unrank_k_subset_mask)
 
+from reference import mask_members_by_low_bit
+
 
 def test_ground_set_validation():
     with pytest.raises(ValueError):
@@ -69,6 +71,12 @@ def test_cross_ground_operations_rejected():
 def test_mask_members_roundtrip():
     assert mask_members(0) == []
     assert mask_members(0b101001) == [0, 3, 5]
+
+
+@given(st.integers(0, 2**200))
+def test_mask_members_equals_the_low_bit_loop(mask):
+    for m in (mask, mask & 0xFF00FF00FF00FF, mask | 1 << 199, mask >> 64 << 64):
+        assert mask_members(m) == mask_members_by_low_bit(m)
 
 
 @given(st.integers(1, 8), st.integers(0, 8))

@@ -81,9 +81,9 @@ def test_removal_lemmas_fail_on_a_supermodular_table():
     # 9 on average, below 16 - 16/3
     table = value_table(WeightedAdditiveQuadratic(weights=(0.0,) * 4, cost=-1.0))
     assert not lemma_remove_one_element(table, [(0, 0b1111), (0b1111, 0b1111)])
-    assert not lemma_remove_subset(table, [(0, 0b1111), (0b1111, 0b1111)], 1)
+    assert not lemma_remove_subset(table, [(0, 0b1111), (0b1111, 0b1111)], (1,))
     assert lemma_remove_one_element(table, [(0, 0b1111)])
-    assert lemma_remove_subset(table, [(0, 0b1111)], 1)
+    assert lemma_remove_subset(table, [(0, 0b1111)], (1,))
 
 
 def test_add_subset_lemma_fails_on_a_table_that_drops_after_the_empty_set():
@@ -91,8 +91,8 @@ def test_add_subset_lemma_fails_on_a_table_that_drops_after_the_empty_set():
     # gives 0 on average, below 10 - 10/3
     table = np.zeros(16)
     table[0] = 10.0
-    assert not lemma_add_subset(table, [(0b1, 0b1111), (0, 0b1111)], 1)
-    assert lemma_add_subset(table, [(0b1, 0b1111)], 1)
+    assert not lemma_add_subset(table, [(0b1, 0b1111), (0, 0b1111)], (1,))
+    assert lemma_add_subset(table, [(0b1, 0b1111)], (1,))
 
 
 @st.composite
@@ -125,8 +125,8 @@ def lemma_cases(draw):
 def _lemma_outcomes(table: np.ndarray, pairs, k: int) -> list[tuple[bool, bool]]:
     """(vectorised, one-pair-at-a-time reference) outcome of each lemma."""
     return [(lemma_remove_one_element(table, pairs), reference.lemma_remove_one_element(table, pairs)),
-            (lemma_remove_subset(table, pairs, k), reference.lemma_remove_subset(table, pairs, k)),
-            (lemma_add_subset(table, pairs, k), reference.lemma_add_subset(table, pairs, k))]
+            (lemma_remove_subset(table, pairs, (k,)), reference.lemma_remove_subset(table, pairs, k)),
+            (lemma_add_subset(table, pairs, (k,)), reference.lemma_add_subset(table, pairs, k))]
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,8 +137,9 @@ def test_appendix_lemmas_match_the_pair_loops(case):
 
 
 def test_appendix_lemmas_match_the_pair_loops_on_both_outcomes():
-    # fixed draws on which each lemma both holds and fails for every k
-    seen = set()
+    # fixed draws on which each lemma both holds and fails for every k, and
+    # for k = 1, 2, 3 together
+    seen, several = set(), set()
     for seed in range(40):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(4, 8))
@@ -152,6 +153,14 @@ def test_appendix_lemmas_match_the_pair_loops_on_both_outcomes():
             for lemma, (vectorised, loop) in enumerate(_lemma_outcomes(table, pairs, k)):
                 assert vectorised is loop
                 seen.add((lemma, k, loop))
+        # several ks hold iff each k holds, in any order
+        for lemma, loop in ((lemma_remove_subset, reference.lemma_remove_subset),
+                            (lemma_add_subset, reference.lemma_add_subset)):
+            each = [loop(table, pairs, k) for k in (1, 2, 3)]
+            assert lemma(table, pairs, (1, 2, 3)) is all(each)
+            assert lemma(table, pairs, (3, 1)) is (each[0] and each[2])
+            several.add((lemma.__name__, all(each)))
+    assert len(several) == 4
     assert seen == {(lemma, k, held) for lemma in range(3) for k in (1, 2, 3)
                     for held in (True, False)}
 
@@ -178,9 +187,9 @@ def test_appendix_lemma_sums_add_in_the_pair_loops_order():
     pairs = [(full, full)]
     assert lemma_remove_one_element(one_element, pairs)
     assert reference.lemma_remove_one_element(one_element, pairs)
-    assert not lemma_remove_subset(remove, pairs, 1)
+    assert not lemma_remove_subset(remove, pairs, (1,))
     assert not reference.lemma_remove_subset(remove, pairs, 1)
-    assert not lemma_add_subset(add, [(0, full)], 1)
+    assert not lemma_add_subset(add, [(0, full)], (1,))
     assert not reference.lemma_add_subset(add, [(0, full)], 1)
 
 
