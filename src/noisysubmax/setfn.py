@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import BYTE_BITS, ElementSet, GroundSet, all_mask_rows, mask_members
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_members
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
@@ -48,26 +48,63 @@ def _check_finite(what: str, values) -> None:
         raise ValueError(f"{what} must be finite")
 
 
-def _weight_sum_table(weights) -> np.ndarray:
-    """Sum of the weights of each of the 2^len(weights) subsets, indexed by mask."""
-    wsum = np.zeros(1 << len(weights))
-    for i, w in enumerate(weights):
-        half = 1 << i
-        wsum[half: 2 * half] = wsum[:half] + w
-    return wsum
+def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """One 256-entry table per 8 items, a missing last item counting as
+    zeros: entry [b, c] combines items 8b..8b+7 whose bits are set in c,
+    from the low bit, starting from zeros.  With np.add over weights an
+    entry is the subset's weight sum; with np.bitwise_or or np.bitwise_xor
+    over (items, width) uint8 rows it is the union or the symmetric
+    difference of the subset's sets."""
+    padded = np.zeros((8 * ((len(items) + 7) // 8),) + items.shape[1:], dtype=items.dtype)
+    padded[:len(items)] = items
+    out = np.zeros((len(padded) // 8, 256) + items.shape[1:], dtype=items.dtype)
+    for bit in range(8):
+        half = 1 << bit
+        out[:, half: 2 * half] = combine(out[:, :half], padded[bit::8, None])
+    return out
+
+
+def _incidence_tables(sets, width: int, combine: np.ufunc) -> np.ndarray:
+    """(element bytes, 256, width) uint8: entry [b, c] combines the
+    little-endian bytes of the sets (ints of `width` bytes) of byte b's
+    elements whose bits are set in c."""
+    raw = b"".join(s.to_bytes(width, "little") for s in sets)
+    items = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
+    return _byte_subset_tables(items, combine)
+
+
+def _combine_rows(tables: np.ndarray, rows: np.ndarray, combine: np.ufunc) -> np.ndarray:
+    """The (k, width) uint8 bytes of each row's combined set: `combine` over
+    the `_incidence_tables` entries of the bytes of the packed rows."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    out = tables[0][packed[:, 0]]
+    for byte in range(1, packed.shape[1]):
+        combine(out, tables[byte][packed[:, byte]], out=out)
+    return out
+
+
+# A batch sum gathers the table entries of at most this many rows x mask
+# bytes at a time, so its transient float matrix stays within 128 KiB
+# whatever the batch size.
+_SUM_CHUNK_CELLS = 1 << 14
 
 
 class _ByteTables:
     """The one summation order of the weights of a mask's set bits (WAQ,
-    `Modular`, `Coverage`'s covered items): tables[b][chunk] sums the weights
-    of byte b's set bits in chunk from the low bit, as Python floats (an
-    np.float64 would change the repr of a value), added from the low byte."""
+    `Modular`, `Coverage`'s covered items, a cut's crossing edges):
+    array[b, chunk] sums the weights of byte b's set bits in chunk from the
+    low bit, and the entries add up from the low byte.  `tables` reads the
+    rows of the one array as memoryviews, which give Python floats (an
+    np.float64 would change the repr of a value)."""
 
     def __init__(self, weights: tuple[float, ...]):
-        padded = np.zeros(8 * ((len(weights) + 7) // 8))
-        padded[:len(weights)] = weights
-        self.tables = tuple(tuple(_weight_sum_table(padded[b: b + 8]).tolist())
-                            for b in range(0, len(padded), 8))
+        self.weights = weights
+        self.array = _byte_subset_tables(np.array(weights, dtype=np.float64), np.add)
+        self.tables = tuple(memoryview(row) for row in self.array)
+
+    def __reduce__(self):
+        # a memoryview cannot be pickled or deep-copied; rebuild the tables
+        return (type(self), (self.weights,))
 
     def sum_mask(self, mask: int) -> float:
         """The sum of one mask.  A zero byte adds table[0] = 0.0, which
@@ -78,26 +115,24 @@ class _ByteTables:
             total += table[byte]
         return total
 
-    @cached_property
-    def _array(self) -> np.ndarray:
-        return np.array(self.tables).reshape(-1, 256)
-
     def sum_rows(self, packed: np.ndarray) -> np.ndarray:
         """The sums of the masks given as (k, bytes) uint8 rows of their
-        little-endian bytes, each bit for bit equal to `sum_mask`."""
-        return _left_sum(self._array[np.arange(len(self.tables)), packed])
+        little-endian bytes, each bit for bit equal to `sum_mask`, gathered
+        in chunks of at most `_SUM_CHUNK_CELLS` entries."""
+        step = max(1, _SUM_CHUNK_CELLS // max(1, packed.shape[1]))
+        byte = np.arange(len(self.array))
+        sums = np.empty(len(packed))
+        for start in range(0, len(packed), step):
+            sums[start: start + step] = _left_sum(self.array[byte, packed[start: start + step]])
+        return sums
 
 
 # Each family evaluates one mask in closed form (`value_mask`) and a batch of
 # masks given as the rows of a (k, n) boolean membership matrix
 # (`value_masks`, bit for bit equal to `value_mask` of each row); its dense
-# table is the batch over all 2^n rows.  Lookup tables and edge arrays are
-# built on first use and kept on the instance.  Weights must be finite: a
-# NaN weight would make every value NaN.
-
-# A cut batch is evaluated in chunks of at most this many rows x edges, so
-# its transient float matrix stays within 128 KiB whatever the batch size.
-_CUT_CHUNK_CELLS = 1 << 14
+# table is the batch over all 2^n rows.  Lookup tables are built on first use
+# and kept on the instance.  Weights must be finite: a NaN weight would make
+# every value NaN.
 
 
 @dataclass(frozen=True)
@@ -169,27 +204,12 @@ class Coverage:
 
     @cached_property
     def _cover_tables(self) -> np.ndarray:
-        """(element bytes, 256, item bytes) uint8: entry [b, c] holds the
-        little-endian bytes of the items covered by the elements of byte b
-        whose bits are set in c."""
-        n, width = self.n, len(self._tables.tables)
-        covers = np.zeros((8 * ((n + 7) // 8), width), dtype=np.uint8)
-        for i, c in enumerate(self.covers):
-            covers[i] = np.frombuffer(c.to_bytes(width, "little"), dtype=np.uint8)
-        out = np.zeros((len(covers) // 8, 256, width), dtype=np.uint8)
-        for bit in range(8):
-            half = 1 << bit
-            out[:, half: 2 * half] = out[:, :half] | covers[bit::8, None]
-        return out
+        """Entry [b, c] holds the little-endian bytes of the items covered
+        by the elements of byte b whose bits are set in c."""
+        return _incidence_tables(self.covers, len(self._tables.tables), np.bitwise_or)
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # each row's covered items as (k, item bytes) little-endian uint8
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        cover_tables = self._cover_tables
-        covered = cover_tables[0][packed[:, 0]]
-        for byte in range(1, packed.shape[1]):
-            covered |= cover_tables[byte][packed[:, byte]]
-        return self._tables.sum_rows(covered)
+        return self._tables.sum_rows(_combine_rows(self._cover_tables, rows, np.bitwise_or))
 
 
 @dataclass(frozen=True)
@@ -211,66 +231,39 @@ class CutFunction:
         return self.n_vertices
 
     @cached_property
-    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Endpoints and weights of the edges, in edge order, for the batch."""
-        return (np.array([u for u, _, _ in self.edges], dtype=np.intp),
-                np.array([v for _, v, _ in self.edges], dtype=np.intp),
-                np.array([w for _, _, w in self.edges], dtype=np.float64))
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(tuple(w for _, _, w in self.edges))
 
     @cached_property
-    def _crossing_tables(self) -> tuple[tuple[int, ...], ...]:
-        """One 256-entry table per mask byte: entry c is the XOR of the edge
-        incidence ints of the byte's vertices whose bits are set in c, so
-        bit e of the XOR over a mask's bytes says that edge e has exactly
-        one endpoint in the set.  A self-loop never crosses and is in no
+    def _crossing_tables(self) -> np.ndarray:
+        """Entry [b, c] holds the little-endian bytes of the XOR of the edge
+        incidence ints of the vertices of byte b whose bits are set in c, so
+        bit e of the XOR over a set's bytes says that edge e has exactly one
+        endpoint in the set.  A self-loop never crosses and is in no
         incidence."""
-        incidence = [0] * (8 * ((self.n + 7) // 8))
+        incidence = [0] * self.n
         for e, (u, v, _) in enumerate(self.edges):
             if u != v:
                 incidence[u] |= 1 << e
                 incidence[v] |= 1 << e
-        tables = []
-        for b in range(0, len(incidence), 8):
-            table = [0]
-            for inc in incidence[b: b + 8]:
-                table += [entry ^ inc for entry in table]
-            tables.append(tuple(table))
-        return tuple(tables)
+        return _incidence_tables(incidence, len(self._tables.tables), np.bitwise_xor)
 
     @cached_property
-    def _weight_bytes(self) -> tuple[tuple[float, ...], ...]:
-        """The edge weights in groups of 8, one per byte of a crossing int."""
-        weights = [float(w) for _, _, w in self.edges]
-        return tuple(tuple(weights[e: e + 8]) for e in range(0, len(weights), 8))
+    def _crossing_ints(self) -> tuple[tuple[int, ...], ...]:
+        """`_crossing_tables` with each entry as a Python int, for one set."""
+        return tuple(tuple(int.from_bytes(entry.tobytes(), "little") for entry in table)
+                     for table in self._crossing_tables)
 
     def value_mask(self, mask: int) -> float:
-        # the crossing weights added in edge order, as the batch's
-        # np.add.accumulate adds them; a total that starts from 0.0 is never
-        # -0.0, as the batch's `+ 0.0` makes its totals
-        tables, weights = self._crossing_tables, self._weight_bytes
+        tables = self._crossing_ints
         crossing = 0
         for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
             crossing ^= table[byte]
-        total = 0.0
-        for chunk, byte in zip(weights, crossing.to_bytes(len(weights), "little")):
-            for bit in BYTE_BITS[byte]:
-                total += chunk[bit]
-        return total
+        return self._tables.sum_mask(crossing)
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        # endpoint rows gathered from a transposed (n, k) chunk give an
-        # (edges, k) crossing matrix; its transpose sums in edge order per
-        # row.  With finite weights, crossing * w equals
-        # np.where(crossing, w, 0.0) up to the sign of a zero, which the
-        # sum's `+ 0.0` drops
-        u, v, w = self._edge_arrays
-        w = w[:, None]
-        step = max(1, _CUT_CHUNK_CELLS // max(1, len(w)))
-        sums = []
-        for chunk in np.split(rows, range(step, len(rows), step)):
-            by_vertex = np.ascontiguousarray(chunk.T)
-            sums.append(_left_sum(((by_vertex[u] != by_vertex[v]) * w).T))
-        return np.concatenate(sums)
+        crossing = _combine_rows(self._crossing_tables, rows, np.bitwise_xor)
+        return self._tables.sum_rows(crossing)
 
 
 @dataclass(frozen=True)

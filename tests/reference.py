@@ -5,7 +5,7 @@ derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, the coverage and cut generators with one
 scalar draw per decision, the noise multipliers drawn one at a time, the
-cut value and table added edge by edge, the set-bit walk and the matroid
+cut's crossing edges found edge by edge, the set-bit walk and the matroid
 scans as per-bit and per-element loops, and the appendix lemmas checked
 one (S, A) pair at a time."""
 from math import comb
@@ -142,26 +142,14 @@ def random_cut_by_scalar_draws(n: int, rng: np.random.Generator, p: float = 0.5)
     return CutFunction(n_vertices=n, edges=tuple(edges))
 
 
-def cut_value_by_edge_loop(spec: CutFunction, mask: int) -> float:
-    """`CutFunction.value_mask` as a loop over the edges: the weights of the
-    edges with exactly one endpoint in the set, added in edge order from 0.0."""
-    total = 0.0
-    for u, v, w in spec.edges:
+def cut_crossing_by_edge_loop(spec: CutFunction, mask: int) -> int:
+    """The cut's crossing edges as a loop over the edges: bit e is set when
+    edge e has exactly one endpoint in the set (a self-loop never has)."""
+    crossing = 0
+    for e, (u, v, _) in enumerate(spec.edges):
         if ((mask >> u) & 1) != ((mask >> v) & 1):
-            total += w
-    return total
-
-
-def cut_table_by_edge_loop(spec: CutFunction) -> np.ndarray:
-    """The cut's dense table, each edge's crossing weight added over all 2^n
-    masks at once, in edge order from 0.0."""
-    masks = np.arange(1 << spec.n, dtype=np.uint64)
-    total = np.zeros(1 << spec.n)
-    for u, v, w in spec.edges:
-        cross = ((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & np.uint64(1)
-        total += w * cross.astype(np.float64)
-    return total
-
+            crossing |= 1 << e
+    return crossing
 
 
 def multipliers_by_scalar_draws(spec: NoiseSpec, stream: np.random.Generator,

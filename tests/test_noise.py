@@ -43,9 +43,21 @@ def test_persistence_across_oracle_instances():
 
 
 def test_oracle_survives_pickle_and_deepcopy():
-    spec, o = make_oracle(seed=11)
-    for twin in (pickle.loads(pickle.dumps(o)), copy.deepcopy(o)):
-        assert [twin.value_mask(m) for m in range(64)] == [o.value_mask(m) for m in range(64)]
+    # every family, and a noisy oracle over it, after a one-set and a batch
+    # query have built the families' lookup tables
+    rng = np.random.default_rng(11)
+    specs = (random_waq(10, rng), Modular(tuple(rng.uniform(-2.0, 2.0, size=10).tolist())),
+             random_coverage(10, rng), random_cut(10, rng))
+    masks = list(range(64))
+    rows = mask_rows(masks, 10)
+    for spec in specs:
+        o = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), master_seed=11)
+        for queried in (spec, o):
+            want = [queried.value_mask(m).hex() for m in masks]
+            batch = queried.value_masks(rows).tobytes()
+            for twin in (pickle.loads(pickle.dumps(queried)), copy.deepcopy(queried)):
+                assert [twin.value_mask(m).hex() for m in masks] == want
+                assert twin.value_masks(rows).tobytes() == batch
 
 
 def test_multiplicative_structure():

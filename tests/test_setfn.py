@@ -13,8 +13,8 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                evaluate_masks, multilinear_exact,
                                table_is_submodular, value_table)
 
-from reference import (byte_sum_tables_by_bit_loop, cut_table_by_edge_loop,
-                       cut_value_by_edge_loop, multilinear_partial_exact)
+from reference import (byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
+                       multilinear_partial_exact)
 
 
 def naive_value(spec, members):
@@ -200,8 +200,9 @@ def test_random_generators_produce_submodular_nonnegative():
 
 
 # Cut evaluation: the one-set `value_mask` and the batch `value_masks(rows)`
-# must both equal an edge loop bit for bit, with n up to 100 (130 for the
-# one-set path alone) so that masks span more than 64 bits.
+# must both equal the byte-order reference `value_by_bit_loop` bit for bit
+# (the crossing edges found by an edge loop, their weights added byte by
+# byte), with n up to 130 so that masks span more than 64 bits.
 
 def rows_of(masks, n):
     return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
@@ -213,7 +214,7 @@ def assert_batch_matches_scalar(spec, masks):
     assert got.shape == (len(masks),)
     want = [float(spec.value_mask(m)) for m in masks]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-    assert [v.hex() for v in want] == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
+    assert [v.hex() for v in want] == [value_by_bit_loop(spec, m).hex() for m in masks]
 
 
 @st.composite
@@ -243,7 +244,7 @@ def test_cut_value_masks_edge_cases():
     assert_batch_matches_scalar(no_edges, masks)
     assert no_edges.value_masks(rows_of(masks, 70)).tolist() == [0.0] * len(masks)
     assert messy.value_masks(np.zeros((0, 70), dtype=bool)).shape == (0,)
-    # an edge loop starts from 0.0, so a lone -0.0 weight adds up to 0.0
+    # a byte sum starts from 0.0, so a lone -0.0 weight adds up to 0.0
     assert_batch_matches_scalar(CutFunction(2, ((0, 1, -0.0),)), [0, 1, 2, 3])
 
 
@@ -273,18 +274,19 @@ def wide_cut_and_masks(draw):
 @settings(max_examples=150, deadline=None)
 def test_cut_value_mask_equals_the_edge_loop(case):
     spec, masks = case
-    got = [spec.value_mask(m).hex() for m in masks]
-    assert got == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
+    assert_batch_matches_scalar(spec, masks)
 
 
 def test_cut_value_mask_adds_in_edge_order():
-    # a star whose 16 edges all cross at {0}: 2^53, then 15 ones.  Added left
-    # to right in edge order, each 1 rounds away and the total is 2^53;
-    # np.sum adds them pairwise, to 2^53 + 14.  A self-loop at 0 never crosses.
+    # a star whose 16 edges all cross at {0}: 2^53, then 15 ones.  Edges
+    # 0-7 add in edge order to 2^53 (each 1 rounds away), edges 8-15 to 8.0,
+    # and the byte sums add to 2^53 + 8.  Added one edge at a time the total
+    # would be 2^53; np.sum adds pairwise, to 2^53 + 14.  The self-loop at 0
+    # (edge 16) never crosses.
     edges = ((0, 1, 2.0 ** 53),) + tuple((0, v, 1.0) for v in range(2, 17)) + ((0, 0, 1.0),)
     spec = CutFunction(17, edges)
-    assert spec.value_mask(1) == 2.0 ** 53 == cut_value_by_edge_loop(spec, 1)
-    assert spec.value_masks(rows_of([1], 17)).tolist() == [2.0 ** 53]
+    assert spec.value_mask(1) == 2.0 ** 53 + 8 == value_by_bit_loop(spec, 1)
+    assert spec.value_masks(rows_of([1], 17)).tolist() == [2.0 ** 53 + 8]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -306,38 +308,10 @@ def test_families_reject_an_empty_ground_set():
             make()
 
 
-@given(cut_and_masks(), st.integers(0, 2**32))
-@settings(max_examples=60, deadline=None)
-def test_cut_value_masks_chunks_equal_one_batch(case, seed):
-    spec, _ = case
-    edges = max(1, len(spec.edges))
-    rows = np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5
-    want = spec.value_masks(rows)
-    # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
-    with pytest.MonkeyPatch.context() as mp:
-        for cells in (3 * edges, 1):
-            mp.setattr(setfn, "_CUT_CHUNK_CELLS", cells)
-            got = spec.value_masks(rows)
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
-    assert [v.hex() for v in want.tolist()] == [cut_value_by_edge_loop(spec, m).hex() for m in masks]
-
-
-def test_cut_value_masks_chunk_boundary_at_default_size():
-    # an n=100 cut with about 2000 edges: 2 * step + 6 rows cross two chunk
-    # boundaries at the default chunk size
-    spec = random_cut(100, np.random.default_rng(5), 0.4)
-    step = setfn._CUT_CHUNK_CELLS // len(spec.edges)
-    rows = np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(setfn, "_CUT_CHUNK_CELLS", len(rows) * len(spec.edges))
-        whole = spec.value_masks(rows)
-    assert spec.value_masks(rows).tobytes() == whole.tobytes()
-
-
-# WAQ, `Modular` and `Coverage` add per-byte lookup tables: each table entry
-# sums the weights of one byte's set bits from 0.0, and the entries add up
-# from the low byte.  A loop over the bits in that grouping is the reference.
+# Every family adds per-byte lookup tables: each table entry sums the
+# weights of one byte's set bits (elements, covered items or crossing edges)
+# from 0.0, and the entries add up from the low byte.  A loop over the bits
+# in that grouping is the reference.
 
 def weight_sum_by_bit_loop(mask, weights):
     total = 0.0
@@ -356,6 +330,9 @@ def value_by_bit_loop(spec, mask):
         return weight_sum_by_bit_loop(mask, spec.weights) - spec.cost * k * k
     if isinstance(spec, Modular):
         return weight_sum_by_bit_loop(mask, spec.weights)
+    if isinstance(spec, CutFunction):
+        return weight_sum_by_bit_loop(cut_crossing_by_edge_loop(spec, mask),
+                                      [w for _, _, w in spec.edges])
     covered = 0
     for i in range(spec.n):
         if (mask >> i) & 1:
@@ -365,9 +342,12 @@ def value_by_bit_loop(spec, mask):
 
 @st.composite
 def byte_table_family_and_masks(draw):
+    kind = draw(st.sampled_from(["waq", "modular", "coverage", "cut"]))
+    if kind == "cut":
+        spec, masks = draw(cut_and_masks())
+        return spec, masks + [0, (1 << spec.n) - 1]
     n = draw(st.integers(1, 100))
     weights = st.floats(-5, 5, allow_nan=False)
-    kind = draw(st.sampled_from(["waq", "modular", "coverage"]))
     if kind == "coverage":
         items = draw(st.integers(1, 100))
         spec = Coverage(tuple(draw(st.lists(st.integers(0, (1 << items) - 1),
@@ -385,6 +365,7 @@ def byte_table_family_and_masks(draw):
 @settings(max_examples=200, deadline=None)
 def test_byte_table_families_match_a_bit_loop(case):
     spec, masks = case
+    assert all(type(spec.value_mask(m)) is float for m in masks)
     got = [spec.value_mask(m).hex() for m in masks]
     assert got == [value_by_bit_loop(spec, m).hex() for m in masks]
 
@@ -398,6 +379,43 @@ def test_byte_sum_tables_match_a_bit_loop(weights):
     want = byte_sum_tables_by_bit_loop(tuple(weights))
     assert all(type(v) is float for table in got for v in table)
     assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
+
+
+# `_ByteTables.sum_rows` gathers at most `_SUM_CHUNK_CELLS` rows x summed
+# bytes (mask, item or edge bytes) at a time, for every family.
+
+@given(byte_table_family_and_masks(), st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_cut_value_masks_chunks_equal_one_batch(case, seed):
+    spec, _ = case
+    width = max(1, len(spec._tables.tables))
+    rows = np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5
+    want = spec.value_masks(rows)
+    # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
+    with pytest.MonkeyPatch.context() as mp:
+        for cells in (3 * width, 1):
+            mp.setattr(setfn, "_SUM_CHUNK_CELLS", cells)
+            got = spec.value_masks(rows)
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
+    assert [v.hex() for v in want.tolist()] == [value_by_bit_loop(spec, m).hex() for m in masks]
+
+
+def test_cut_value_masks_chunk_boundary_at_default_size():
+    # 2 * step + 6 rows cross two chunk boundaries at the default chunk size:
+    # an n=100 cut with about 2000 edges (248 edge bytes), a coverage of 200
+    # items, and WAQ and `Modular` over 13 mask bytes
+    rng = np.random.default_rng(5)
+    specs = (random_cut(100, rng, 0.4), random_coverage(100, rng),
+             random_waq(100, rng), Modular(tuple(rng.uniform(-3.0, 3.0, size=100).tolist())))
+    for spec in specs:
+        width = len(spec._tables.tables)
+        step = setfn._SUM_CHUNK_CELLS // width
+        rows = np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(setfn, "_SUM_CHUNK_CELLS", len(rows) * width)
+            whole = spec.value_masks(rows)
+        assert spec.value_masks(rows).tobytes() == whole.tobytes()
 
 
 # `evaluate_masks` (each family's numpy batch) must equal `value_mask` of
@@ -427,8 +445,7 @@ def additive_and_masks(draw):
 
 @st.composite
 def family_and_rows(draw):
-    case = draw(st.one_of(additive_and_masks(), byte_table_family_and_masks(),
-                          cut_and_masks()))
+    case = draw(st.one_of(additive_and_masks(), byte_table_family_and_masks()))
     spec, masks = case
     return spec, rows_of(masks, spec.n)
 
@@ -454,9 +471,8 @@ def test_evaluate_masks_equals_value_mask(case):
 
 
 # Every table is its family's batch over all 2^n rows, so it must equal
-# `value_mask` on every mask, sign bits included; the cut table must also
-# equal the formula it replaced, the crossing weights added edge by edge
-# from 0.0 over all masks.
+# `value_mask` on every mask, sign bits included, and the byte-order
+# reference.
 
 
 @st.composite
@@ -480,11 +496,15 @@ def small_coverage(draw):
 @given(small_cut())
 @settings(max_examples=200, deadline=None)
 def test_cut_table_equals_the_edge_loop(spec):
-    assert value_table(spec).tobytes() == cut_table_by_edge_loop(spec).tobytes()
+    assert value_table(spec).tobytes() == table_by_bit_loop(spec).tobytes()
 
 
 def table_by_value_mask(spec) -> np.ndarray:
     return np.array([spec.value_mask(mask) for mask in range(1 << spec.n)])
+
+
+def table_by_bit_loop(spec) -> np.ndarray:
+    return np.array([value_by_bit_loop(spec, mask) for mask in range(1 << spec.n)])
 
 
 @given(st.one_of(additive_family(10), small_coverage(), small_cut()))
@@ -494,18 +514,17 @@ def test_table_equals_value_mask_for_every_family(spec):
 
 
 def test_tables_equal_the_replaced_formulas_on_fixed_cases():
-    # a non-crossing negative weight is -0.0 in the cut batch's product, and
-    # the table must still read +0.0 there, as the edge loop from 0.0 does;
-    # over two item bytes of random doubles, adding the items byte by byte,
-    # as value_mask does, rounds differently from adding them in item order,
-    # the order of the coverage table this batch replaced
+    # a lone negative weight that does not cross must read +0.0, as a byte
+    # sum from 0.0 does; over two item bytes of random doubles, adding the
+    # items byte by byte, as value_mask does, rounds differently from adding
+    # them in item order, the order of the coverage table this batch replaced
     rng = np.random.default_rng(19)
     specs = [CutFunction(2, ((0, 1, -1.0),)), CutFunction(3, ((1, 1, -2.0),)),
              CutFunction(3, ()), Coverage((0, 0b10, 0b11), (-0.0, -1.5)), Coverage((0, 0), ())]
     for _ in range(3):
         specs += [random_coverage(10, rng, items=16), random_cut(10, rng)]
     for spec in specs:
-        want = (cut_table_by_edge_loop(spec) if isinstance(spec, CutFunction)
+        want = (table_by_bit_loop(spec) if isinstance(spec, CutFunction)
                 else table_by_value_mask(spec))
         assert value_table(spec).tobytes() == want.tobytes()
 
