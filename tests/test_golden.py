@@ -193,11 +193,11 @@ def test_mcg_point_digest():
 MIX40_SOLUTIONS = {
     0: {"greedy": (0x0014490140, "0x1.8ca2059d0025cp+6"),
         "meta": (0x4010031220, "0x1.59e357ef66ea1p+6"),
-        "pipage": (0x41914222A2, "0x1.928859be3aad3p+6"),
+        "pipage": (0x41914222A2, "0x1.928859be3aad7p+6"),
         "best_of_T": (0x0506071004, "0x1.50e4bf15607eep+6")},
     1: {"greedy": (0x0180220C28, "0x1.867eda6172101p+6"),
         "meta": (0x0B00020080, "0x1.48b37e6f8968cp+6"),
-        "pipage": (0x2142288511, "0x1.794e175b78bd8p+6"),
+        "pipage": (0x2142288511, "0x1.794e175b78bd5p+6"),
         "best_of_T": (0x0106600306, "0x1.5abd6a301ceb0p+6")},
 }
 
@@ -324,15 +324,15 @@ def test_instance_file_text(inst, lines):
 
 
 # The value of each set-function family on fixed masks: the byte-table sum
-# of WAQ, `Modular` (with negative weights) and `Coverage`, and the cut's
-# edge-order sum at n=40 and n=100 (13-byte masks).  Each family's masks
-# include the empty and the full set.
+# of WAQ, `Modular` (with negative weights), `Coverage`'s covered items and
+# the cut's crossing edges at n=40 and n=100 (13-byte masks).  Each family's
+# masks include the empty and the full set.
 FAMILY_VALUE_SHA256 = {
     "waq70": "e05cf262ff8971f859aedde889cfb4aade46379500e7e8c90ea5a967320f176c",
     "modular70": "f0777c2950c7312c9238d934bc6ec7639163b85e490ed1af404690e0748907e7",
     "coverage30": "c36eb16649159e41049393a27428f90037ae0275a0d4576b0c66840c841382f0",
-    "cut40": "84a1ba6c0ad6cba141bb06ce81c14d86ca4c8dac86a5501cfea597c0b5effa31",
-    "cut100": "345d5a4f96064715a4c8a84a58f76f54201dc193ad52dcec5b3dc085ac6b617c",
+    "cut40": "9fe3ed6e44ed6d71c64ac1faf1af8545168ee83bad05c44f4179801fb2744809",
+    "cut100": "37f7ce9f44d702346da15e42a1ceca7d874a7bb6173ad49a4bbabf2602bff862",
 }
 
 
@@ -362,7 +362,7 @@ def test_family_value_digest():
 # The tuples `smoothing_lemma_gap` returns (expectation, optimum, t/(h-t))
 # on the six configurations `check_smoothing_lemma(seed=7)` draws: three cuts
 # and a coverage with t = 0, a cut and a coverage with t = 1.
-SMOOTHING_GAP_SHA256 = "35fc08e8cf1dda9dc2370217b2acabbccf85cc74260570ea1a1a022410e03db8"
+SMOOTHING_GAP_SHA256 = "fd51c247371591553ebe643c6d1f54be3dac469e9bf4d671633f53fc36aae7b0"
 
 
 def _smoothing_configs(seed):
