@@ -83,9 +83,9 @@ def _combine_rows(tables: np.ndarray, rows: np.ndarray, combine: np.ufunc) -> np
     return out
 
 
-# A batch sum gathers the table entries of at most this many rows x mask
-# bytes at a time, so its transient float matrix stays within 128 KiB
-# whatever the batch size.
+# A batch sum gathers the table entries of at most this many rows x summed
+# bytes (mask, item or edge bytes) at a time, so its transient float matrix
+# stays within 128 KiB whatever the batch size.
 _SUM_CHUNK_CELLS = 1 << 14
 
 
