@@ -7,13 +7,14 @@ dense value table over all 2^n subsets in numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, all_mask_rows, mask_members
+from .sets import ElementSet, GroundSet, all_mask_rows
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
@@ -64,28 +65,9 @@ def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return out
 
 
-def _incidence_tables(sets, width: int, combine: np.ufunc) -> np.ndarray:
-    """(element bytes, 256, width) uint8: entry [b, c] combines the
-    little-endian bytes of the sets (ints of `width` bytes) of byte b's
-    elements whose bits are set in c."""
-    raw = b"".join(s.to_bytes(width, "little") for s in sets)
-    items = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
-    return _byte_subset_tables(items, combine)
-
-
-def _combine_rows(tables: np.ndarray, rows: np.ndarray, combine: np.ufunc) -> np.ndarray:
-    """The (k, width) uint8 bytes of each row's combined set: `combine` over
-    the `_incidence_tables` entries of the bytes of the packed rows."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    out = tables[0][packed[:, 0]]
-    for byte in range(1, packed.shape[1]):
-        combine(out, tables[byte][packed[:, byte]], out=out)
-    return out
-
-
-# A batch sum gathers the table entries of at most this many rows x summed
-# bytes (mask, item or edge bytes) at a time, so its transient float matrix
-# stays within 128 KiB whatever the batch size.
+# A batch sum packs, combines and gathers at most this many rows x summed
+# bytes (mask, item or edge bytes) at a time, so its transient matrices grow
+# with the chunk, not the batch (the float gather stays within 128 KiB).
 _SUM_CHUNK_CELLS = 1 << 14
 
 
@@ -115,15 +97,19 @@ class _ByteTables:
             total += table[byte]
         return total
 
-    def sum_rows(self, packed: np.ndarray) -> np.ndarray:
-        """The sums of the masks given as (k, bytes) uint8 rows of their
-        little-endian bytes, each bit for bit equal to `sum_mask`, gathered
-        in chunks of at most `_SUM_CHUNK_CELLS` entries."""
-        step = max(1, _SUM_CHUNK_CELLS // max(1, packed.shape[1]))
+    def sum_rows(self, rows: np.ndarray, select=None) -> np.ndarray:
+        """The sums of the rows of a (k, n) membership matrix, each bit for
+        bit equal to `sum_mask`, in chunks of at most `_SUM_CHUNK_CELLS` rows
+        x summed bytes.  `select`, if given, maps a chunk's packed (rows,
+        mask bytes) uint8 to the bytes to sum (a family's combined items)."""
         byte = np.arange(len(self.array))
-        sums = np.empty(len(packed))
-        for start in range(0, len(packed), step):
-            sums[start: start + step] = _left_sum(self.array[byte, packed[start: start + step]])
+        step = max(1, _SUM_CHUNK_CELLS // max(1, len(byte)))
+        sums = np.empty(len(rows))
+        for start in range(0, len(rows), step):
+            packed = np.packbits(rows[start: start + step], axis=1, bitorder="little")
+            if select is not None:
+                packed = select(packed)
+            sums[start: start + step] = _left_sum(self.array[byte, packed])
         return sums
 
 
@@ -160,8 +146,14 @@ class WeightedAdditiveQuadratic:
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
         k = np.count_nonzero(rows, axis=1)
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        return self._tables.sum_rows(packed) - self.cost * k * k
+        return self._tables.sum_rows(rows) - self.cost * k * k
+
+
+@dataclass(frozen=True)
+class Modular(WeightedAdditiveQuadratic):
+    """f(S) = sum_{i in S} w_i: the WAQ with cost 0 (x - 0.0 * k * k is x)."""
+
+    cost: float = field(default=0.0, init=False)
 
 
 def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
@@ -173,12 +165,64 @@ def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
     return bool(np.min(prefix - cost * k * k) >= 0.0)
 
 
+# `Coverage` and the cut sum the weights of the items of the combined item
+# sets of a mask's elements (OR: the covered items; XOR: the crossing edges).
+# A family defines only its fields, its validation, `_item_sets()` (one int
+# per element, bit j for item j), `_item_weights()` and `_combine`, a (numpy
+# ufunc, int operator) pair; the base class derives both evaluation paths.
+
+class _IncidenceSum:
+    """Base class: per-byte incidence tables, one set and a batch."""
+
+    _combine: tuple
+
+    @cached_property
+    def _tables(self) -> _ByteTables:
+        return _ByteTables(self._item_weights())
+
+    @cached_property
+    def _incidence(self) -> np.ndarray:
+        """(element bytes, 256, item bytes) uint8: entry [b, c] combines the
+        little-endian item sets of byte b's elements whose bits are set in c."""
+        sets = self._item_sets()
+        width = len(self._tables.tables)
+        raw = b"".join(s.to_bytes(width, "little") for s in sets)
+        items = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
+        return _byte_subset_tables(items, self._combine[0])
+
+    @cached_property
+    def _incidence_ints(self) -> tuple[tuple[int, ...], ...]:
+        """`_incidence` with each entry as a Python int, for one set."""
+        return tuple(tuple(int.from_bytes(entry.tobytes(), "little") for entry in table)
+                     for table in self._incidence)
+
+    def value_mask(self, mask: int) -> float:
+        tables = self._incidence_ints
+        combine = self._combine[1]
+        items = 0
+        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
+            items = combine(items, table[byte])
+        return self._tables.sum_mask(items)
+
+    def _combined_rows(self, packed: np.ndarray) -> np.ndarray:
+        """The (rows, item bytes) uint8 combined item sets of packed rows."""
+        tables, combine = self._incidence, self._combine[0]
+        out = tables[0][packed[:, 0]]
+        for byte in range(1, packed.shape[1]):
+            combine(out, tables[byte][packed[:, byte]], out=out)
+        return out
+
+    def value_masks(self, rows: np.ndarray) -> np.ndarray:
+        return self._tables.sum_rows(rows, self._combined_rows)
+
+
 @dataclass(frozen=True)
-class Coverage:
+class Coverage(_IncidenceSum):
     """Weighted coverage: covers[i] is the bitmask of items element i covers."""
 
     covers: tuple[int, ...]
     item_weights: tuple[float, ...]
+    _combine = (np.bitwise_or, operator.or_)
 
     def __post_init__(self):
         _check_size(self.n)
@@ -191,35 +235,26 @@ class Coverage:
     def n(self) -> int:
         return len(self.covers)
 
-    @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(self.item_weights)
+    def _item_sets(self) -> tuple[int, ...]:
+        return self.covers
 
-    def value_mask(self, mask: int) -> float:
-        covered = 0
-        covers = self.covers
-        for i in mask_members(mask):
-            covered |= covers[i]
-        return self._tables.sum_mask(covered)
-
-    @cached_property
-    def _cover_tables(self) -> np.ndarray:
-        """Entry [b, c] holds the little-endian bytes of the items covered
-        by the elements of byte b whose bits are set in c."""
-        return _incidence_tables(self.covers, len(self._tables.tables), np.bitwise_or)
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        return self._tables.sum_rows(_combine_rows(self._cover_tables, rows, np.bitwise_or))
+    def _item_weights(self) -> tuple[float, ...]:
+        return self.item_weights
 
 
 @dataclass(frozen=True)
-class CutFunction:
-    """Weighted undirected graph cut: f(S) = sum of edge weights crossing S."""
+class CutFunction(_IncidenceSum):
+    """Weighted undirected graph cut: f(S) = sum of edge weights crossing S.
+    A vertex's item set is its edge-incidence int, so bit e of the XOR over
+    a set's vertices says that edge e has exactly one endpoint in the set.
+    A self-loop never crosses and is in no incidence."""
 
     n_vertices: int
     edges: tuple[tuple[int, int, float], ...]
+    _combine = (np.bitwise_xor, operator.xor)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_vertices", operator.index(self.n_vertices))
         _check_size(self.n_vertices)
         for u, v, _ in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
@@ -230,66 +265,19 @@ class CutFunction:
     def n(self) -> int:
         return self.n_vertices
 
-    @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(tuple(w for _, _, w in self.edges))
-
-    @cached_property
-    def _crossing_tables(self) -> np.ndarray:
-        """Entry [b, c] holds the little-endian bytes of the XOR of the edge
-        incidence ints of the vertices of byte b whose bits are set in c, so
-        bit e of the XOR over a set's bytes says that edge e has exactly one
-        endpoint in the set.  A self-loop never crosses and is in no
-        incidence."""
+    def _item_sets(self) -> list[int]:
         incidence = [0] * self.n
         for e, (u, v, _) in enumerate(self.edges):
             if u != v:
                 incidence[u] |= 1 << e
                 incidence[v] |= 1 << e
-        return _incidence_tables(incidence, len(self._tables.tables), np.bitwise_xor)
+        return incidence
 
-    @cached_property
-    def _crossing_ints(self) -> tuple[tuple[int, ...], ...]:
-        """`_crossing_tables` with each entry as a Python int, for one set."""
-        return tuple(tuple(int.from_bytes(entry.tobytes(), "little") for entry in table)
-                     for table in self._crossing_tables)
-
-    def value_mask(self, mask: int) -> float:
-        tables = self._crossing_ints
-        crossing = 0
-        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            crossing ^= table[byte]
-        return self._tables.sum_mask(crossing)
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        crossing = _combine_rows(self._crossing_tables, rows, np.bitwise_xor)
-        return self._tables.sum_rows(crossing)
+    def _item_weights(self) -> tuple[float, ...]:
+        return tuple(w for _, _, w in self.edges)
 
 
-@dataclass(frozen=True)
-class Modular:
-    weights: tuple[float, ...]
-
-    def __post_init__(self):
-        _check_size(self.n)
-        _check_finite("weights", self.weights)
-
-    @property
-    def n(self) -> int:
-        return len(self.weights)
-
-    @cached_property
-    def _tables(self) -> _ByteTables:
-        return _ByteTables(self.weights)
-
-    def value_mask(self, mask: int) -> float:
-        return self._tables.sum_mask(mask)
-
-    def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        return self._tables.sum_rows(np.packbits(rows, axis=1, bitorder="little"))
-
-
-SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction, Modular]
+SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction]
 
 
 def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:

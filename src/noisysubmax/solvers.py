@@ -3,6 +3,7 @@ greedy, double greedy, measured continuous greedy with pipage rounding,
 and the random-subset baseline."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -48,6 +49,7 @@ class MeasuredContinuousGreedy:
         inv = 1.0 / self.step
         if not 0 < self.step < 1 or abs(inv - round(inv)) > 1e-9:
             raise ValueError(f"step must be in (0,1) with integer 1/step, got {self.step}")
+        object.__setattr__(self, "partial_samples", operator.index(self.partial_samples))
         if self.partial_samples < 1:
             raise ValueError("partial_samples must be >= 1")
 
@@ -61,6 +63,7 @@ class RandomSubset:
     size: int
 
     def __post_init__(self):
+        object.__setattr__(self, "size", operator.index(self.size))
         if self.size < 0:
             raise ValueError(f"size must be >= 0, got {self.size}")
 

@@ -4,8 +4,9 @@ import pytest
 from noisysubmax.harness import (ExperimentSpec, generate_instance,
                                  optimum_exact, run_experiment, run_trial)
 from noisysubmax.random_instances import random_waq
-from noisysubmax.setfn import (WeightedAdditiveQuadratic, brute_force_opt,
-                               nonnegative_certified, value_table, waq_cost)
+from noisysubmax.setfn import (Coverage, CutFunction, Modular, WeightedAdditiveQuadratic,
+                               brute_force_opt, nonnegative_certified, value_table,
+                               waq_cost)
 
 
 def test_spec_validation():
@@ -57,9 +58,16 @@ def test_optimum_exact_examples():
     assert v == pytest.approx(3.0)
     _, v = optimum_exact(WeightedAdditiveQuadratic(weights=(10.0, 10.0), cost=5.0))
     assert v == pytest.approx(5.0)
+    for other in (Coverage((0b1, 0b11), (1.0, 2.0)), CutFunction(2, ((0, 1, 1.0),))):
+        with pytest.raises(TypeError):
+            optimum_exact(other)
+    # `Modular` is the WAQ with cost 0, whose closed form is exact too
+    w = tuple(float(x) for x in np.random.default_rng(4).uniform(-5.0, 5.0, size=12))
+    s, v = optimum_exact(Modular(w))
+    bs, bv = brute_force_opt(Modular(w))
+    assert v == pytest.approx(bv, abs=1e-9) and s == bs
     with pytest.raises(TypeError):
-        from noisysubmax.setfn import Modular
-        optimum_exact(Modular(weights=(1.0,)))
+        Modular(w, 1.0)
 
 
 def test_optimum_exact_matches_brute_force():

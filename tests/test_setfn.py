@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +8,7 @@ from noisysubmax import setfn
 from noisysubmax.matroids import UniformMatroid
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import ElementSet, GroundSet
+from noisysubmax.sets import ElementSet, GroundSet, all_mask_rows
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, brute_force_opt,
                                check_submodular, evaluate, evaluate_mask,
@@ -18,10 +20,9 @@ from reference import (byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
 
 
 def naive_value(spec, members):
+    # `Modular` is a WAQ with cost 0
     if isinstance(spec, WeightedAdditiveQuadratic):
         return sum(spec.weights[i] for i in members) - spec.cost * len(members) ** 2
-    if isinstance(spec, Modular):
-        return sum(spec.weights[i] for i in members)
     if isinstance(spec, Coverage):
         covered = set()
         for i in members:
@@ -172,6 +173,13 @@ def test_cut_rejects_edge_outside_vertices():
     for edge in ((0, 7, 1.0), (3, 0, 1.0), (-1, 1, 1.0)):
         with pytest.raises(ValueError):
             CutFunction(3, (edge,))
+
+
+def test_cut_vertex_count_must_be_an_integer():
+    with pytest.raises(TypeError):
+        CutFunction(3.0, ())
+    n = CutFunction(np.int64(3), ((0, 2, 1.0),)).n_vertices
+    assert type(n) is int and n == 3
 
 
 def test_coverage_rejects_item_outside_weights():
@@ -328,8 +336,6 @@ def value_by_bit_loop(spec, mask):
     if isinstance(spec, WeightedAdditiveQuadratic):
         k = mask.bit_count()
         return weight_sum_by_bit_loop(mask, spec.weights) - spec.cost * k * k
-    if isinstance(spec, Modular):
-        return weight_sum_by_bit_loop(mask, spec.weights)
     if isinstance(spec, CutFunction):
         return weight_sum_by_bit_loop(cut_crossing_by_edge_loop(spec, mask),
                                       [w for _, _, w in spec.edges])
@@ -416,6 +422,24 @@ def test_cut_value_masks_chunk_boundary_at_default_size():
             mp.setattr(setfn, "_SUM_CHUNK_CELLS", len(rows) * width)
             whole = spec.value_masks(rows)
         assert spec.value_masks(rows).tobytes() == whole.tobytes()
+
+
+def test_batch_memory_stays_within_one_chunk():
+    # a batch packs, combines and sums one chunk of rows at a time, so over
+    # all 2^16 rows its peak beyond the 512 KiB of sums stays under 512 KiB
+    # (about 276 KiB); combining the whole batch first took 1.6 MiB on this
+    # cut (15 edge bytes) and 2.9 MiB on this coverage (25 item bytes)
+    rng = np.random.default_rng(23)
+    rows = all_mask_rows(16)
+    for spec in (random_cut(16, rng, 1.0), random_coverage(16, rng, items=200)):
+        spec.value_masks(rows[:1])  # build the tables outside the trace
+        tracemalloc.start()
+        try:
+            spec.value_masks(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * len(rows) < 512 * 1024, type(spec).__name__
 
 
 # `evaluate_masks` (each family's numpy batch) must equal `value_mask` of

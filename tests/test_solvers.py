@@ -102,6 +102,21 @@ def test_mcg_config_validation():
     MeasuredContinuousGreedy(step=0.05)
 
 
+def test_mcg_partial_samples_must_be_an_integer():
+    with pytest.raises(TypeError):
+        MeasuredContinuousGreedy(step=0.1, partial_samples=2.0)
+    samples = MeasuredContinuousGreedy(step=0.1, partial_samples=np.int64(4)).partial_samples
+    assert type(samples) is int and samples == 4
+
+
+def test_random_subset_size_must_be_an_integer():
+    # a float size once kept every element: 2.5 never equals a count
+    with pytest.raises(TypeError):
+        RandomSubset(2.5)
+    size = RandomSubset(np.int64(3)).size
+    assert type(size) is int and size == 3
+
+
 def test_mcg_modular_concentrates_on_top_r():
     # direction weights are (1 - x_i) w_i, so the top-r set stays selected
     # for the whole unit horizon iff min selected w > e * max unselected w
