@@ -13,7 +13,7 @@ from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
                     sample_multipliers)
 from .random_instances import (random_coverage, random_cut, random_submodular,
                                random_waq)
-from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_members
+from .sets import ElementSet, GroundSet, all_k_subset_masks, all_mask_rows, mask_members
 from .setfn import CHECK_TOL, table_is_submodular, value_table
 
 
@@ -252,6 +252,47 @@ def check_noise_properties(seed: int = 0) -> CheckResult:
     if abs(corr) > 3.0 / np.sqrt(pairs):
         ok = False
         details.append(f"correlation {corr:.4f}")
+    # single-bit neighbours S and S ∪ {e}, the sets double greedy compares,
+    # `per` pairs for each e of the widest ground set of one 128-bit chunk:
+    # the correlation of their multipliers over all pairs within 3 standard
+    # errors of 0, and the sum over e of per * r_e^2, chi-square with `wide`
+    # degrees of freedom, within 3 standard deviations of its mean
+    per, wide = 200, 128
+    neighbours = PersistentNoisyOracle(random_waq(wide, rng), NoiseSpec(Gaussian(0.1)),
+                                       master_seed=int(rng.integers(2**63)))
+    without = rng.random((per * wide, wide)) < 0.5
+    element = (np.arange(per * wide), np.repeat(np.arange(wide), per))
+    without[element] = False
+    with_e = without.copy()
+    with_e[element] = True
+    xi = np.array([neighbours.noise.multipliers(*neighbours.uniforms(rows))
+                   for rows in (without, with_e)])
+    corr = float(np.corrcoef(xi)[0, 1])
+    if abs(corr) > 3.0 / np.sqrt(per * wide):
+        ok = False
+        details.append(f"neighbour correlation {corr:.4f}")
+    centred = xi.reshape(2, wide, per) - xi.reshape(2, wide, per).mean(axis=2, keepdims=True)
+    r = np.sum(centred[0] * centred[1], axis=1) / np.sqrt(
+        np.sum(centred[0] ** 2, axis=1) * np.sum(centred[1] ** 2, axis=1))
+    chi2 = float(per * np.sum(r * r))
+    if chi2 > wide + 3.0 * np.sqrt(2.0 * wide):
+        ok = False
+        details.append(f"neighbour chi-square {chi2:.1f}, largest |r| at element "
+                       f"{int(np.argmax(np.abs(r)))}")
+    # uniformity of both uniforms over the consecutive masks 0..2^n - 1: each
+    # mean within 3 standard errors of 1/2, and a chi-square over 64 equal
+    # bins within 3 standard deviations of its mean, 63
+    uniforms = oracle.uniforms(all_mask_rows(n))
+    size, bins = 1 << n, 64
+    for name, u in zip(("u_open", "u_half"), uniforms):
+        if abs(u.mean() - 0.5) > 3.0 * np.sqrt(1.0 / 12.0 / size):
+            ok = False
+            details.append(f"{name} mean {u.mean():.5f}")
+        counts = np.bincount(np.minimum((u * bins).astype(np.int64), bins - 1), minlength=bins)
+        chi2 = float(np.sum((counts - size / bins) ** 2) / (size / bins))
+        if chi2 > (bins - 1) + 3.0 * np.sqrt(2.0 * (bins - 1)):
+            ok = False
+            details.append(f"{name} chi-square {chi2:.1f}")
     # unbiasedness over fresh master seeds
     seeds = 100_000
     mask = int(rng.integers(1, 1 << n))

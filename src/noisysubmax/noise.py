@@ -1,20 +1,31 @@
 """Persistent multiplicative noise: f-tilde(S) = xi_S * f(S).
 
 Persistence comes from keyed derivation, not memoization: the multiplier
-for a set is a pure function of (master seed, canonical set bits), derived
-by hashing the bits into uniform variates.  Each oracle keys one BLAKE2b
-hasher with its master seed once, and every query hashes its mask on a
-copy of it, so the key block is not absorbed again per query.  There is no
-memo table: memory stays flat across millions of distinct queries.
+for a set is a pure function of (master seed, set bits), derived by mixing
+the bits into uniform variates.  There is no memo table: memory stays flat
+across millions of distinct queries.
 
-A batch of sets (`value_masks`) hashes the same bytes on the same keyed
-hasher and maps the digests through `NoiseSpec.multipliers`, the array
-form of `NoiseSpec.multiplier`, so each of its values equals `value_mask`
-of that set bit for bit.
+The mixer is a keyed counter-based generator in the manner of SplitMix
+(Steele et al. 2014) and of Salmon et al. 2011.  `_mix` is a bijection of
+128-bit integers: a xorshift by 64, a multiply mod 2^128 by an odd
+constant, a xorshift, a multiply by a second constant, a xorshift.  Each
+oracle derives its 128-bit key once, `_mix(_KEY_BASE ^ master_seed)`.  A
+set's mask is read as 128-bit little-endian chunks, up to its highest
+nonzero chunk (at least one): the key is XORed into the lowest chunk, each
+higher chunk is XORed into the mix of the state below it, and the state is
+mixed once more.  So a multiplier depends on the seed and the set alone,
+not on the size of the ground set.  The low 53 bits of the result give
+u_open in (0, 1], its top 53 bits u_half in [0, 1).
+
+`multiplier_mask` runs the mixer in Python ints.  A batch of sets
+(`value_masks`) runs it in numpy on the packed rows viewed as (low, high)
+uint64 halves, with each 128-bit multiply done through 32-bit limbs, and
+maps the uniforms through `NoiseSpec.multipliers`, the array form of
+`NoiseSpec.multiplier`, so each of its values equals `value_mask` of that
+set bit for bit.
 """
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -24,13 +35,58 @@ from typing import Union
 
 import numpy as np
 
-from .oracles import ValueOracle, check_rows, mask_error
-from .sets import GroundSet
+from .oracles import ValueOracle, check_rows
+from .sets import GroundSet, mask_error
 from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
 _MASK_53 = (1 << 53) - 1
+_MASK_128 = (1 << 128) - 1
+# the mixer's two odd multipliers, and the value XORed with a master seed to
+# give the input of its key
+_MUL_1 = 0x2360ED051FC65DA44385DF649FCCF645
+_MUL_2 = 0x5851F42D4C957F2D14057B7EF767814F
+_KEY_BASE = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def _mix(h: int) -> int:
+    """The mixer on a 128-bit integer, a bijection that maps 0 to 0."""
+    h ^= h >> 64
+    h = h * _MUL_1 & _MASK_128
+    h ^= h >> 64
+    h = h * _MUL_2 & _MASK_128
+    return h ^ h >> 64
+
+
+_U64 = np.uint64
+_LOW_32 = _U64(0xFFFFFFFF)
+_SHIFT_32 = _U64(32)
+# each multiplier as uint64 words: the low and high halves, and the two
+# 32-bit limbs of the low half
+_MUL_WORDS = tuple(tuple(_U64(word) for word in (mul & (1 << 64) - 1, mul >> 64,
+                                                  mul & 0xFFFFFFFF, mul >> 32 & 0xFFFFFFFF))
+                   for mul in (_MUL_1, _MUL_2))
+
+
+def _mul_rows(low: np.ndarray, high: np.ndarray, words) -> tuple[np.ndarray, np.ndarray]:
+    """(low, high) times a multiplier's `words`, mod 2^128, on uint64
+    halves.  uint64 products wrap mod 2^64, which gives the low half and
+    the cross terms; the high 64 bits of low times the multiplier's low
+    half come from their 32-bit limbs."""
+    m_low, m_high, m0, m1 = words
+    a0, a1 = low & _LOW_32, low >> _SHIFT_32
+    p00, p01, p10 = a0 * m0, a0 * m1, a1 * m0
+    mid = (p00 >> _SHIFT_32) + (p01 & _LOW_32) + (p10 & _LOW_32)
+    carry = a1 * m1 + (p01 >> _SHIFT_32) + (p10 >> _SHIFT_32) + (mid >> _SHIFT_32)
+    return low * m_low, carry + low * m_high + high * m_low
+
+
+def _mix_rows(low: np.ndarray, high: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_mix` on arrays of (low, high) uint64 halves."""
+    for words in _MUL_WORDS:
+        low, high = _mul_rows(low ^ high, high, words)
+    return low ^ high, high
 
 
 class _MappedInMath:
@@ -166,8 +222,8 @@ class PersistentNoisyOracle(ValueOracle):
     """f-tilde(S) = xi_S * f(S) with unbiased, per-set-independent,
     query-persistent multipliers keyed by (master_seed, set bits).
 
-    The master seed is the 8-byte hash key, so it must be an integer in
-    [0, 2^64); a float seed raises TypeError rather than being truncated.
+    The master seed keys the mixer, so it must be an integer in [0, 2^64);
+    a float seed raises TypeError rather than being truncated.
     """
 
     def __init__(self, base: SetFunctionSpec, noise: NoiseSpec, master_seed: int):
@@ -178,49 +234,55 @@ class PersistentNoisyOracle(ValueOracle):
             raise ValueError(f"master seed {self.master_seed} outside [0, 2^64)")
         self.ground = GroundSet(base.n)
         self._n = self.ground.n
-        self._width = (self._n + 7) // 8
-        # keyed once; each query hashes its mask on a copy
-        self._hasher = hashlib.blake2b(
-            digest_size=16, key=self.master_seed.to_bytes(8, "little"))
-        self._multiplier = noise.multiplier
-
-    def __reduce__(self):
-        # a hasher cannot be pickled or deep-copied; rebuild the oracle
-        return (type(self), (self.base, self.noise, self.master_seed))
+        # `mask >> self._low_bits` is nonzero for a mask outside the ground
+        # set and for one past its first 128-bit chunk: one test on every
+        # query finds both
+        self._low_bits = min(self._n, 128)
+        self._key = _mix(_KEY_BASE ^ self.master_seed)
+        # without clamping, NoiseSpec.multiplier is the distribution's draw;
+        # calling the draw directly saves a call on every query
+        self._multiplier = noise.multiplier if noise.clamp_negative else noise.distribution.draw
 
     def multiplier_mask(self, mask: int) -> float:
-        if mask >> self._n:
-            raise mask_error(mask, self._n)
-        hasher = self._hasher.copy()
-        hasher.update(mask.to_bytes(self._width, "little"))
-        bits = int.from_bytes(hasher.digest(), "little")
-        u_open = ((bits & _MASK_53) + 1) * _INV_2_53
-        u_half = ((bits >> 53) & _MASK_53) * _INV_2_53
-        return self._multiplier(u_open, u_half)
+        h = self._key ^ mask
+        if mask >> self._low_bits:
+            if mask >> self._n:
+                raise mask_error(mask, self._n)
+            while h >> 128:  # a higher chunk takes the mix of the state below it
+                h = _mix(h & _MASK_128) ^ h >> 128
+        h = _mix(h)
+        return self._multiplier(((h & _MASK_53) + 1) * _INV_2_53, (h >> 75) * _INV_2_53)
 
     def value_mask(self, mask: int) -> float:
-        # multiplier_mask rejects a mask outside the ground set before the
-        # set function sees it
+        # multiplier_mask rejects a mask outside the ground set first
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)
+
+    def uniforms(self, rows) -> tuple[np.ndarray, np.ndarray]:
+        """The (u_open, u_half) arrays of the sets given by the rows of a
+        (k, n) boolean membership matrix, each pair equal to the one
+        `multiplier_mask` maps for that set."""
+        rows = check_rows(rows, self._n)
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        width = packed.shape[1]
+        chunks = -(-width // 16)
+        raw = np.zeros((len(rows), 16 * chunks), dtype=np.uint8)
+        raw[:, :width] = packed
+        # chunk c of a row as its (low, high) little-endian uint64 halves
+        words = raw.view("<u8").reshape(len(rows), chunks, 2)
+        low = words[:, 0, 0] ^ _U64(self._key & (1 << 64) - 1)
+        high = words[:, 0, 1] ^ _U64(self._key >> 64)
+        if chunks > 1:
+            # more[:, c - 1]: the row has a nonzero chunk at c or above
+            nonzero = np.any(words[:, :0:-1] != 0, axis=2)
+            more = np.logical_or.accumulate(nonzero, axis=1)[:, ::-1]
+            for c in range(1, chunks):
+                mixed_low, mixed_high = _mix_rows(low, high)
+                low = np.where(more[:, c - 1], mixed_low ^ words[:, c, 0], low)
+                high = np.where(more[:, c - 1], mixed_high ^ words[:, c, 1], high)
+        low, high = _mix_rows(low, high)
+        # the 53-bit fields and their conversion to float are exact
+        return ((low & _U64(_MASK_53)) + _U64(1)) * _INV_2_53, (high >> _U64(11)) * _INV_2_53
 
     def value_masks(self, rows) -> np.ndarray:
         rows = check_rows(rows, self._n)
-        # each packed row is the bytes of mask.to_bytes(width, "little")
-        packed = np.packbits(rows, axis=1, bitorder="little").tobytes()
-        width, copy = self._width, self._hasher.copy
-
-        def digest(data: bytes) -> bytes:
-            hasher = copy()
-            hasher.update(data)
-            return hasher.digest()
-
-        digests = b"".join([digest(packed[i: i + width])
-                            for i in range(0, len(packed), width)])
-        # the 128-bit little-endian digest as (low, high) 64-bit words; the
-        # 53-bit fields and their conversion to float are exact
-        words = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
-        low, high = words[:, 0], words[:, 1]
-        u_open = ((low & np.uint64(_MASK_53)) + np.uint64(1)) * _INV_2_53
-        u_half = ((low >> np.uint64(53))
-                  | ((high & np.uint64((1 << 42) - 1)) << np.uint64(11))) * _INV_2_53
-        return self.noise.multipliers(u_open, u_half) * evaluate_masks(self.base, rows)
+        return self.noise.multipliers(*self.uniforms(rows)) * evaluate_masks(self.base, rows)

@@ -8,13 +8,6 @@ from .sets import ElementSet, GroundSet, row_masks
 from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
 
 
-def mask_error(mask: int, n: int) -> ValueError:
-    """The error for a mask that is negative or has a bit at n or above.
-    Callers test `mask >> n` inline, since it is on every query: it is
-    nonzero exactly for such masks (a negative mask shifts to -1 or less)."""
-    return ValueError(f"mask {mask:#x} is not a subset of a ground set of size {n}")
-
-
 def check_rows(rows, n: int) -> np.ndarray:
     """A (k, n) boolean membership matrix, or ValueError.  Integer rows
     are accepted when every entry is 0 or 1; any other entry (a 0.5, a 2)
@@ -60,8 +53,7 @@ class ExactOracle(ValueOracle):
         self._n = spec.n
 
     def value_mask(self, mask: int) -> float:
-        if mask >> self._n:
-            raise mask_error(mask, self._n)
+        # evaluate_mask rejects a mask outside the ground set
         return evaluate_mask(self.spec, mask)
 
     def value_masks(self, rows) -> np.ndarray:

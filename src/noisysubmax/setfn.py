@@ -14,7 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, all_mask_rows
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_error
 
 SUBMODULARITY_BUDGET = 14
 MULTILINEAR_BUDGET = 20
@@ -132,7 +132,7 @@ class WeightedAdditiveQuadratic:
         _check_size(self.n)
         _check_finite("weights and cost", (*self.weights, self.cost))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.weights)
 
@@ -231,7 +231,7 @@ class Coverage(_IncidenceSum):
                 raise ValueError(f"cover {c:#x} names an item outside [0, {len(self.item_weights)})")
         _check_finite("item weights", self.item_weights)
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.covers)
 
@@ -261,7 +261,7 @@ class CutFunction(_IncidenceSum):
                 raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
         _check_finite("edge weights", (w for _, _, w in self.edges))
 
-    @property
+    @cached_property
     def n(self) -> int:
         return self.n_vertices
 
@@ -281,7 +281,11 @@ SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction]
 
 
 def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
-    """Closed-form value of the subset given by `mask`."""
+    """Closed-form value of the subset given by `mask`; ValueError for a
+    mask that is negative or has a bit at n or above.  Each family caches
+    its `n`, so the check costs an attribute read and a shift."""
+    if mask >> spec.n:
+        raise mask_error(mask, spec.n)
     return spec.value_mask(mask)
 
 

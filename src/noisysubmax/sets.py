@@ -84,6 +84,13 @@ class ElementSet:
             raise ValueError("element sets over different ground sets")
 
 
+def mask_error(mask: int, n: int) -> ValueError:
+    """The error for a mask that is negative or has a bit at n or above.
+    Callers test `mask >> n` inline, since it is on every query: it is
+    nonzero exactly for such masks (a negative mask shifts to -1 or less)."""
+    return ValueError(f"mask {mask:#x} is not a subset of a ground set of size {n}")
+
+
 # The positions of the set bits of each byte value, from the low bit.
 BYTE_BITS = tuple(tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256))
 

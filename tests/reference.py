@@ -5,16 +5,18 @@ derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
 the per-byte weight-sum tables, the coverage and cut generators with one
 scalar draw per decision, the noise multipliers drawn one at a time, the
-cut's crossing edges found edge by edge, the set-bit walk and the matroid
-scans as per-bit and per-element loops, and the appendix lemmas checked
-one (S, A) pair at a time."""
+noise stream's multiplier of one set mixed chunk by chunk, the cut's
+crossing edges found edge by edge, the set-bit walk and the matroid scans
+as per-bit and per-element loops, and the appendix lemmas checked one
+(S, A) pair at a time."""
+import math
 from math import comb
 
 import numpy as np
 
 from noisysubmax.oracles import ExactOracle, ValueOracle
 from noisysubmax.sets import ElementSet, all_k_subset_masks, mask_members
-from noisysubmax.noise import NoiseSpec
+from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec
 from noisysubmax.setfn import CHECK_TOL, Coverage, CutFunction, _check_point, multilinear_exact
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
@@ -160,6 +162,49 @@ def multipliers_by_scalar_draws(spec: NoiseSpec, stream: np.random.Generator,
         u1, u2 = stream.random(2)
         out.append(spec.multiplier(1.0 - u1, u2))
     return np.array(out, dtype=np.float64)
+
+
+# The noise stream, written out apart from noise.py: the mixer's constants,
+# 128-bit chunks cut from the mask's bytes, the mixer's rounds as a loop,
+# each distribution's transform with its constants computed inline.
+STREAM_MULTIPLIERS = (0x2360ED051FC65DA44385DF649FCCF645, 0x5851F42D4C957F2D14057B7EF767814F)
+STREAM_KEY_BASE = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def stream_mix(h: int) -> int:
+    for mul in STREAM_MULTIPLIERS:
+        h ^= h >> 64
+        h = h * mul % 2 ** 128
+    return h ^ h >> 64
+
+
+def stream_uniforms(master_seed: int, mask: int) -> tuple[float, float]:
+    """(u_open, u_half) of one set: the key mixed from the seed, XORed into
+    the lowest chunk; each further chunk, up to the highest nonzero one,
+    XORed into the mix of the state before it; a last mix."""
+    size = 16 * max(1, -(-mask.bit_length() // 128))
+    raw = mask.to_bytes(size, "little")
+    chunks = [int.from_bytes(raw[i: i + 16], "little") for i in range(0, size, 16)]
+    state = stream_mix(STREAM_KEY_BASE ^ master_seed) ^ chunks[0]
+    for chunk in chunks[1:]:
+        state = stream_mix(state) ^ chunk
+    bits = stream_mix(state)
+    return (bits % 2 ** 53 + 1) / 2 ** 53, (bits >> 75) / 2 ** 53
+
+
+def draw_inline(dist, u_open: float, u_half: float) -> float:
+    if isinstance(dist, Gaussian):
+        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(2.0 * math.pi * u_half)
+        return 1.0 + math.sqrt(dist.sigma2) * z
+    if isinstance(dist, BoundedUniform):
+        return 1.0 - dist.halfwidth + 2.0 * dist.halfwidth * u_half
+    return 1.0 - 1.0 / dist.rate - math.log(u_open) / dist.rate
+
+
+def multiplier_by_chunk_loop(noise: NoiseSpec, master_seed: int, mask: int) -> float:
+    """`PersistentNoisyOracle.multiplier_mask` from `stream_uniforms`."""
+    xi = draw_inline(noise.distribution, *stream_uniforms(master_seed, mask))
+    return 0.0 if noise.clamp_negative and xi < 0.0 else xi
 
 
 def mask_members_by_low_bit(mask: int) -> list[int]:

@@ -36,7 +36,7 @@ from noisysubmax.surrogate import ParamBudget, compute_parameters
 from reference import exact_surrogate
 
 SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
-SIMULATE_SHA256 = "428ab659f1e172b3ab0bb368dafa82762a7cffd2ebd63879e5a4dfdef3faac0d"
+SIMULATE_SHA256 = "2079a3f5dba48e1d55ee0f2582bca56dae61e1e6ea833f12f7358aa514410dc2"
 
 
 def test_simulate_csv_digest(tmp_path):
@@ -68,12 +68,12 @@ DISTRIBUTIONS = {
     "shifted_exponential": ShiftedExponential(0.5),
 }
 MULTIPLIER_SHA256 = {
-    ("bounded_uniform", False): "f6597ca9e7edb73e0307885b44efbba95e306c67bbe5430ec47450390df950c5",
-    ("bounded_uniform", True): "1c8b2138f201d447cb197458a6d179cc031dab1d9d06a47427644a56ad1c758d",
-    ("gaussian", False): "b6d6fad36a2d5120964c85f9aa2d3052008c1f24d82169c0e2cd92de00db4cd4",
-    ("gaussian", True): "c33868073f74ef06f75f3540c51f9fae8923360e24bf99dfdb99c3c59d38fd11",
-    ("shifted_exponential", False): "a4798d7a0b84a3fd416beae069709755c8f4de5546144ece83b9a211975e6df3",
-    ("shifted_exponential", True): "8e0db453a5cd7c222086c50892996f3a609e96f8215bf11bd00319666c865e34",
+    ("bounded_uniform", False): "6b917b197cf447d947587a4f06ac154c1dab75d8324422999bade1245b1bed9b",
+    ("bounded_uniform", True): "1deafff3b45e595c23f9913688822faa977c0518e99c98d55d187505b5f90f0c",
+    ("gaussian", False): "72279b51cfe5bad21cbc860c019ccf04f967794eb76f2c6061bd9ab7ca067694",
+    ("gaussian", True): "30506fbc3e876dd9da8778e33c55fac7d43090435d1b8db8d0eab48f8f510c3c",
+    ("shifted_exponential", False): "088e4fb8aa07444a3289d715fddc9409860f94bd250a337427cf1544b7ac37c1",
+    ("shifted_exponential", True): "df8728d3a25639440597342eb9f55bcf4912466dd04117f962ed3b719c10be18",
 }
 
 
@@ -99,12 +99,12 @@ SOLVER_CONFIGS = (
 # SOLVER_CONFIGS on the exact oracle, then meta_solve and best_of_T on the
 # noisy oracle.
 SOLUTION_MASKS = {
-    "coverage/uniform": (0xD41, 0x01F, 0x944, 0xA90, 0x704, 0xD04, 0x01D),
-    "coverage/partition": (0xC49, 0x313, 0x914, 0x98C, 0x606, 0x82A, 0x314),
-    "coverage/contracted": (0xC08, 0x302, 0x108, 0x908, 0x302, 0x402, 0x204),
-    "cut/uniform": (0x83A, 0x29A, 0x81A, 0x109, 0x10E, 0x102, 0x04B),
-    "cut/partition": (0xA1A, 0x94C, 0xC19, 0x919, 0x911, 0x80A, 0x21C),
-    "cut/contracted": (0xC02, 0x304, 0x108, 0x904, 0x308, 0x208, 0x204),
+    "coverage/uniform": (0xD41, 0x01F, 0x944, 0xA90, 0x704, 0x524, 0x069),
+    "coverage/partition": (0xC49, 0x313, 0x914, 0x98C, 0x606, 0x88A, 0x503),
+    "coverage/contracted": (0xC08, 0x302, 0x108, 0x908, 0x302, 0x802, 0x300),
+    "cut/uniform": (0x83A, 0x29A, 0x81A, 0x109, 0x10E, 0x09A, 0x10B),
+    "cut/partition": (0xA1A, 0x94C, 0xC19, 0x919, 0x911, 0x802, 0x503),
+    "cut/contracted": (0xC02, 0x304, 0x108, 0x904, 0x308, 0x202, 0x300),
 }
 
 
@@ -192,13 +192,13 @@ def test_mcg_point_digest():
 # about 200 edges.
 MIX40_SOLUTIONS = {
     0: {"greedy": (0x0014490140, "0x1.8ca2059d0025cp+6"),
-        "meta": (0x4010031220, "0x1.59e357ef66ea1p+6"),
+        "meta": (0x0040034086, "0x1.6bfa3eabe579cp+6"),
         "pipage": (0x41914222A2, "0x1.928859be3aad7p+6"),
-        "best_of_T": (0x0506071004, "0x1.50e4bf15607eep+6")},
+        "best_of_T": (0x050903100A, "0x1.64986698068d7p+6")},
     1: {"greedy": (0x0180220C28, "0x1.867eda6172101p+6"),
-        "meta": (0x0B00020080, "0x1.48b37e6f8968cp+6"),
+        "meta": (0x29800A0014, "0x1.6d3311c5209a1p+6"),
         "pipage": (0x2142288511, "0x1.794e175b78bd5p+6"),
-        "best_of_T": (0x0106600306, "0x1.5abd6a301ceb0p+6")},
+        "best_of_T": (0x3003020807, "0x1.19704f1b6db73p+6")},
 }
 
 
@@ -233,12 +233,12 @@ def test_constrained_mix_n40_solutions():
 # of the fractional point mcg returns on that run's surrogate over the
 # contracted matroid, before rounding.
 META_MCG = {
-    "coverage/uniform": (0xC14, "32e708a9e086d1aa6d71dae2ababd84e81a217ce9510b607698a970651631474"),
-    "coverage/partition": (0x50A, "fa524e7b508346e7ee2d8aa1274b51214d7dcb503b580e4d9a03c175eb067740"),
-    "coverage/contracted": (0x600, "b06248a8ca80233ccf3997d755f2ca44f268834c766976af4f1da4d4faf941d9"),
-    "cut/uniform": (0x144, "62f7bfdd3b478a1a91520cd6539003acbe7db582ba4953764e0058c8bbe7c11c"),
-    "cut/partition": (0x100, "c8e528897ce8e40e7e7820a2eaadb5b4fefe4d46e70862bf9dbe637e4e592d38"),
-    "cut/contracted": (0x108, "5fead0ffdf625efd629f960b5dde548d14601217d8ff643e28f05f30e7d3c10a"),
+    "coverage/uniform": (0xC0C, "3b6ce040889c35c3b70218defe19ad60d6a9d86acd8f36f3e1b2bf3c9b72f088"),
+    "coverage/partition": (0x902, "875de4b9e014ed86d8413d7b7ae0c7c47018b4972a840001679cc5f43d30247f"),
+    "coverage/contracted": (0xA00, "94c535b8607abb8daa3177345b9bd0e4d897ebd624c12a04c9a934e8c480db43"),
+    "cut/uniform": (0x806, "9e0b2c6cf3598f08f918fcad92f2b34d9c4830d7b9d96729a4fbf1101091d3ff"),
+    "cut/partition": (0x541, "fa660f0682f426b84282c1c05b7f15c68349b76511ed56704dc4f595c83613fd"),
+    "cut/contracted": (0x100, "dd64087a732242be32f2134e552f2bdc891c5bbbc4431d0f31cbd21349ac68ab"),
 }
 
 

@@ -1,5 +1,4 @@
 import copy
-import hashlib
 import math
 import pickle
 
@@ -14,7 +13,7 @@ from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from noisysubmax.sets import ElementSet, mask_rows
 from noisysubmax.setfn import Modular, evaluate
 
-from reference import multipliers_by_scalar_draws
+from reference import multiplier_by_chunk_loop, multipliers_by_scalar_draws, stream_uniforms
 
 
 def make_oracle(seed=0, n=10, sigma2=0.1):
@@ -168,27 +167,15 @@ def test_master_seeds_are_integers_and_never_truncated():
         assert o.value_mask(0b11) == PersistentNoisyOracle(spec, noise, int(seed)).value_mask(0b11)
 
 
-# The multiplier path must equal the construction it replaced bit for bit:
-# a BLAKE2b hash keyed per call, the 53-bit split, and each distribution's
-# transform with its constants computed inline.
+# The multiplier path must equal the stream written out chunk by chunk in
+# tests/reference.py, and each distribution's transform with its constants
+# computed inline.  Up to n=300 the masks span one to three 128-bit chunks.
 
-def former_draw(dist, u_open, u_half):
-    if isinstance(dist, Gaussian):
-        z = math.sqrt(-2.0 * math.log(u_open)) * math.cos(2.0 * math.pi * u_half)
-        return 1.0 + math.sqrt(dist.sigma2) * z
-    if isinstance(dist, BoundedUniform):
-        return 1.0 - dist.halfwidth + 2.0 * dist.halfwidth * u_half
-    return 1.0 - 1.0 / dist.rate - math.log(u_open) / dist.rate
-
-
-def multiplier_by_keyed_hash(noise, master_seed, n, mask):
-    digest = hashlib.blake2b(mask.to_bytes((n + 7) // 8, "little"), digest_size=16,
-                             key=master_seed.to_bytes(8, "little")).digest()
-    bits = int.from_bytes(digest, "little")
-    u_open = ((bits & ((1 << 53) - 1)) + 1) * 2.0 ** -53
-    u_half = ((bits >> 53) & ((1 << 53) - 1)) * 2.0 ** -53
-    xi = former_draw(noise.distribution, u_open, u_half)
-    return 0.0 if noise.clamp_negative and xi < 0.0 else xi
+def edge_masks(n):
+    """The empty and full sets, the last element alone, and every element
+    past the first chunk; the last two leave lower chunks zero."""
+    full = (1 << n) - 1
+    return [0, full, 1 << n - 1, full >> 128 << 128]
 
 
 distributions = st.one_of(
@@ -197,19 +184,39 @@ distributions = st.one_of(
     st.builds(ShiftedExponential, st.floats(0.1, 10.0)))
 
 
-@given(distributions, st.booleans(), st.integers(0, 2**64 - 1), st.integers(1, 100),
+@given(distributions, st.booleans(), st.integers(0, 2**64 - 1), st.integers(1, 300),
        st.data())
 @settings(max_examples=150, deadline=None)
 def test_multiplier_mask_matches_the_keyed_hash_reference(dist, clamp, seed, n, data):
     noise = NoiseSpec(dist, clamp_negative=clamp)
     oracle = PersistentNoisyOracle(Modular((1.0,) * n), noise, seed)
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
-    for mask in masks + [0, (1 << n) - 1]:
-        want = multiplier_by_keyed_hash(noise, seed, n, mask)
+    for mask in masks + edge_masks(n):
+        want = multiplier_by_chunk_loop(noise, seed, mask)
         assert oracle.multiplier_mask(mask).hex() == want.hex()
 
 
-# The noisy batch hashes packed rows and splits the digests in numpy; each
+@given(st.integers(0, 2**64 - 1), st.integers(1, 300), st.integers(0, 2**32))
+@settings(max_examples=50, deadline=None)
+def test_batch_uniforms_match_the_chunk_loop_reference(seed, n, data_seed):
+    rng = np.random.default_rng(data_seed)
+    oracle = PersistentNoisyOracle(Modular((1.0,) * n), NoiseSpec(Gaussian(0.1)), seed)
+    masks = [int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+             for _ in range(8)] + edge_masks(n)
+    u_open, u_half = oracle.uniforms(mask_rows(masks, n))
+    want = [stream_uniforms(seed, mask) for mask in masks]
+    assert list(zip(u_open.tolist(), u_half.tolist())) == want
+
+
+def test_multiplier_depends_on_the_set_not_on_the_ground_set_size():
+    noise = NoiseSpec(Gaussian(0.1))
+    for mask in (0, 0b1011, 1 << 60 | 1, (1 << 130) - 1):
+        values = {PersistentNoisyOracle(Modular((1.0,) * n), noise, 9).multiplier_mask(mask)
+                  for n in (mask.bit_length() or 1, 131, 200, 400)}
+        assert len(values) == 1
+
+
+# The noisy batch mixes packed rows and splits the results in numpy; each
 # value must equal `value_mask` of its row bit for bit, on every family's
 # numpy batch.
 
@@ -220,7 +227,7 @@ def batch_family(kind, n, rng):
 
 
 @given(distributions, st.booleans(), st.integers(0, 2**64 - 1),
-       st.sampled_from(["waq", "coverage", "cut", "modular"]), st.integers(1, 100),
+       st.sampled_from(["waq", "coverage", "cut", "modular"]), st.integers(1, 300),
        st.integers(0, 12), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
 def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed):
@@ -228,7 +235,7 @@ def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed)
     oracle = PersistentNoisyOracle(batch_family(kind, n, rng),
                                    NoiseSpec(dist, clamp_negative=clamp), seed)
     masks = [int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
-             for _ in range(k)] + [0, (1 << n) - 1]
+             for _ in range(k)] + edge_masks(n)
     got = oracle.value_masks(mask_rows(masks, n))
     assert got.shape == (len(masks),)
     assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]

@@ -148,6 +148,20 @@ def test_multilinear_partial_finite_difference():
         assert fd == pytest.approx(multilinear_partial_exact(spec, x, i), abs=1e-5)
 
 
+# evaluate_mask rejects a negative mask and a bit at n or above, also one
+# past the last mask byte, with one ValueError for every family.
+@pytest.mark.parametrize("mask", [1 << 10, (1 << 10) | 1, 1 << 15, 1 << 16, 1 << 100,
+                                  -1, -(1 << 70)])
+def test_evaluate_mask_rejects_masks_outside_the_ground_set(mask):
+    rng = np.random.default_rng(12)
+    specs = (random_waq(10, rng), Modular(tuple(rng.uniform(-2.0, 2.0, size=10).tolist())),
+             random_coverage(10, rng), random_cut(10, rng))
+    for spec in specs:
+        with pytest.raises(ValueError, match="ground set of size 10"):
+            evaluate_mask(spec, mask)
+        assert evaluate_mask(spec, (1 << 10) - 1) == spec.value_mask((1 << 10) - 1)
+
+
 def test_point_validation():
     spec = Modular(weights=(1.0, 1.0))
     with pytest.raises(ValueError):
