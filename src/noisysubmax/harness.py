@@ -24,6 +24,7 @@ from .sets import ElementSet, GroundSet, random_k_subset
 from .setfn import (WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified,
                     waq_cost)
 from .solvers import DoubleGreedy, double_greedy
+from .surrogate import check_surrogate_sizes
 
 RESAMPLE_LIMIT = 10_000
 
@@ -48,6 +49,11 @@ class ExperimentSpec:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 means available parallelism), "
                              f"got {self.workers}")
+        # the sizes every ours_m* run would reject, found before any trial runs
+        if self.h > self.n:
+            raise ValueError(f"h={self.h} exceeds the ground set size n={self.n}")
+        for m in self.m_values:
+            check_surrogate_sizes(self.h, self.t, m)
 
     @property
     def cost(self) -> float:

@@ -22,7 +22,7 @@ from .sets import ElementSet, GroundSet, mask_members
 # capacity.  A new class defines only its fields, its validation and
 # `groups()`; the base class derives independence (for one mask and for an
 # int64 or uint64 mask array, n <= 63), the elements an independent mask can
-# take, rank and the free elements from them.
+# take, the greedy scan, rank and the free elements from them.
 
 class Matroid:
     """Base class: independence, rank and free elements from `groups()`."""
@@ -60,6 +60,21 @@ class Matroid:
             if (mask & g).bit_count() < c:
                 room |= g
         return room & ~mask
+
+    def greedy_mask(self, order, limit: int | None = None) -> int:
+        """The matroid greedy scan: visit the elements of `order` and keep
+        each one that leaves the kept mask independent, until `limit` are
+        kept (no limit when None)."""
+        mask = kept = 0
+        room = self.addable_mask(mask)
+        for i in order:
+            if kept == limit:
+                break
+            if room >> i & 1:
+                mask |= 1 << i
+                kept += 1
+                room = self.addable_mask(mask)
+        return mask
 
     def indep_masks(self, masks: np.ndarray) -> np.ndarray:
         ok = (masks & self.free_mask) == masks
@@ -150,13 +165,7 @@ def is_independent(m: Matroid, s: ElementSet) -> bool:
 
 def arbitrary_basis(m: Matroid) -> ElementSet:
     """Deterministic basis: greedy by ascending element id."""
-    mask = 0
-    room = m.addable_mask(mask)
-    for i in range(m.ground.n):
-        if room >> i & 1:
-            mask |= 1 << i
-            room = m.addable_mask(mask)
-    return ElementSet(m.ground, mask)
+    return ElementSet(m.ground, m.greedy_mask(range(m.ground.n)))
 
 
 def max_weight_independent_set(m: Matroid, weights) -> ElementSet:
@@ -164,21 +173,18 @@ def max_weight_independent_set(m: Matroid, weights) -> ElementSet:
     element if it keeps independence and its weight is positive.
 
     Elements with weight <= 0 are never added; downward closure means
-    dropping them cannot hurt the total.
+    dropping them cannot hurt the total.  A NaN or infinite weight has no
+    place in that order and raises ValueError.
     """
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape != (m.ground.n,):
         raise ValueError(f"expected {m.ground.n} weights, got shape {weights.shape}")
-    order = sorted(range(m.ground.n), key=lambda i: (-weights[i], i))
-    mask = 0
-    room = m.addable_mask(mask)
-    for i in order:
-        if weights[i] <= 0:
-            break
-        if room >> i & 1:
-            mask |= 1 << i
-            room = m.addable_mask(mask)
-    return ElementSet(m.ground, mask)
+    if not np.isfinite(weights).all():
+        raise ValueError("weights must be finite")
+    # a stable sort of the negated weights breaks ties by id; the positive
+    # weights come first
+    order = np.argsort(-weights, kind="stable")[:np.count_nonzero(weights > 0)]
+    return ElementSet(m.ground, m.greedy_mask(order.tolist()))
 
 
 def contract(m: Matroid, pinned: ElementSet) -> ContractedMatroid:

@@ -261,7 +261,10 @@ class PersistentNoisyOracle(ValueOracle):
         """The (u_open, u_half) arrays of the sets given by the rows of a
         (k, n) boolean membership matrix, each pair equal to the one
         `multiplier_mask` maps for that set."""
-        rows = check_rows(rows, self._n)
+        return self._uniforms(check_rows(rows, self._n))
+
+    def _uniforms(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """`uniforms` of rows that `check_rows` has passed."""
         packed = np.packbits(rows, axis=1, bitorder="little")
         width = packed.shape[1]
         chunks = -(-width // 16)
@@ -285,4 +288,4 @@ class PersistentNoisyOracle(ValueOracle):
 
     def value_masks(self, rows) -> np.ndarray:
         rows = check_rows(rows, self._n)
-        return self.noise.multipliers(*self.uniforms(rows)) * evaluate_masks(self.base, rows)
+        return self.noise.multipliers(*self._uniforms(rows)) * evaluate_masks(self.base, rows)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import comb
+from itertools import combinations
 
 import numpy as np
 
@@ -103,44 +103,12 @@ def mask_members(mask: int) -> list[int]:
 
 
 def all_k_subset_masks(members: list[int], k: int):
-    """Yield the masks of all k-subsets of `members` in lexicographic rank order."""
-    n = len(members)
-    if k < 0 or k > n:
+    """Yield the masks of all k-subsets of `members` in lexicographic rank
+    order, the order of `itertools.combinations`; nothing for k < 0."""
+    if k < 0:
         return
-    idx = list(range(k))
-    while True:
-        mask = 0
-        for j in idx:
-            mask |= 1 << members[j]
-        yield mask
-        # advance the combination in lexicographic order
-        for pos in reversed(range(k)):
-            if idx[pos] != pos + n - k:
-                break
-        else:
-            return
-        idx[pos] += 1
-        for later in range(pos + 1, k):
-            idx[later] = idx[later - 1] + 1
-
-
-def unrank_k_subset_mask(rank: int, members: list[int], k: int) -> int:
-    """Mask of the rank-th k-subset of `members` in lexicographic order."""
-    n = len(members)
-    if not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} out of range for C({n},{k})")
-    mask = 0
-    pos = 0
-    for slot in range(k):
-        while True:
-            below = comb(n - pos - 1, k - slot - 1)
-            if rank < below:
-                break
-            rank -= below
-            pos += 1
-        mask |= 1 << members[pos]
-        pos += 1
-    return mask
+    for combo in combinations([1 << i for i in members], k):
+        yield sum(combo)
 
 
 def random_k_subset_mask(members: list[int], k: int, rng: np.random.Generator) -> int:

@@ -71,14 +71,8 @@ class RandomSubset:
         """Random-order matroid greedy: visit the free elements in a random
         order and keep each one that leaves the set independent, until
         `size` are kept; the result has min(size, rank) elements."""
-        mask = kept = 0
-        for i in rng.permutation(m.free_elements()):
-            if kept == self.size:
-                break
-            cand = mask | (1 << int(i))
-            if m.indep_mask(cand):
-                mask, kept = cand, kept + 1
-        return ElementSet(oracle.ground, mask)
+        order = rng.permutation(m.free_elements()).tolist()
+        return ElementSet(oracle.ground, m.greedy_mask(order, self.size))
 
 
 SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubset]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .noise import NoiseSpec
 from .oracles import ValueOracle, check_rows
-from .sets import ElementSet, mask_rows, random_k_subset_mask, unrank_k_subset_mask
+from .sets import ElementSet, all_k_subset_masks, mask_rows, random_k_subset_mask
 # `evaluate_mask` is not called here, but perfbench's tracer requires every
 # module on its list (setfn, noise, oracles, surrogate) to hold the name.
 from .setfn import _left_sum, evaluate_mask  # noqa: F401
@@ -34,7 +34,8 @@ def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
                                          rng: np.random.Generator) -> list[ElementSet]:
     """m pairwise-distinct t-subsets of H, uniform over m-subsets of H[t].
 
-    Dense regime (C(h,t) <= 4m): unrank a uniform m-subset of ranks.
+    Dense regime (C(h,t) <= 4m): a uniform m-subset of the ranks indexes
+    the enumeration of all t-subsets.
     Sparse regime: rejection sampling with a seen-set; each accept takes
     under 2 draws in expectation since m <= C(h,t)/4 there.
     """
@@ -43,8 +44,8 @@ def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
     if m > total:
         raise ValueError(f"cannot draw {m} distinct {t}-subsets, only C({len(members)},{t})={total}")
     if total <= 4 * m:
-        ranks = rng.choice(total, size=m, replace=False)
-        masks = [unrank_k_subset_mask(int(r), members, t) for r in ranks]
+        every = list(all_k_subset_masks(members, t))
+        masks = [every[r] for r in rng.choice(total, size=m, replace=False)]
     else:
         seen = set()
         masks = []

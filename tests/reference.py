@@ -7,8 +7,9 @@ the per-byte weight-sum tables, the coverage and cut generators with one
 scalar draw per decision, the noise multipliers drawn one at a time, the
 noise stream's multiplier of one set mixed chunk by chunk, the cut's
 crossing edges found edge by edge, the set-bit walk and the matroid scans
-as per-bit and per-element loops, and the appendix lemmas checked one
-(S, A) pair at a time."""
+as per-bit and per-element loops, the dense surrogate draw through a
+k-subset unranking, and the appendix lemmas checked one (S, A) pair at a
+time."""
 import math
 from math import comb
 
@@ -243,6 +244,47 @@ def max_weight_by_probes(m, weights) -> int:
         if m.indep_mask(mask | 1 << i):
             mask |= 1 << i
     return mask
+
+
+def random_subset_by_probes(m, size: int, rng: np.random.Generator) -> int:
+    """The mask of `solvers.RandomSubset(size).solve` with one `indep_mask`
+    probe per free element, in the order of one `rng.permutation`, until
+    `size` are kept."""
+    mask = kept = 0
+    for i in rng.permutation(m.free_elements()):
+        if kept == size:
+            break
+        if m.indep_mask(mask | 1 << int(i)):
+            mask, kept = mask | 1 << int(i), kept + 1
+    return mask
+
+
+def unrank_k_subset_mask(rank: int, members: list[int], k: int) -> int:
+    """Mask of the rank-th k-subset of `members` in lexicographic order,
+    counted slot by slot through binomial coefficients."""
+    n = len(members)
+    if not 0 <= rank < comb(n, k):
+        raise ValueError(f"rank {rank} out of range for C({n},{k})")
+    mask = 0
+    pos = 0
+    for slot in range(k):
+        while True:
+            below = comb(n - pos - 1, k - slot - 1)
+            if rank < below:
+                break
+            rank -= below
+            pos += 1
+        mask |= 1 << members[pos]
+        pos += 1
+    return mask
+
+
+def dense_draw_by_unrank(H: ElementSet, t: int, m: int, rng: np.random.Generator) -> list[int]:
+    """The masks of `surrogate.sample_t_subsets_without_replacement` in its
+    dense regime: a uniform m-subset of ranks, each unranked on its own."""
+    members = list(H)
+    ranks = rng.choice(comb(len(members), t), size=m, replace=False)
+    return [unrank_k_subset_mask(int(r), members, t) for r in ranks]
 
 
 def _submask_iter(mask: int):

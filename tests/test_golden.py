@@ -45,6 +45,20 @@ def test_simulate_csv_digest(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256
 
 
+# h=12 < n: the ours_m* runs smooth with 12 of the 20 elements and run double
+# greedy on the noisy surrogate of the other 8.  C(12, 3) = 220, so m=50 is
+# drawn by rejection and m=200 through the enumeration of every 3-subset.
+SMOOTHED_SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--h", "12", "--t", "3",
+                          "--seed", "0", "--workers", "1"]
+SMOOTHED_SIMULATE_SHA256 = "24b4372600612a197ec41df710718ceb4634af7515c7eba8e5284bae12e60d66"
+
+
+def test_simulate_csv_digest_with_a_smoothing_set_below_n(tmp_path):
+    out = tmp_path / "smoothed.csv"
+    assert main(SMOOTHED_SIMULATE_ARGS + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMOOTHED_SIMULATE_SHA256
+
+
 def test_simulate_csv_digest_under_spawn(tmp_path):
     # two pool workers that start from a fresh interpreter write the same bytes
     out = tmp_path / "spawn.csv"

@@ -22,15 +22,28 @@ def test_both_waq_generators_take_the_cost_from_waq_cost():
     for n in (1, 7, 50, 100):
         cost = waq_cost(n)
         assert cost == (20.0 / 2.0) / n
-        assert ExperimentSpec(n=n, trials=1).cost == cost
+        assert ExperimentSpec(n=n, trials=1, h=1, t=0, m_values=(1,)).cost == cost
         assert random_waq(n, np.random.default_rng(n)).cost == cost
 
 
 def test_negative_worker_counts_are_rejected():
-    ExperimentSpec(n=10, trials=1, workers=0)
+    ExperimentSpec(n=20, trials=1, workers=0)
     for workers in (-1, -3):
         with pytest.raises(ValueError, match="workers must be >= 0"):
-            ExperimentSpec(n=10, trials=1, workers=workers)
+            ExperimentSpec(n=20, trials=1, workers=workers)
+
+
+@pytest.mark.parametrize("sizes, message", [
+    (dict(n=10), "h=20 exceeds the ground set size n=10"),
+    (dict(n=20, h=6, t=6), "need 0 <= t < h"),
+    (dict(n=20, m_values=(50, 0)), "need m >= 1"),
+    (dict(n=20, h=5, t=2, m_values=(4, 11)), "m=11 exceeds C"),
+    (dict(n=20, h=0, t=1, m_values=(1,)), "degenerate surrogate"),
+])
+def test_spec_rejects_surrogate_sizes_when_built(sizes, message):
+    # before, these failed only inside a trial, after its other algorithms ran
+    with pytest.raises(ValueError, match=message):
+        ExperimentSpec(trials=2, workers=1, **sizes)
 
 
 def test_nonnegative_certified_matches_enumeration():

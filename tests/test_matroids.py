@@ -5,9 +5,13 @@ from hypothesis import given, settings, strategies as st
 from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid,
                                   UniformMatroid, arbitrary_basis, contract,
                                   is_independent, max_weight_independent_set)
+from noisysubmax.oracles import ExactOracle
+from noisysubmax.setfn import Modular
 from noisysubmax.sets import ElementSet, GroundSet
+from noisysubmax.solvers import RandomSubset
 
-from reference import addable_mask_by_probes, arbitrary_basis_by_probes, max_weight_by_probes
+from reference import (addable_mask_by_probes, arbitrary_basis_by_probes, max_weight_by_probes,
+                       random_subset_by_probes)
 
 
 def test_uniform_matroid():
@@ -126,6 +130,15 @@ def test_max_weight_independent_set():
         max_weight_independent_set(m, [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_max_weight_independent_set_rejects_non_finite_weights(bad):
+    # a NaN compares false both ways, so no descending order places it
+    m = UniformMatroid(GroundSet(3), 1)
+    for weights in ([bad, 1.0, 0.5], [1.0, 0.5, bad]):
+        with pytest.raises(ValueError, match="finite"):
+            max_weight_independent_set(m, weights)
+
+
 def test_group_capacities():
     g = GroundSet(6)
     assert UniformMatroid(g, 4).groups() == [(0b111111, 4)]
@@ -207,3 +220,17 @@ def test_addable_mask_equals_per_element_probes(case):
     weights = rng.normal(size=m.ground.n)
     weights[rng.random(m.ground.n) < 0.2] = 0.0
     assert max_weight_independent_set(m, weights).mask == max_weight_by_probes(m, weights)
+
+
+@given(matroids(), st.integers(0, 72), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_random_subset_equals_random_order_probes(case, size, seed):
+    m, _ = case
+    oracle = ExactOracle(Modular((1.0,) * m.ground.n))
+    rng = np.random.default_rng(seed)
+    got = RandomSubset(size).solve(oracle, m, rng)
+    want_rng = np.random.default_rng(seed)
+    assert got.mask == random_subset_by_probes(m, size, want_rng)
+    # the same permutation draw, so both leave the stream in one state
+    assert rng.random() == want_rng.random()
+    assert m.indep_mask(got.mask) and len(got) == min(size, m.rank())

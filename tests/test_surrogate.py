@@ -212,6 +212,24 @@ def test_sampling_without_replacement_distinct_and_exhaustive():
         sample_t_subsets_without_replacement(H, 2, 7, rng)
 
 
+@given(st.integers(1, 70), st.integers(0, 12), st.integers(0, 12), st.integers(1, 64),
+       st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_dense_draw_equals_the_unrank_path(n, h, t, m, seed):
+    # the dense regime, C(h, t) <= 4m: the drawn ranks index the k-subset
+    # enumeration, which gives the masks the old per-rank unranking gave
+    rng = np.random.default_rng(seed)
+    h = min(h, n)
+    t = min(t, h)
+    total = comb(h, t)
+    m = min(max(m, -(-total // 4)), total)
+    H = ElementSet(GroundSet(n), sum(1 << int(i) for i in rng.choice(n, size=h, replace=False)))
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_t_subsets_without_replacement(H, t, m, got_rng)
+    assert [s.mask for s in got] == reference.dense_draw_by_unrank(H, t, m, want_rng)
+    assert got_rng.random() == want_rng.random()
+
+
 def test_sampling_uniform_frequencies():
     rng = np.random.default_rng(4)
     g = GroundSet(6)
