@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -42,6 +43,13 @@ class ExperimentSpec:
     timing: bool = False
 
     def __post_init__(self):
+        for name in ("n", "trials", "h", "t", "workers"):
+            object.__setattr__(self, name, operator.index(getattr(self, name)))
+        m_values = tuple(operator.index(m) for m in self.m_values)
+        if len(set(m_values)) != len(m_values):
+            raise ValueError(f"m_values must be distinct, got {m_values}")
+        object.__setattr__(self, "m_values", m_values)
+        Gaussian(self.sigma2)  # rejects a NaN, infinite or negative variance
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
@@ -183,7 +191,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 
     Per-trial seeds derive from (master_seed, trial), so the result is
     identical for any worker count and any start method of the pool, and
-    the pool has no more workers than trials.
+    the pool has no more workers than trials.  Each trial is one pool task,
+    so no worker waits at the end while another runs a chunk of trials.
     """
     workers = min(spec.workers or os.cpu_count() or 1, spec.trials)
     result = ExperimentResult(spec)
@@ -193,7 +202,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     else:
         import multiprocessing as mp
         with mp.Pool(workers) as pool:
-            for recs in pool.map(_worker, [(spec, t) for t in range(spec.trials)],
-                                 chunksize=max(1, spec.trials // (8 * workers))):
+            for recs in pool.map(_worker, [(spec, t) for t in range(spec.trials)], chunksize=1):
                 result.records.extend(recs)
     return result

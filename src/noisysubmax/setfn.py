@@ -70,19 +70,31 @@ def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
 # with the chunk, not the batch (the float gather stays within 128 KiB).
 _SUM_CHUNK_CELLS = 1 << 14
 
+# A table of at most this many rows (8 weights each) gives its one-set sum
+# tuples of Python floats, whose reads allocate nothing; a larger one gives
+# memoryviews of its array, whose reads allocate a float each but which hold
+# no float objects (a tuple row takes about 8 KiB).  WAQs up to n=128 and
+# coverages up to 128 items read tuples; a cut of 200 edges (25 rows) reads
+# memoryviews, which keeps its memory at the array's 2 KiB per row.
+_TUPLE_ROWS = 16
+
 
 class _ByteTables:
     """The one summation order of the weights of a mask's set bits (WAQ,
     `Modular`, `Coverage`'s covered items, a cut's crossing edges):
     array[b, chunk] sums the weights of byte b's set bits in chunk from the
     low bit, and the entries add up from the low byte.  `tables` reads the
-    rows of the one array as memoryviews, which give Python floats (an
+    rows of the one array as tuples of Python floats up to `_TUPLE_ROWS`
+    rows, and as memoryviews above, which give Python floats too (an
     np.float64 would change the repr of a value)."""
 
     def __init__(self, weights: tuple[float, ...]):
         self.weights = weights
         self.array = _byte_subset_tables(np.array(weights, dtype=np.float64), np.add)
-        self.tables = tuple(memoryview(row) for row in self.array)
+        if len(self.array) <= _TUPLE_ROWS:
+            self.tables = tuple(tuple(row.tolist()) for row in self.array)
+        else:
+            self.tables = tuple(memoryview(row) for row in self.array)
 
     def __reduce__(self):
         # a memoryview cannot be pickled or deep-copied; rebuild the tables

@@ -46,6 +46,37 @@ def test_spec_rejects_surrogate_sizes_when_built(sizes, message):
         ExperimentSpec(trials=2, workers=1, **sizes)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n", 20.5), ("trials", 2.0), ("h", 4.0), ("t", 1.5), ("m_values", (2, 3.0)),
+    ("workers", 1.0),
+])
+def test_spec_rejects_non_integer_sizes(field, value):
+    sizes = dict(n=20, trials=2, h=4, t=1, m_values=(2, 3), workers=1)
+    with pytest.raises(TypeError):
+        ExperimentSpec(**{**sizes, field: value})
+
+
+def test_spec_takes_integer_sizes_as_ints():
+    spec = ExperimentSpec(n=np.int64(20), trials=np.int32(2), h=np.int64(4), t=np.int8(1),
+                          m_values=[np.int64(2), 3], workers=np.uint8(1))
+    assert spec == ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2, 3), workers=1)
+    assert all(type(v) is int for v in (spec.n, spec.trials, spec.h, spec.t, spec.workers,
+                                        *spec.m_values))
+
+
+def test_spec_rejects_repeated_m_values():
+    # each ours_m5 summary row would pool the records of both runs
+    with pytest.raises(ValueError, match="m_values must be distinct"):
+        ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2, 2), workers=1)
+
+
+@pytest.mark.parametrize("sigma2", [-0.1, float("nan"), float("inf")])
+def test_spec_rejects_a_bad_noise_variance(sigma2):
+    # before, the spec was built and every trial raised
+    with pytest.raises(ValueError, match="sigma2 must be finite and >= 0"):
+        ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2,), sigma2=sigma2, workers=1)
+
+
 def test_nonnegative_certified_matches_enumeration():
     rng = np.random.default_rng(0)
     for _ in range(30):
@@ -146,10 +177,12 @@ def test_determinism_across_worker_counts():
 
 
 class _SerialPool:
-    """A stand-in for multiprocessing.Pool that records its size and maps in
-    this process, so that a test of the pool size starts no process."""
+    """A stand-in for multiprocessing.Pool that records its size and chunk
+    sizes and maps in this process, so that a test of the pool size starts
+    no process."""
 
     sizes: list[int] = []
+    chunksizes: list[int] = []
 
     def __init__(self, processes):
         self.sizes.append(processes)
@@ -161,6 +194,7 @@ class _SerialPool:
         return False
 
     def map(self, fn, items, chunksize=1):
+        self.chunksizes.append(chunksize)
         return [fn(item) for item in items]
 
 
@@ -168,13 +202,16 @@ def test_pool_has_no_more_workers_than_trials(monkeypatch):
     import multiprocessing
     monkeypatch.setattr(multiprocessing, "Pool", _SerialPool)
     monkeypatch.setattr(_SerialPool, "sizes", [])
+    monkeypatch.setattr(_SerialPool, "chunksizes", [])
     base = dict(n=8, h=2, t=1, m_values=(1,), master_seed=3)
-    for trials, workers in ((2, 64), (3, 3), (5, 2)):
+    for trials, workers in ((2, 64), (3, 3), (5, 2), (40, 2)):
         run_experiment(ExperimentSpec(trials=trials, workers=workers, **base))
     # one trial or one worker runs serially, without a pool
     run_experiment(ExperimentSpec(trials=1, workers=8, **base))
     run_experiment(ExperimentSpec(trials=4, workers=1, **base))
-    assert _SerialPool.sizes == [2, 3, 2]
+    assert _SerialPool.sizes == [2, 3, 2, 2]
+    # each trial is one task, so no worker idles at the end behind a chunk
+    assert _SerialPool.chunksizes == [1, 1, 1, 1]
 
 
 def test_different_seeds_differ():

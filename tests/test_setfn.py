@@ -1,3 +1,5 @@
+import copy
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -390,15 +392,47 @@ def test_byte_table_families_match_a_bit_loop(case):
     assert got == [value_by_bit_loop(spec, m).hex() for m in masks]
 
 
-@given(st.lists(st.one_of(st.just(-0.0), st.floats(-5, 5, allow_nan=False)),
-                min_size=1, max_size=70))
+# Up to 8 * `_TUPLE_ROWS` = 128 weights the one-set rows are tuples, above
+# it memoryviews; the sizes reach both sides and the edge between them.
+_BYTE_TABLE_SIZES = st.one_of(st.integers(1, 70), st.sampled_from((127, 128, 129, 136)))
+
+
+@given(_BYTE_TABLE_SIZES.flatmap(lambda size: st.lists(
+    st.one_of(st.just(-0.0), st.floats(-5, 5, allow_nan=False)), min_size=size, max_size=size)))
 @settings(max_examples=200, deadline=None)
 def test_byte_sum_tables_match_a_bit_loop(weights):
     # Python floats with the same bits, -0.0 and a partial last byte included
     got = setfn._ByteTables(tuple(weights)).tables
     want = byte_sum_tables_by_bit_loop(tuple(weights))
+    row = tuple if len(weights) <= 8 * setfn._TUPLE_ROWS else memoryview
+    assert all(type(table) is row for table in got)
     assert all(type(v) is float for table in got for v in table)
     assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
+
+
+@pytest.mark.parametrize("size", [128, 129])
+def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
+    # a WAQ over `size` weights and a cut with `size` edges (a -0.0 weight
+    # and a self-loop among them) on each side of the tuple-row threshold
+    rng = np.random.default_rng(size)
+    weights = rng.uniform(-3.0, 3.0, size=size).tolist()
+    weights[5] = -0.0
+    ends = rng.integers(0, 40, size=(size, 2)).tolist()
+    ends[7] = [3, 3]
+    specs = (WeightedAdditiveQuadratic(tuple(weights), 0.01),
+             CutFunction(40, tuple((u, v, w) for (u, v), w in zip(ends, weights))))
+    row = tuple if size <= 8 * setfn._TUPLE_ROWS else memoryview
+    for spec in specs:
+        rows = rng.random((64, spec.n)) < 0.5
+        masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
+                 for r in rows]
+        want = [v.hex() for v in spec.value_masks(rows).tolist()]
+        assert [spec.value_mask(m).hex() for m in masks] == want
+        assert all(type(table) is row for table in spec._tables.tables)
+        for twin in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert all(type(table) is row for table in twin._tables.tables)
+            assert [twin.value_mask(m).hex() for m in masks] == want
+            assert [v.hex() for v in twin.value_masks(rows).tolist()] == want
 
 
 # `_ByteTables.sum_rows` gathers at most `_SUM_CHUNK_CELLS` rows x summed
