@@ -50,13 +50,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
     if inst.function is None:
-        print("instance file has no [function] section", file=sys.stderr)
-        return 2
+        raise ValueError("instance file has no [function] section")
     ground = GroundSet(inst.function.n)
     matroid = inst.matroid or UniformMatroid(ground, ground.n)
     if matroid.ground.n != ground.n:
-        print("matroid and function ground sets disagree", file=sys.stderr)
-        return 2
+        raise ValueError("matroid and function ground sets disagree")
     seed = args.seed if args.seed is not None else (inst.master_seed or 0)
     rng = np.random.default_rng(seed)
     if inst.noise is not None:
@@ -67,8 +65,7 @@ def _cmd_solve(args) -> int:
 
     if args.algorithm == "meta":
         if inst.noise is None:
-            print("meta requires a [noise] section in the instance", file=sys.stderr)
-            return 2
+            raise ValueError("meta requires a [noise] section in the instance")
         cfg = MetaConfig(h=args.h, t=args.t, m=args.m,
                          inner=INNER_SOLVERS[args.inner](), matroid=matroid)
         solution = meta_solve(oracle, cfg, rng)
@@ -167,8 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one subcommand.  A rejected input (ValueError) or an unreadable file
+    (OSError) ends in one stderr line and exit status 2, like a usage error."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from .matroids import UniformMatroid
 from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
-from .sets import ElementSet, GroundSet, random_k_subset
+from .sets import ElementSet, random_k_subset
 from .setfn import (WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified,
                     waq_cost)
 from .solvers import DoubleGreedy, double_greedy
@@ -43,7 +43,7 @@ class ExperimentSpec:
     timing: bool = False
 
     def __post_init__(self):
-        for name in ("n", "trials", "h", "t", "workers"):
+        for name in ("n", "trials", "h", "t", "master_seed", "workers"):
             object.__setattr__(self, name, operator.index(getattr(self, name)))
         m_values = tuple(operator.index(m) for m in self.m_values)
         if len(set(m_values)) != len(m_values):
@@ -54,6 +54,8 @@ class ExperimentSpec:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0 (0 means available parallelism), "
                              f"got {self.workers}")
@@ -76,7 +78,7 @@ class TrialRecord:
     seconds: float
 
 
-def generate_instance(spec: ExperimentSpec, trial: int, rng: np.random.Generator):
+def generate_instance(spec: ExperimentSpec, rng: np.random.Generator):
     """Fresh non-negative-certified instance and noise world for one trial."""
     for _ in range(RESAMPLE_LIMIT):
         weights = rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=spec.n)
@@ -91,20 +93,8 @@ def generate_instance(spec: ExperimentSpec, trial: int, rng: np.random.Generator
 
 
 def optimum_exact(fn: WeightedAdditiveQuadratic) -> tuple[ElementSet, float]:
-    """Closed-form optimum: the cost depends only on |S|, so the optimum is
-    the best descending-weight prefix."""
-    if not isinstance(fn, WeightedAdditiveQuadratic):
-        raise TypeError("closed-form optimum only applies to the weighted-additive family")
-    n = fn.n
-    order = sorted(range(n), key=lambda i: (-fn.weights[i], i))
-    best_k, best_val, running = 0, 0.0, 0.0
-    for k in range(1, n + 1):
-        running += fn.weights[order[k - 1]]
-        val = running - fn.cost * k * k
-        if val > best_val:
-            best_k, best_val = k, val
-    ground = GroundSet(n)
-    return ground.subset(order[:best_k]), best_val
+    """The WAQ's closed-form optimum, scored against in every trial."""
+    return fn.optimum()
 
 
 def _algorithm_names(spec: ExperimentSpec) -> list[str]:
@@ -116,7 +106,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> list[TrialRecord]:
     names = _algorithm_names(spec)
     children = ss.spawn(1 + len(names))
     instance_rng = np.random.Generator(np.random.PCG64(children[0]))
-    fn, noisy = generate_instance(spec, trial, instance_rng)
+    fn, noisy = generate_instance(spec, instance_rng)
     exact = ExactOracle(fn)
     _, opt_val = optimum_exact(fn)
     ground = exact.ground

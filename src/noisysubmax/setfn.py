@@ -160,6 +160,18 @@ class WeightedAdditiveQuadratic:
         k = np.count_nonzero(rows, axis=1)
         return self._tables.sum_rows(rows) - self.cost * k * k
 
+    def optimum(self) -> tuple[ElementSet, float]:
+        """Closed-form optimum: the cost depends only on |S|, so the optimum is
+        the best descending-weight prefix (ties by id; the smallest best k)."""
+        order = sorted(range(self.n), key=lambda i: (-self.weights[i], i))
+        best_k, best_val, running = 0, 0.0, 0.0
+        for k, i in enumerate(order, start=1):
+            running += self.weights[i]
+            val = running - self.cost * k * k
+            if val > best_val:
+                best_k, best_val = k, val
+        return GroundSet(self.n).subset(order[:best_k]), best_val
+
 
 @dataclass(frozen=True)
 class Modular(WeightedAdditiveQuadratic):

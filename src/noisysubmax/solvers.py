@@ -246,7 +246,4 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> Element
 def run_solver(cfg: SolverConfig, oracle: ValueOracle, m: Matroid,
                rng: np.random.Generator) -> ElementSet:
     """Run a solver config to a discrete solution."""
-    solve = getattr(cfg, "solve", None)
-    if solve is None:
-        raise TypeError(f"unknown solver config: {type(cfg)!r}")
-    return solve(oracle, m, rng)
+    return cfg.solve(oracle, m, rng)

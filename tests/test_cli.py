@@ -33,17 +33,41 @@ def test_params_reads_each_distribution_from_its_flag(name, flag, cls, capsys):
     assert f"h = {want.h}\nt = {want.t}\nm = {want.m}\n" in out
 
 
+def _assert_rejected(capsys, rc, message):
+    """A rejected input exits with status 2 and one error line on stderr."""
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("noisysubmax: error: ") and message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", ["0", "-100"])
 def test_params_rejects_an_empty_ground_set(n, capsys):
-    with pytest.raises(ValueError, match="ground set size must be >= 1"):
-        main(["params", "--epsilon", "1", "--delta", "0.04", "--fmax", "1",
-              "--n", n, "--distribution", "gaussian", "--sigma2", "1"])
-    assert capsys.readouterr().out == ""
+    rc = main(["params", "--epsilon", "1", "--delta", "0.04", "--fmax", "1",
+               "--n", n, "--distribution", "gaussian", "--sigma2", "1"])
+    _assert_rejected(capsys, rc, "ground set size must be >= 1")
 
 
-def test_simulate_rejects_a_negative_worker_count():
-    with pytest.raises(ValueError, match="workers must be >= 0"):
-        main(["simulate", "--n", "5", "--trials", "1", "--workers", "-2"])
+def test_simulate_rejects_a_negative_worker_count(capsys):
+    rc = main(["simulate", "--n", "5", "--trials", "1", "--workers", "-2"])
+    _assert_rejected(capsys, rc, "workers must be >= 0")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["simulate", "--n", "20", "--trials", "2", "--h", "4", "--t", "1", "--m", "2", "2",
+      "--workers", "1"], "m_values must be distinct"),
+    (["solve", "{tmp}/missing-instance.txt"], "missing-instance.txt"),
+])
+def test_rejected_input_ends_in_one_line_without_a_traceback(args, message, tmp_path):
+    args = [a.format(tmp=tmp_path) for a in args]
+    proc = subprocess.run([sys.executable, "-m", "noisysubmax", *args],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("noisysubmax: error: ") and message in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_simulate_writes_csv(tmp_path, capsys):
@@ -97,7 +121,7 @@ def test_solve_meta_requires_noise(tmp_path, capsys):
     path = tmp_path / "inst.txt"
     save_instance(path, Instance(function=Modular(weights=(1.0, 2.0))))
     rc = main(["solve", str(path), "--algorithm", "meta"])
-    assert rc == 2
+    _assert_rejected(capsys, rc, "meta requires a [noise] section")
 
 
 def test_module_entry_point():

@@ -48,7 +48,7 @@ def test_spec_rejects_surrogate_sizes_when_built(sizes, message):
 
 @pytest.mark.parametrize("field, value", [
     ("n", 20.5), ("trials", 2.0), ("h", 4.0), ("t", 1.5), ("m_values", (2, 3.0)),
-    ("workers", 1.0),
+    ("workers", 1.0), ("master_seed", 2.5),
 ])
 def test_spec_rejects_non_integer_sizes(field, value):
     sizes = dict(n=20, trials=2, h=4, t=1, m_values=(2, 3), workers=1)
@@ -58,10 +58,18 @@ def test_spec_rejects_non_integer_sizes(field, value):
 
 def test_spec_takes_integer_sizes_as_ints():
     spec = ExperimentSpec(n=np.int64(20), trials=np.int32(2), h=np.int64(4), t=np.int8(1),
-                          m_values=[np.int64(2), 3], workers=np.uint8(1))
-    assert spec == ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2, 3), workers=1)
-    assert all(type(v) is int for v in (spec.n, spec.trials, spec.h, spec.t, spec.workers,
-                                        *spec.m_values))
+                          m_values=[np.int64(2), 3], master_seed=np.int64(7),
+                          workers=np.uint8(1))
+    assert spec == ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2, 3), master_seed=7,
+                                  workers=1)
+    assert all(type(v) is int for v in (spec.n, spec.trials, spec.h, spec.t, spec.master_seed,
+                                        spec.workers, *spec.m_values))
+
+
+def test_spec_rejects_a_negative_seed():
+    # before, the spec was built and the first trial's seeding raised
+    with pytest.raises(ValueError, match="master_seed must be >= 0"):
+        ExperimentSpec(n=20, trials=2, h=4, t=1, m_values=(2,), master_seed=-1, workers=1)
 
 
 def test_spec_rejects_repeated_m_values():
@@ -90,8 +98,8 @@ def test_nonnegative_certified_matches_enumeration():
 
 def test_generate_instance_certified_and_reproducible():
     spec = ExperimentSpec(n=30, trials=1)
-    fn1, o1 = generate_instance(spec, 0, np.random.default_rng(42))
-    fn2, o2 = generate_instance(spec, 0, np.random.default_rng(42))
+    fn1, o1 = generate_instance(spec, np.random.default_rng(42))
+    fn2, o2 = generate_instance(spec, np.random.default_rng(42))
     assert fn1 == fn2
     assert o1.master_seed == o2.master_seed
     assert nonnegative_certified(np.array(fn1.weights), fn1.cost)
@@ -102,8 +110,9 @@ def test_optimum_exact_examples():
     assert v == pytest.approx(3.0)
     _, v = optimum_exact(WeightedAdditiveQuadratic(weights=(10.0, 10.0), cost=5.0))
     assert v == pytest.approx(5.0)
+    # only the WAQ family has a closed-form optimum
     for other in (Coverage((0b1, 0b11), (1.0, 2.0)), CutFunction(2, ((0, 1, 1.0),))):
-        with pytest.raises(TypeError):
+        with pytest.raises(AttributeError):
             optimum_exact(other)
     # `Modular` is the WAQ with cost 0, whose closed form is exact too
     w = tuple(float(x) for x in np.random.default_rng(4).uniform(-5.0, 5.0, size=12))
@@ -124,6 +133,19 @@ def test_optimum_exact_matches_brute_force():
         s, v = optimum_exact(fn)
         bs, bv = brute_force_opt(fn)
         assert v == pytest.approx(bv, abs=1e-9)
+
+
+def test_optimum_is_the_brute_force_set_and_value_under_ties():
+    # Integer weights make the sums exact and tie often.  Brute force keeps
+    # the lowest mask, the closed form the smallest best k with ties by id;
+    # both pick the same set.
+    rng = np.random.default_rng(21)
+    for _ in range(1000):
+        n = int(rng.integers(1, 11))
+        weights = tuple(float(w) for w in rng.integers(-3, 6, size=n))
+        cost = float(rng.choice([0.0, 0.25, 0.5, 1.0]))
+        fn = Modular(weights) if cost == 0.0 else WeightedAdditiveQuadratic(weights, cost)
+        assert fn.optimum() == brute_force_opt(fn)
 
 
 def test_run_trial_structure():

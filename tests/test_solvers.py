@@ -378,7 +378,7 @@ def test_run_solver_dispatch():
         assert isinstance(s, ElementSet)
         if not isinstance(cfg, DoubleGreedy):
             assert len(s) <= 3
-    with pytest.raises(TypeError):
+    with pytest.raises(AttributeError):
         run_solver(object(), oracle, m, rng)
 
 
