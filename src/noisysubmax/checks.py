@@ -13,7 +13,7 @@ from .noise import (BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle,
                     sample_multipliers)
 from .random_instances import (random_coverage, random_cut, random_submodular,
                                random_waq)
-from .sets import ElementSet, GroundSet, all_k_subset_masks, all_mask_rows, mask_members
+from .sets import ElementSet, GroundSet, all_k_subset_masks, all_mask_rows, mask_members, pack_rows
 from .setfn import CHECK_TOL, table_is_submodular, value_table
 
 
@@ -265,7 +265,7 @@ def check_noise_properties(seed: int = 0) -> CheckResult:
     without[element] = False
     with_e = without.copy()
     with_e[element] = True
-    xi = np.array([neighbours.noise.multipliers(*neighbours.uniforms(rows))
+    xi = np.array([neighbours.noise.multipliers(*neighbours.uniforms(pack_rows(rows)))
                    for rows in (without, with_e)])
     corr = float(np.corrcoef(xi)[0, 1])
     if abs(corr) > 3.0 / np.sqrt(per * wide):

@@ -18,9 +18,10 @@ not on the size of the ground set.  The low 53 bits of the result give
 u_open in (0, 1], its top 53 bits u_half in [0, 1).
 
 `multiplier_mask` runs the mixer in Python ints.  A batch of sets
-(`value_masks`) runs it in numpy on the packed rows viewed as (low, high)
-uint64 halves, with each 128-bit multiply done through 32-bit limbs, and
-maps the uniforms through `NoiseSpec.multipliers`, the array form of
+(`value_masks`) runs it in numpy on its packed rows, the masks'
+little-endian bytes (see `sets`), viewed as (low, high) uint64 halves,
+with each 128-bit multiply done through 32-bit limbs, and maps the
+uniforms through `NoiseSpec.multipliers`, the array form of
 `NoiseSpec.multiplier`, so each of its values equals `value_mask` of that
 set bit for bit.
 """
@@ -37,7 +38,7 @@ import numpy as np
 
 from .oracles import ValueOracle, check_rows
 from .sets import GroundSet, mask_error
-from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
+from .setfn import SetFunctionSpec, evaluate_mask
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
@@ -258,18 +259,16 @@ class PersistentNoisyOracle(ValueOracle):
         return self.multiplier_mask(mask) * evaluate_mask(self.base, mask)
 
     def uniforms(self, rows) -> tuple[np.ndarray, np.ndarray]:
-        """The (u_open, u_half) arrays of the sets given by the rows of a
-        (k, n) boolean membership matrix, each pair equal to the one
-        `multiplier_mask` maps for that set."""
+        """The (u_open, u_half) arrays of the sets given by packed rows,
+        each pair equal to the one `multiplier_mask` maps for that set."""
         return self._uniforms(check_rows(rows, self._n))
 
     def _uniforms(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """`uniforms` of rows that `check_rows` has passed."""
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        width = packed.shape[1]
+        width = rows.shape[1]
         chunks = -(-width // 16)
         raw = np.zeros((len(rows), 16 * chunks), dtype=np.uint8)
-        raw[:, :width] = packed
+        raw[:, :width] = rows
         # chunk c of a row as its (low, high) little-endian uint64 halves
         words = raw.view("<u8").reshape(len(rows), chunks, 2)
         low = words[:, 0, 0] ^ _U64(self._key & (1 << 64) - 1)
@@ -288,4 +287,4 @@ class PersistentNoisyOracle(ValueOracle):
 
     def value_masks(self, rows) -> np.ndarray:
         rows = check_rows(rows, self._n)
-        return self.noise.multipliers(*self._uniforms(rows)) * evaluate_masks(self.base, rows)
+        return self.noise.multipliers(*self._uniforms(rows)) * self.base.value_masks(rows)

@@ -1,25 +1,27 @@
 """Value-oracle interface shared by exact, noisy and surrogate set-function
-evaluation."""
+evaluation.  An oracle answers one set given as an int mask, or a batch
+given as packed rows (see `sets`): a (k, ceil(n/8)) uint8 matrix whose row
+r is the little-endian bytes of mask r."""
 from __future__ import annotations
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, row_masks
-from .setfn import SetFunctionSpec, evaluate_mask, evaluate_masks
+from .sets import ElementSet, GroundSet, mask_error, row_masks
+from .setfn import SetFunctionSpec, evaluate_mask
 
 
 def check_rows(rows, n: int) -> np.ndarray:
-    """A (k, n) boolean membership matrix, or ValueError.  Integer rows
-    are accepted when every entry is 0 or 1; any other entry (a 0.5, a 2)
-    is an error rather than being cast to True."""
+    """Packed rows over n elements, or ValueError: the batch form of the
+    one-set test `mask >> n`.  Any other dtype or width (boolean or 0/1
+    membership rows included) is an error, as is a row with a bit at n or
+    above, which can only sit in the last byte."""
     rows = np.asarray(rows)
-    if rows.ndim != 2 or rows.shape[1] != n:
-        raise ValueError(f"rows of shape {rows.shape}, expected (k, {n})")
-    if rows.dtype != bool:
-        if rows.dtype.kind not in "iu" or not np.all((rows == 0) | (rows == 1)):
-            raise ValueError(f"rows of dtype {rows.dtype} must be boolean, "
-                             "or integers that are all 0 or 1")
-        rows = rows.astype(bool)
+    width = (n + 7) // 8
+    if rows.dtype != np.uint8 or rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"rows of dtype {rows.dtype} and shape {rows.shape}, "
+                         f"expected uint8 packed rows of shape (k, {width})")
+    if n % 8 and np.any(rows[:, -1] >> n % 8):
+        raise mask_error(max(row_masks(rows)), n)  # the largest mask is outside
     return rows
 
 
@@ -33,9 +35,9 @@ class ValueOracle:
         raise NotImplementedError
 
     def value_masks(self, rows) -> np.ndarray:
-        """Values of the sets given by the rows of a (k, n) boolean
-        membership matrix: one `value_mask` call per row, in row order.
-        An oracle with a vectorised evaluation overrides this."""
+        """Values of the sets given by packed rows: one `value_mask` call
+        per row, in row order.  An oracle with a vectorised evaluation
+        overrides this."""
         rows = check_rows(rows, self.ground.n)
         return np.array([self.value_mask(mask) for mask in row_masks(rows)],
                         dtype=np.float64)
@@ -50,11 +52,10 @@ class ExactOracle(ValueOracle):
     def __init__(self, spec: SetFunctionSpec):
         self.spec = spec
         self.ground = GroundSet(spec.n)
-        self._n = spec.n
 
     def value_mask(self, mask: int) -> float:
         # evaluate_mask rejects a mask outside the ground set
         return evaluate_mask(self.spec, mask)
 
     def value_masks(self, rows) -> np.ndarray:
-        return evaluate_masks(self.spec, check_rows(rows, self._n))
+        return self.spec.value_masks(check_rows(rows, self.ground.n))

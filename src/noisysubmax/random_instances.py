@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sets import row_masks
+from .sets import GroundSet, pack_rows, row_masks
 from .setfn import (WAQ_WEIGHT_HIGH, Coverage, CutFunction, SetFunctionSpec,
-                    WeightedAdditiveQuadratic, _check_size, nonnegative_certified, waq_cost)
+                    WeightedAdditiveQuadratic, nonnegative_certified, waq_cost)
 
 
 def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
     """Weighted additive with quadratic cost; resamples until non-negative."""
-    _check_size(n)
+    GroundSet(n)
     cost = waq_cost(n)
     while True:
         w = np.sort(rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=n))
@@ -29,14 +29,14 @@ def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
 
 def random_coverage(n: int, rng: np.random.Generator, items: int | None = None) -> Coverage:
     """Each element covers a random subset of items; monotone submodular."""
-    _check_size(n)
+    GroundSet(n)
     if items is None:
         items = 2 * n
     if items < 0:
         raise ValueError(f"items must be >= 0, got {items}")
     # one block of `items` doubles per element; item j is covered if its
     # double is below 0.25
-    covers = [row_masks(rng.random((1, items)) < 0.25)[0] for _ in range(n)]
+    covers = row_masks(pack_rows(rng.random((n, items)) < 0.25))
     weights = tuple(float(w) for w in rng.uniform(0.5, 2.0, size=items))
     return Coverage(covers=tuple(covers), item_weights=weights)
 

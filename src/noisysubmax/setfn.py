@@ -39,11 +39,6 @@ def _left_sum(a: np.ndarray) -> np.ndarray:
     return np.add.accumulate(a, axis=-1, out=a)[..., -1] + 0.0
 
 
-def _check_size(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"ground set size must be >= 1, got {n}")
-
-
 def _check_finite(what: str, values) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"{what} must be finite")
@@ -65,9 +60,9 @@ def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return out
 
 
-# A batch sum packs, combines and gathers at most this many rows x summed
-# bytes (mask, item or edge bytes) at a time, so its transient matrices grow
-# with the chunk, not the batch (the float gather stays within 128 KiB).
+# A batch sum combines and gathers at most this many rows x summed bytes
+# (mask, item or edge bytes) at a time, so its transient matrices grow with
+# the chunk, not the batch (the float gather stays within 128 KiB).
 _SUM_CHUNK_CELLS = 1 << 14
 
 # A table of at most this many rows (8 weights each) gives its one-set sum
@@ -110,27 +105,27 @@ class _ByteTables:
         return total
 
     def sum_rows(self, rows: np.ndarray, select=None) -> np.ndarray:
-        """The sums of the rows of a (k, n) membership matrix, each bit for
-        bit equal to `sum_mask`, in chunks of at most `_SUM_CHUNK_CELLS` rows
-        x summed bytes.  `select`, if given, maps a chunk's packed (rows,
-        mask bytes) uint8 to the bytes to sum (a family's combined items)."""
+        """The sums of packed rows, each bit for bit equal to `sum_mask`, in
+        chunks of at most `_SUM_CHUNK_CELLS` rows x summed bytes.  `select`,
+        if given, maps a chunk of packed rows to the (rows, bytes) uint8 to
+        sum (a family's combined items)."""
         byte = np.arange(len(self.array))
         step = max(1, _SUM_CHUNK_CELLS // max(1, len(byte)))
         sums = np.empty(len(rows))
         for start in range(0, len(rows), step):
-            packed = np.packbits(rows[start: start + step], axis=1, bitorder="little")
+            chunk = rows[start: start + step]
             if select is not None:
-                packed = select(packed)
-            sums[start: start + step] = _left_sum(self.array[byte, packed])
+                chunk = select(chunk)
+            sums[start: start + step] = _left_sum(self.array[byte, chunk])
         return sums
 
 
 # Each family evaluates one mask in closed form (`value_mask`) and a batch of
-# masks given as the rows of a (k, n) boolean membership matrix
-# (`value_masks`, bit for bit equal to `value_mask` of each row); its dense
-# table is the batch over all 2^n rows.  Lookup tables are built on first use
-# and kept on the instance.  Weights must be finite: a NaN weight would make
-# every value NaN.
+# masks given as packed rows, the masks' little-endian bytes (`value_masks`,
+# bit for bit equal to `value_mask` of each row); its dense table is the
+# batch over all 2^n rows.  Lookup tables are built on first use and kept on
+# the instance.  Weights must be finite: a NaN weight would make every value
+# NaN.
 
 
 @dataclass(frozen=True)
@@ -141,7 +136,7 @@ class WeightedAdditiveQuadratic:
     cost: float
 
     def __post_init__(self):
-        _check_size(self.n)
+        GroundSet(self.n)
         _check_finite("weights and cost", (*self.weights, self.cost))
 
     @cached_property
@@ -157,7 +152,7 @@ class WeightedAdditiveQuadratic:
         return self._tables.sum_mask(mask) - self.cost * k * k
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        k = np.count_nonzero(rows, axis=1)
+        k = np.bitwise_count(rows).sum(axis=1)
         return self._tables.sum_rows(rows) - self.cost * k * k
 
     def optimum(self) -> tuple[ElementSet, float]:
@@ -249,7 +244,7 @@ class Coverage(_IncidenceSum):
     _combine = (np.bitwise_or, operator.or_)
 
     def __post_init__(self):
-        _check_size(self.n)
+        GroundSet(self.n)
         for c in self.covers:
             if c < 0 or c >> len(self.item_weights):
                 raise ValueError(f"cover {c:#x} names an item outside [0, {len(self.item_weights)})")
@@ -278,8 +273,7 @@ class CutFunction(_IncidenceSum):
     _combine = (np.bitwise_xor, operator.xor)
 
     def __post_init__(self):
-        object.__setattr__(self, "n_vertices", operator.index(self.n_vertices))
-        _check_size(self.n_vertices)
+        object.__setattr__(self, "n_vertices", GroundSet(self.n_vertices).n)
         for u, v, _ in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
@@ -311,12 +305,6 @@ def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
     if mask >> spec.n:
         raise mask_error(mask, spec.n)
     return spec.value_mask(mask)
-
-
-def evaluate_masks(spec: SetFunctionSpec, rows: np.ndarray) -> np.ndarray:
-    """Values of the sets given by the rows of a checked (k, n) boolean
-    membership matrix, each bit for bit equal to `evaluate_mask` of its row."""
-    return spec.value_masks(rows)
 
 
 def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:

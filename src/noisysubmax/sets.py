@@ -1,7 +1,11 @@
 """Ground sets, canonical element subsets, and k-subset combinatorics.
 
 Subsets are stored as integer bitmasks so that equality/hashing is O(1)
-and the same bits can key the persistent noise streams.
+and the same bits can key the persistent noise streams.  A batch of k
+masks over n elements is a (k, ceil(n/8)) uint8 matrix of packed rows:
+row r is the little-endian bytes of mask r, the bytes the one-set path
+reads.  This module alone converts between masks, packed rows and boolean
+membership rows.
 """
 from __future__ import annotations
 
@@ -51,8 +55,8 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
-        if self.mask < 0 or self.mask >> self.ground.n:
-            raise ValueError("mask has bits outside the ground set")
+        if self.mask >> self.ground.n:
+            raise mask_error(self.mask, self.ground.n)
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -125,24 +129,27 @@ def random_k_subset(s: ElementSet, k: int, rng: np.random.Generator) -> ElementS
     return ElementSet(s.ground, random_k_subset_mask(list(s), k, rng))
 
 
+def pack_rows(rows: np.ndarray) -> np.ndarray:
+    """The packed rows of boolean membership rows (entry [..., i] is true
+    when element i is in the set), packed along the last axis."""
+    return np.packbits(rows, axis=-1, bitorder="little")
+
+
 def row_masks(rows: np.ndarray) -> list[int]:
-    """The integer mask of each row of a (k, n) boolean membership matrix."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    """The integer mask of each packed row."""
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
 def mask_rows(masks, n: int) -> np.ndarray:
-    """The (k, n) boolean membership matrix of k masks over n elements;
+    """The (k, ceil(n/8)) packed rows of k masks over n elements, read-only;
     the inverse of `row_masks`."""
     width = (n + 7) // 8
-    raw = np.frombuffer(b"".join(mask.to_bytes(width, "little") for mask in masks),
-                        dtype=np.uint8)
-    return np.unpackbits(raw.reshape(-1, width), axis=1, count=n,
-                         bitorder="little").view(bool)
+    raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
 
 
 def all_mask_rows(n: int) -> np.ndarray:
-    """`mask_rows(range(1 << n), n)`, the membership matrix of every mask in
-    mask order, unpacked from the little-endian bytes of one arange (n <= 32)."""
+    """`mask_rows(range(1 << n), n)`, the packed rows of every mask in mask
+    order: the low bytes of one little-endian arange (n <= 32)."""
     raw = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(raw, axis=1, count=n, bitorder="little").view(bool)
+    return raw[:, :(n + 7) // 8]

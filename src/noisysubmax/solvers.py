@@ -11,7 +11,7 @@ import numpy as np
 
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, all_mask_rows, mask_members, mask_rows
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_members, mask_rows, pack_rows
 from .setfn import MULTILINEAR_BUDGET, _check_point, _inclusion_probs, _left_sum
 
 POLYTOPE_TOL = 1e-9
@@ -186,7 +186,7 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
             drawn = rng.random((k, samples, n)) < x
             rows = np.concatenate([drawn, drawn], axis=1)
             rows[np.arange(k)[:, None], np.arange(samples), free[:, None]] = True
-            values = oracle.value_masks(rows.reshape(-1, n)).reshape(k, 2 * samples)
+            values = oracle.value_masks(pack_rows(rows.reshape(-1, n))).reshape(k, 2 * samples)
             weights = np.zeros(n)
             weights[free] = _left_sum(values[:, :samples] - values[:, samples:]) / samples
         # an element outside the free mask is never independent, so its

@@ -5,7 +5,8 @@ of a smoothing set H.  The sampled variant freezes m distinct t-subsets
 once and averages the persistent noisy oracle over them, so persistence
 lifts from the raw oracle to the surrogate.
 
-A batch of k sets (`value_masks`) sends the k*m unions to the inner
+A batch of k sets (`value_masks`, packed rows: see `sets`) ORs each
+row with the m packed samples and sends the k*m unions to the inner
 oracle's own batch and averages each set's m values left to right, so each
 of its values equals `value_mask` of that set bit for bit.
 """
@@ -19,14 +20,14 @@ import numpy as np
 
 from .noise import NoiseSpec
 from .oracles import ValueOracle, check_rows
-from .sets import ElementSet, all_k_subset_masks, mask_rows, random_k_subset_mask
+from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows, random_k_subset_mask
 # `evaluate_mask` is not called here, but perfbench's tracer requires every
 # module on its list (setfn, noise, oracles, surrogate) to hold the name.
 from .setfn import _left_sum, evaluate_mask  # noqa: F401
 
 # A surrogate batch sends its sets to the inner oracle in chunks of at most
-# this many sets x samples x elements, so the boolean union matrix of one
-# chunk stays within 64 KiB whatever the batch size.
+# this many sets x samples x mask bytes, so the packed union rows of one
+# chunk stay within 64 KiB whatever the batch size.
 _SURROGATE_CHUNK_CELLS = 1 << 16
 
 
@@ -126,15 +127,14 @@ class SampledSurrogateOracle(ValueOracle):
         return total / len(self._sample_masks)
 
     def value_masks(self, rows) -> np.ndarray:
-        n = self.ground.n
-        rows = check_rows(rows, n)
+        rows = check_rows(rows, self.ground.n)
         samples = self._sample_rows
-        m = len(samples)
-        step = max(1, _SURROGATE_CHUNK_CELLS // (m * n))
+        m, width = samples.shape
+        step = max(1, _SURROGATE_CHUNK_CELLS // (m * width))
         means = []
         for chunk in np.split(rows, range(step, len(rows), step)):
             # row j of a set's m unions is the set | H'_j, in sample order
-            unions = (chunk[:, None, :] | samples).reshape(-1, n)
+            unions = (chunk[:, None, :] | samples).reshape(-1, width)
             means.append(_left_sum(self.inner.value_masks(unions).reshape(-1, m)) / m)
         return np.concatenate(means)
 
@@ -177,8 +177,7 @@ def compute_parameters(budget: ParamBudget, n: int) -> SurrogateParams:
     The log in the (n + log 4/delta) term is natural; the 2^n union bound's
     log 2 factor is already absorbed into the leading n.
     """
-    if n < 1:
-        raise ValueError(f"ground set size must be >= 1, got {n}")
+    GroundSet(n)
     nu, _ = budget.noise.sub_exponential_params
     lead = max(2.0, 8.0 * nu * nu)
     m = math.ceil(lead * (budget.f_max / budget.epsilon) ** 2

@@ -4,7 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential,
@@ -229,6 +229,7 @@ def batch_family(kind, n, rng):
 @given(distributions, st.booleans(), st.integers(0, 2**64 - 1),
        st.sampled_from(["waq", "coverage", "cut", "modular"]), st.integers(1, 300),
        st.integers(0, 12), st.integers(0, 2**32))
+@example(Gaussian(0.1), False, 7, "coverage", 128, 6, 0)  # a whole last byte
 @settings(max_examples=150, deadline=None)
 def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed):
     rng = np.random.default_rng(data_seed)

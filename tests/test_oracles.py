@@ -1,12 +1,13 @@
-"""Value oracles: batch queries through `value_masks`, and the ground-set
-check at the oracle boundary."""
+"""Value oracles: batch queries through `value_masks` on packed rows, and
+the ground-set check at the oracle boundary."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisysubmax.noise import NoiseSpec, PersistentNoisyOracle, ShiftedExponential
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
+from noisysubmax.sets import mask_rows, pack_rows, row_masks
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 from reference import PerturbedOracle
@@ -19,18 +20,19 @@ def hexes(values):
 
 
 @given(st.integers(0, 2), st.integers(1, 100), st.integers(0, 12), st.integers(0, 2**32))
+@example(1, 16, 6, 0)  # packed rows with a whole last byte
 @settings(max_examples=40, deadline=None)
 def test_exact_batch_matches_the_default_loop(family, n, k, seed):
     rng = np.random.default_rng(seed)
     spec = FAMILIES[family](n, rng)
-    rows = rng.random((k, n)) < rng.random()
+    rows = pack_rows(rng.random((k, n)) < rng.random())
     exact = ExactOracle(spec)
     batch = exact.value_masks(rows)
     # PerturbedOracle(..., 0.0) adds a zero to each value and keeps the
     # default one-call-per-row loop of ValueOracle
     assert hexes(batch) == hexes(PerturbedOracle(exact, 0.0).value_masks(rows))
     noisy = PersistentNoisyOracle(spec, NoiseSpec(ShiftedExponential(2.0)), seed)
-    masks = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in rows]
+    masks = row_masks(rows)
     assert hexes(noisy.value_masks(rows)) == hexes(
         noisy.multiplier_mask(mask) * value for mask, value in zip(masks, batch))
 
@@ -44,8 +46,7 @@ def test_default_loop_queries_each_row_in_order():
             seen.append(mask)
             return super().value_mask(mask)
 
-    rows = np.array([[1, 0, 0, 0, 0, 0, 0, 0, 1], [0] * 9, [0, 1, 1] + [0] * 6], dtype=bool)
-    Recording(exact, 0.0).value_masks(rows)
+    Recording(exact, 0.0).value_masks(mask_rows([0b100000001, 0, 0b110], 9))
     assert seen == [0b100000001, 0, 0b110]
 
 
@@ -75,41 +76,82 @@ def test_masks_inside_the_ground_set_are_accepted():
             assert np.isfinite(oracle.value_mask(mask))
 
 
-def _all_oracles():
-    """One oracle of each kind over n=10; the exact one on a coverage
-    function, whose batch is numpy."""
-    exact, noisy, surrogate = _oracles()
-    cover = ExactOracle(random_coverage(10, np.random.default_rng(4)))
-    return exact, noisy, surrogate, cover, PerturbedOracle(exact, 0.0)
+def _batch_calls(n=10):
+    """`value_masks` of one oracle of each kind over n, the exact one also
+    on a coverage function, whose batch is numpy, and the noisy oracle's
+    `uniforms`."""
+    exact, noisy, surrogate = _oracles(n)
+    cover = ExactOracle(random_coverage(n, np.random.default_rng(4)))
+    oracles = (exact, noisy, surrogate, cover, PerturbedOracle(exact, 0.0))
+    return [oracle.value_masks for oracle in oracles] + [noisy.uniforms]
 
 
-@pytest.mark.parametrize("shape", [(3, 9), (3, 11), (10,), (2, 3, 10), (0, 11)])
+# Packed rows for n=10 are 2 bytes wide.
+@pytest.mark.parametrize("shape", [(3, 1), (3, 3), (2,), (2, 3, 2), (0, 10)])
 def test_row_matrices_of_the_wrong_shape_are_rejected(shape):
-    rows = np.zeros(shape, dtype=bool)
-    for oracle in _all_oracles():
+    rows = np.zeros(shape, dtype=np.uint8)
+    for call in _batch_calls():
         with pytest.raises(ValueError, match="expected"):
-            oracle.value_masks(rows)
-        oracle.value_masks(np.zeros((2, 10), dtype=bool))
+            call(rows)
+        call(np.zeros((2, 2), dtype=np.uint8))
 
 
+# Boolean or 0/1 membership rows, one column per element, are not packed
+# rows; neither is any other entry type.
 @pytest.mark.parametrize("bad", [
-    [[0.5] + [0] * 9],                      # a fraction would be cast to True
-    [[2] + [0] * 9],                        # so would any other non-zero integer
+    [[0.5] + [0] * 9],
+    [[2] + [0] * 9],
     [[-1] + [0] * 9],
-    np.zeros((2, 10)),                      # floats, even if all are 0 or 1
+    np.zeros((2, 10)),
     np.eye(2, 10),
     np.full((1, 10), None),
     [["1"] + ["0"] * 9],
 ])
 def test_row_matrices_with_values_other_than_0_and_1_are_rejected(bad):
-    for oracle in _all_oracles():
-        with pytest.raises(ValueError, match="must be boolean"):
-            oracle.value_masks(bad)
+    for call in _batch_calls():
+        with pytest.raises(ValueError, match="expected uint8"):
+            call(bad)
 
 
-def test_integer_rows_of_0_and_1_equal_boolean_rows():
-    rows = np.random.default_rng(8).random((6, 10)) < 0.5
-    for oracle in _all_oracles():
-        want = oracle.value_masks(rows)
-        for ints in (rows.astype(np.int64), rows.astype(np.uint8), rows.astype(int).tolist()):
-            assert hexes(oracle.value_masks(ints)) == hexes(want)
+@pytest.mark.parametrize("n", [10, 16])
+def test_rows_that_are_not_packed_uint8_rows_are_rejected(n):
+    rng = np.random.default_rng(n)
+    members = rng.random((4, n)) < 0.5
+    width = (n + 7) // 8
+    packed = pack_rows(members)
+    bad = (members,                                  # boolean membership rows
+           members.astype(np.uint8),                 # 0/1 bytes, n wide
+           members.astype(np.int64),
+           members.tolist(),
+           packed[:, :-1],                           # one byte too narrow
+           np.zeros((4, width + 1), dtype=np.uint8),  # one byte too wide
+           packed.astype(np.int8),                   # the right bytes, another dtype
+           packed.astype(np.uint16),
+           packed.astype(np.int64),
+           packed.tolist())
+    for call in _batch_calls(n):
+        for rows in bad:
+            with pytest.raises(ValueError, match="expected uint8"):
+                call(rows)
+        call(packed)
+
+
+def test_a_bit_outside_the_ground_set_in_the_last_byte_is_rejected():
+    # n=10: bits 10..15 of the 2-byte rows lie outside the ground set
+    n = 10
+    for call in _batch_calls(n):
+        for bit in range(n, 16):
+            rows = mask_rows([0b11, (1 << n) - 1, 1 << bit, 5], 16)
+            with pytest.raises(ValueError, match=f"mask {1 << bit:#x} is not a subset"):
+                call(rows)
+        call(mask_rows([0b11, (1 << n) - 1, 1 << (n - 1), 5], n))
+
+
+@pytest.mark.parametrize("n", [10, 16])
+def test_an_empty_batch_has_no_values(n):
+    empty = mask_rows([], n)
+    assert empty.shape == (0, (n + 7) // 8)
+    for call in _batch_calls(n)[:-1]:
+        assert call(empty).shape == (0,)
+    u_open, u_half = _batch_calls(n)[-1](empty)
+    assert u_open.shape == u_half.shape == (0,)

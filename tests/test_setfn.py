@@ -4,18 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisysubmax import setfn
 from noisysubmax.matroids import UniformMatroid
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import ElementSet, GroundSet, all_mask_rows
+from noisysubmax.sets import (ElementSet, GroundSet, all_mask_rows, mask_rows,
+                              pack_rows, row_masks)
 from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                WeightedAdditiveQuadratic, brute_force_opt,
                                check_submodular, evaluate, evaluate_mask,
-                               evaluate_masks, multilinear_exact,
-                               table_is_submodular, value_table)
+                               multilinear_exact, table_is_submodular,
+                               value_table)
 
 from reference import (byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
                        multilinear_partial_exact)
@@ -224,17 +225,12 @@ def test_random_generators_produce_submodular_nonnegative():
 
 
 # Cut evaluation: the one-set `value_mask` and the batch `value_masks(rows)`
-# must both equal the byte-order reference `value_by_bit_loop` bit for bit
-# (the crossing edges found by an edge loop, their weights added byte by
-# byte), with n up to 130 so that masks span more than 64 bits.
-
-def rows_of(masks, n):
-    return np.array([[(mask >> j) & 1 for j in range(n)] for mask in masks],
-                    dtype=bool).reshape(len(masks), n)
-
+# of packed rows must both equal the byte-order reference `value_by_bit_loop`
+# bit for bit (the crossing edges found by an edge loop, their weights added
+# byte by byte), with n up to 130 so that masks span more than 64 bits.
 
 def assert_batch_matches_scalar(spec, masks):
-    got = spec.value_masks(rows_of(masks, spec.n))
+    got = spec.value_masks(mask_rows(masks, spec.n))
     assert got.shape == (len(masks),)
     want = [float(spec.value_mask(m)) for m in masks]
     assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
@@ -266,8 +262,8 @@ def test_cut_value_masks_edge_cases():
     assert_batch_matches_scalar(messy, masks)
     no_edges = CutFunction(70, ())
     assert_batch_matches_scalar(no_edges, masks)
-    assert no_edges.value_masks(rows_of(masks, 70)).tolist() == [0.0] * len(masks)
-    assert messy.value_masks(np.zeros((0, 70), dtype=bool)).shape == (0,)
+    assert no_edges.value_masks(mask_rows(masks, 70)).tolist() == [0.0] * len(masks)
+    assert messy.value_masks(mask_rows([], 70)).shape == (0,)
     # a byte sum starts from 0.0, so a lone -0.0 weight adds up to 0.0
     assert_batch_matches_scalar(CutFunction(2, ((0, 1, -0.0),)), [0, 1, 2, 3])
 
@@ -310,7 +306,7 @@ def test_cut_value_mask_adds_in_edge_order():
     edges = ((0, 1, 2.0 ** 53),) + tuple((0, v, 1.0) for v in range(2, 17)) + ((0, 0, 1.0),)
     spec = CutFunction(17, edges)
     assert spec.value_mask(1) == 2.0 ** 53 + 8 == value_by_bit_loop(spec, 1)
-    assert spec.value_masks(rows_of([1], 17)).tolist() == [2.0 ** 53 + 8]
+    assert spec.value_masks(mask_rows([1], 17)).tolist() == [2.0 ** 53 + 8]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -423,9 +419,8 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
              CutFunction(40, tuple((u, v, w) for (u, v), w in zip(ends, weights))))
     row = tuple if size <= 8 * setfn._TUPLE_ROWS else memoryview
     for spec in specs:
-        rows = rng.random((64, spec.n)) < 0.5
-        masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
-                 for r in rows]
+        rows = pack_rows(rng.random((64, spec.n)) < 0.5)
+        masks = row_masks(rows)
         want = [v.hex() for v in spec.value_masks(rows).tolist()]
         assert [spec.value_mask(m).hex() for m in masks] == want
         assert all(type(table) is row for table in spec._tables.tables)
@@ -443,7 +438,7 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
 def test_cut_value_masks_chunks_equal_one_batch(case, seed):
     spec, _ = case
     width = max(1, len(spec._tables.tables))
-    rows = np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5
+    rows = pack_rows(np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5)
     want = spec.value_masks(rows)
     # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
     with pytest.MonkeyPatch.context() as mp:
@@ -451,8 +446,8 @@ def test_cut_value_masks_chunks_equal_one_batch(case, seed):
             mp.setattr(setfn, "_SUM_CHUNK_CELLS", cells)
             got = spec.value_masks(rows)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
-    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little") for r in rows]
-    assert [v.hex() for v in want.tolist()] == [value_by_bit_loop(spec, m).hex() for m in masks]
+    assert [v.hex() for v in want.tolist()] == [value_by_bit_loop(spec, m).hex()
+                                                for m in row_masks(rows)]
 
 
 def test_cut_value_masks_chunk_boundary_at_default_size():
@@ -465,7 +460,7 @@ def test_cut_value_masks_chunk_boundary_at_default_size():
     for spec in specs:
         width = len(spec._tables.tables)
         step = setfn._SUM_CHUNK_CELLS // width
-        rows = np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5
+        rows = pack_rows(np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(setfn, "_SUM_CHUNK_CELLS", len(rows) * width)
             whole = spec.value_masks(rows)
@@ -473,7 +468,7 @@ def test_cut_value_masks_chunk_boundary_at_default_size():
 
 
 def test_batch_memory_stays_within_one_chunk():
-    # a batch packs, combines and sums one chunk of rows at a time, so over
+    # a batch combines and sums one chunk of rows at a time, so over
     # all 2^16 rows its peak beyond the 512 KiB of sums stays under 512 KiB
     # (about 276 KiB); combining the whole batch first took 1.6 MiB on this
     # cut (15 edge bytes) and 2.9 MiB on this coverage (25 item bytes)
@@ -490,8 +485,24 @@ def test_batch_memory_stays_within_one_chunk():
         assert peak - 8 * len(rows) < 512 * 1024, type(spec).__name__
 
 
-# `evaluate_masks` (each family's numpy batch) must equal `value_mask` of
-# each row bit for bit.
+def test_value_table_of_a_dense_n20_cut_peaks_under_16_mib():
+    # 8 MiB of sums and 4 MiB of packed rows (the low bytes of one 2^20
+    # uint32 arange); one boolean column per element took 28.3 MiB
+    spec = random_cut(20, np.random.default_rng(24), 1.0)
+    spec.value_masks(all_mask_rows(1))  # build the tables outside the trace
+    tracemalloc.start()
+    try:
+        table = value_table(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 1024 * 1024
+    masks = [0, 1, (1 << 20) - 1, 0x5A5A5, 1 << 19]
+    assert [table[m].hex() for m in masks] == [spec.value_mask(m).hex() for m in masks]
+
+
+# `value_masks` (each family's numpy batch) must equal `value_mask` of
+# each row bit for bit, with n up to 130, a multiple of 8 or not.
 
 finite_or_signed_zero = st.one_of(st.just(-0.0), st.just(0.0),
                                   st.floats(-5, 5, allow_nan=False))
@@ -519,27 +530,29 @@ def additive_and_masks(draw):
 def family_and_rows(draw):
     case = draw(st.one_of(additive_and_masks(), byte_table_family_and_masks()))
     spec, masks = case
-    return spec, rows_of(masks, spec.n)
+    return spec, mask_rows(masks, spec.n)
 
 
 def test_coverage_with_no_items_or_uncovering_elements():
     for spec in (Coverage((0, 0, 0), ()), Coverage((0,) * 9, (1.5,) * 9),
                  Coverage((0b1,), (2.0,))):
         masks = list(range(min(1 << spec.n, 64))) + [(1 << spec.n) - 1]
-        got = evaluate_masks(spec, rows_of(masks, spec.n))
+        got = spec.value_masks(mask_rows(masks, spec.n))
         assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in masks]
 
 
+# packed rows whose last byte is whole (n = 8, 64) as well as partial
 @given(family_and_rows())
+@example((Modular((1.5, -2.0, 0.25, -0.0, 3.0, 1e-3, -7.5, 2.0)), mask_rows([0, 0x81, 0xFF], 8)))
+@example((random_cut(64, np.random.default_rng(1)), mask_rows([0, 1 << 63, (1 << 64) - 1], 64)))
 @settings(max_examples=200, deadline=None)
-def test_evaluate_masks_equals_value_mask(case):
+def test_value_masks_equals_value_mask(case):
     spec, rows = case
-    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
-             for r in rows]
-    got = evaluate_masks(spec, rows)
+    masks = row_masks(rows)
+    got = spec.value_masks(rows)
     assert got.shape == (len(masks),) and got.dtype == np.float64
     assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in masks]
-    assert evaluate_masks(spec, rows[:0]).shape == (0,)
+    assert spec.value_masks(rows[:0]).shape == (0,)
 
 
 # Every table is its family's batch over all 2^n rows, so it must equal

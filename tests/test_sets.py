@@ -5,8 +5,8 @@ from itertools import combinations
 from math import comb
 
 from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
-                              all_mask_rows, mask_members, mask_rows,
-                              random_k_subset, random_k_subset_mask)
+                              all_mask_rows, mask_members, mask_rows, pack_rows,
+                              random_k_subset, random_k_subset_mask, row_masks)
 
 from reference import mask_members_by_low_bit
 
@@ -131,5 +131,23 @@ def test_random_k_subset_uniform_frequencies():
 def test_all_mask_rows_equals_mask_rows_of_every_mask():
     for n in range(1, 21):
         got = all_mask_rows(n)
-        assert got.dtype == bool and got.shape == (1 << n, n)
+        assert got.dtype == np.uint8 and got.shape == (1 << n, (n + 7) // 8)
         assert np.array_equal(got, mask_rows(range(1 << n), n))
+
+
+@given(st.integers(1, 200), st.lists(st.integers(0, 2**200 - 1), max_size=8))
+def test_packed_rows_are_the_little_endian_bytes_of_the_masks(n, masks):
+    masks = [mask & ((1 << n) - 1) for mask in masks]
+    rows = mask_rows(masks, n)
+    assert rows.dtype == np.uint8 and rows.shape == (len(masks), (n + 7) // 8)
+    assert [row.tobytes() for row in rows] == [m.to_bytes((n + 7) // 8, "little") for m in masks]
+    assert row_masks(rows) == masks
+    # boolean membership rows pack to the same bytes
+    members = np.array([[(m >> i) & 1 for i in range(n)] for m in masks], dtype=bool)
+    assert np.array_equal(pack_rows(members.reshape(len(masks), n)), rows)
+
+
+@pytest.mark.parametrize("mask", [1 << 6, (1 << 6) | 1, 1 << 70, -1, -(1 << 70)])
+def test_element_set_rejects_a_mask_outside_its_ground_set(mask):
+    with pytest.raises(ValueError, match="is not a subset of a ground set of size 6"):
+        ElementSet(GroundSet(6), mask)

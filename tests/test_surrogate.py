@@ -2,7 +2,7 @@ from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from noisysubmax import surrogate
 
@@ -16,7 +16,7 @@ from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks, mask_members,
-                              mask_rows)
+                              pack_rows, row_masks)
 from noisysubmax.setfn import (Modular, WeightedAdditiveQuadratic, brute_force_opt,
                                evaluate, value_table)
 from noisysubmax.surrogate import (ParamBudget, SampledSurrogateOracle,
@@ -405,12 +405,12 @@ def surrogate_case(family, n, h, exact, seed):
 
 @given(st.integers(0, 2), st.integers(1, 100), st.integers(0, 8), st.booleans(),
        st.integers(0, 12), st.integers(0, 2**32))
+@example(2, 16, 5, False, 6, 0)  # packed rows with a whole last byte
 @settings(max_examples=100, deadline=None)
 def test_surrogate_batch_equals_value_mask(family, n, h, exact, k, seed):
     oracle, rng = surrogate_case(family, n, h, exact, seed)
-    rows = rng.random((k, n)) < rng.random()
-    masks = [int.from_bytes(np.packbits(r, bitorder="little").tobytes(), "little")
-             for r in rows]
+    rows = pack_rows(rng.random((k, n)) < rng.random())
+    masks = row_masks(rows)
     got = oracle.value_masks(rows)
     assert got.shape == (k,)
     assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]
@@ -420,9 +420,9 @@ def test_surrogate_batch_equals_value_mask(family, n, h, exact, k, seed):
 @settings(max_examples=40, deadline=None)
 def test_surrogate_batch_chunks_equal_one_batch(family, n, h, seed):
     oracle, rng = surrogate_case(family, n, h, False, seed)
-    rows = rng.random((3 * 4 + 1, n)) < 0.5
+    rows = pack_rows(rng.random((3 * 4 + 1, n)) < 0.5)
     whole = oracle.value_masks(rows)
-    cells_per_row = oracle.cfg.m * n
+    cells_per_row = oracle.cfg.m * rows.shape[1]
     with pytest.MonkeyPatch.context() as mp:
         # chunks of 4 rows (the last one 1 row), then chunks of 1 row
         for cells in (4 * cells_per_row, 1):
