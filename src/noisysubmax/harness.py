@@ -155,7 +155,8 @@ class ExperimentResult:
         buf.write("# summary std uses the (trials-1) divisor\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["algorithm", "trial", "ratio", "seconds"])
-        for r in sorted(self.records, key=lambda r: (r.trial, _algorithm_names(s).index(r.algorithm))):
+        order = {name: i for i, name in enumerate(_algorithm_names(s))}
+        for r in sorted(self.records, key=lambda r: (r.trial, order[r.algorithm])):
             seconds = repr(r.seconds) if s.timing else ""
             writer.writerow([r.algorithm, r.trial, repr(r.ratio), seconds])
         for name, mean, std in self.summary():

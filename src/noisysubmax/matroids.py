@@ -145,6 +145,8 @@ class ContractedMatroid(Matroid):
     pinned: ElementSet
 
     def __post_init__(self):
+        if self.pinned.ground.n != self.base.ground.n:
+            raise ValueError("pinned set and base matroid over different ground sets")
         if not self.base.indep_mask(self.pinned.mask):
             raise ValueError("pinned set must be independent in the base matroid")
 

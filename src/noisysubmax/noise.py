@@ -36,8 +36,8 @@ from typing import Union
 
 import numpy as np
 
-from .oracles import ValueOracle, check_rows
-from .sets import GroundSet, mask_error
+from .oracles import ValueOracle
+from .sets import GroundSet, check_rows, mask_error
 from .setfn import SetFunctionSpec, evaluate_mask
 
 _TWO_PI = 2.0 * math.pi
@@ -285,6 +285,5 @@ class PersistentNoisyOracle(ValueOracle):
         # the 53-bit fields and their conversion to float are exact
         return ((low & _U64(_MASK_53)) + _U64(1)) * _INV_2_53, (high >> _U64(11)) * _INV_2_53
 
-    def value_masks(self, rows) -> np.ndarray:
-        rows = check_rows(rows, self._n)
+    def _value_rows(self, rows: np.ndarray) -> np.ndarray:
         return self.noise.multipliers(*self._uniforms(rows)) * self.base.value_masks(rows)

@@ -1,28 +1,14 @@
 """Value-oracle interface shared by exact, noisy and surrogate set-function
 evaluation.  An oracle answers one set given as an int mask, or a batch
 given as packed rows (see `sets`): a (k, ceil(n/8)) uint8 matrix whose row
-r is the little-endian bytes of mask r."""
+r is the little-endian bytes of mask r.  `value_masks` checks a batch once,
+with `sets.check_rows`, and hands the checked rows to `_value_rows`."""
 from __future__ import annotations
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, mask_error, row_masks
+from .sets import ElementSet, GroundSet, check_rows, row_masks
 from .setfn import SetFunctionSpec, evaluate_mask
-
-
-def check_rows(rows, n: int) -> np.ndarray:
-    """Packed rows over n elements, or ValueError: the batch form of the
-    one-set test `mask >> n`.  Any other dtype or width (boolean or 0/1
-    membership rows included) is an error, as is a row with a bit at n or
-    above, which can only sit in the last byte."""
-    rows = np.asarray(rows)
-    width = (n + 7) // 8
-    if rows.dtype != np.uint8 or rows.ndim != 2 or rows.shape[1] != width:
-        raise ValueError(f"rows of dtype {rows.dtype} and shape {rows.shape}, "
-                         f"expected uint8 packed rows of shape (k, {width})")
-    if n % 8 and np.any(rows[:, -1] >> n % 8):
-        raise mask_error(max(row_masks(rows)), n)  # the largest mask is outside
-    return rows
 
 
 class ValueOracle:
@@ -35,10 +21,13 @@ class ValueOracle:
         raise NotImplementedError
 
     def value_masks(self, rows) -> np.ndarray:
-        """Values of the sets given by packed rows: one `value_mask` call
-        per row, in row order.  An oracle with a vectorised evaluation
-        overrides this."""
-        rows = check_rows(rows, self.ground.n)
+        """Values of the sets given by packed rows, in row order; ValueError
+        for rows that `check_rows` rejects."""
+        return self._value_rows(check_rows(rows, self.ground.n))
+
+    def _value_rows(self, rows: np.ndarray) -> np.ndarray:
+        """`value_masks` of checked rows: one `value_mask` call per row.  An
+        oracle with a vectorised evaluation overrides this."""
         return np.array([self.value_mask(mask) for mask in row_masks(rows)],
                         dtype=np.float64)
 
@@ -57,5 +46,5 @@ class ExactOracle(ValueOracle):
         # evaluate_mask rejects a mask outside the ground set
         return evaluate_mask(self.spec, mask)
 
-    def value_masks(self, rows) -> np.ndarray:
-        return self.spec.value_masks(check_rows(rows, self.ground.n))
+    def _value_rows(self, rows: np.ndarray) -> np.ndarray:
+        return self.spec.value_masks(rows)

@@ -14,10 +14,10 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, all_mask_rows, mask_error
+from .sets import ElementSet, GroundSet, all_mask_rows, mask_error, mask_rows, row_masks
+from .sets import MULTILINEAR_BUDGET  # noqa: F401  (all_mask_rows checks it)
 
 SUBMODULARITY_BUDGET = 14
-MULTILINEAR_BUDGET = 20
 CHECK_TOL = 1e-9
 WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
 
@@ -203,17 +203,13 @@ class _IncidenceSum:
     def _incidence(self) -> np.ndarray:
         """(element bytes, 256, item bytes) uint8: entry [b, c] combines the
         little-endian item sets of byte b's elements whose bits are set in c."""
-        sets = self._item_sets()
-        width = len(self._tables.tables)
-        raw = b"".join(s.to_bytes(width, "little") for s in sets)
-        items = np.frombuffer(raw, dtype=np.uint8).reshape(len(sets), width)
+        items = mask_rows(self._item_sets(), len(self._item_weights()))
         return _byte_subset_tables(items, self._combine[0])
 
     @cached_property
     def _incidence_ints(self) -> tuple[tuple[int, ...], ...]:
         """`_incidence` with each entry as a Python int, for one set."""
-        return tuple(tuple(int.from_bytes(entry.tobytes(), "little") for entry in table)
-                     for table in self._incidence)
+        return tuple(tuple(row_masks(table)) for table in self._incidence)
 
     def value_mask(self, mask: int) -> float:
         tables = self._incidence_ints
@@ -315,8 +311,6 @@ def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
 
 def value_table(spec: SetFunctionSpec) -> np.ndarray:
     """Dense table of f over all 2^n subsets, indexed by mask: the family's batch."""
-    if spec.n > MULTILINEAR_BUDGET:
-        raise ValueError(f"n={spec.n} over the enumeration budget {MULTILINEAR_BUDGET}")
     return spec.value_masks(all_mask_rows(spec.n))
 
 

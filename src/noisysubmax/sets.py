@@ -4,8 +4,8 @@ Subsets are stored as integer bitmasks so that equality/hashing is O(1)
 and the same bits can key the persistent noise streams.  A batch of k
 masks over n elements is a (k, ceil(n/8)) uint8 matrix of packed rows:
 row r is the little-endian bytes of mask r, the bytes the one-set path
-reads.  This module alone converts between masks, packed rows and boolean
-membership rows.
+reads.  This module alone converts and checks packed rows (from masks or
+boolean membership rows) and bounds the enumeration of all 2^n sets.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
+
+MULTILINEAR_BUDGET = 20  # the largest n whose 2^n sets `all_mask_rows` enumerates
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,14 +144,31 @@ def row_masks(rows: np.ndarray) -> list[int]:
 
 def mask_rows(masks, n: int) -> np.ndarray:
     """The (k, ceil(n/8)) packed rows of k masks over n elements, read-only;
-    the inverse of `row_masks`."""
+    the inverse of `row_masks`.  n may be 0 (rows of no bytes)."""
     width = (n + 7) // 8
     raw = b"".join(mask.to_bytes(width, "little") for mask in masks)
-    return np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+
+
+def check_rows(rows, n: int) -> np.ndarray:
+    """Packed rows over n elements, or ValueError: the batch form of the
+    one-set test `mask >> n`.  Any other dtype or width (boolean or 0/1
+    membership rows included) is an error, as is a row with a bit at n or
+    above, which can only sit in the last byte."""
+    rows = np.asarray(rows)
+    width = (n + 7) // 8
+    if rows.dtype != np.uint8 or rows.ndim != 2 or rows.shape[1] != width:
+        raise ValueError(f"rows of dtype {rows.dtype} and shape {rows.shape}, "
+                         f"expected uint8 packed rows of shape (k, {width})")
+    if n % 8 and np.any(rows[:, -1] >> n % 8):
+        raise mask_error(max(row_masks(rows)), n)  # the largest mask is outside
+    return rows
 
 
 def all_mask_rows(n: int) -> np.ndarray:
     """`mask_rows(range(1 << n), n)`, the packed rows of every mask in mask
-    order: the low bytes of one little-endian arange (n <= 32)."""
+    order: the low bytes of one little-endian arange (n <= MULTILINEAR_BUDGET)."""
+    if n > MULTILINEAR_BUDGET:
+        raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
     raw = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return raw[:, :(n + 7) // 8]

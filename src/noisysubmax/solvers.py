@@ -12,7 +12,7 @@ import numpy as np
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, all_mask_rows, mask_members, mask_rows, pack_rows
-from .setfn import MULTILINEAR_BUDGET, _check_point, _inclusion_probs, _left_sum
+from .setfn import _check_point, _inclusion_probs, _left_sum
 
 POLYTOPE_TOL = 1e-9
 RATIO_UNDERFLOW = 1e-12
@@ -175,8 +175,6 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     free = np.array(m.free_elements(), dtype=np.intp)
     k, samples = len(free), cfg.partial_samples
     if cfg.exact_extension:
-        if n > MULTILINEAR_BUDGET:
-            raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
         table = oracle.value_masks(all_mask_rows(n))
     for _ in range(steps):
         if cfg.exact_extension:
@@ -246,4 +244,7 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> Element
 def run_solver(cfg: SolverConfig, oracle: ValueOracle, m: Matroid,
                rng: np.random.Generator) -> ElementSet:
     """Run a solver config to a discrete solution."""
+    if m.ground.n != oracle.ground.n:
+        raise ValueError(f"matroid over a ground set of size {m.ground.n}, "
+                         f"oracle over size {oracle.ground.n}")
     return cfg.solve(oracle, m, rng)

@@ -19,7 +19,7 @@ from math import comb
 import numpy as np
 
 from .noise import NoiseSpec
-from .oracles import ValueOracle, check_rows
+from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows, random_k_subset_mask
 # `evaluate_mask` is not called here, but perfbench's tracer requires every
 # module on its list (setfn, noise, oracles, surrogate) to hold the name.
@@ -126,8 +126,7 @@ class SampledSurrogateOracle(ValueOracle):
             total += inner_value(mask | hmask)
         return total / len(self._sample_masks)
 
-    def value_masks(self, rows) -> np.ndarray:
-        rows = check_rows(rows, self.ground.n)
+    def _value_rows(self, rows: np.ndarray) -> np.ndarray:
         samples = self._sample_rows
         m, width = samples.shape
         step = max(1, _SURROGATE_CHUNK_CELLS // (m * width))

@@ -63,6 +63,11 @@ def test_contracted_matroid():
         ContractedMatroid(UniformMatroid(g, 1), pinned)
 
 
+def test_contraction_rejects_a_pinned_set_over_another_ground_set():
+    with pytest.raises(ValueError, match="different ground sets"):
+        ContractedMatroid(UniformMatroid(GroundSet(3), 2), ElementSet(GroundSet(10), 1))
+
+
 def test_downward_closure_exhaustive():
     g = GroundSet(6)
     matroids = [

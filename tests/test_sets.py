@@ -4,9 +4,10 @@ from hypothesis import given, strategies as st
 from itertools import combinations
 from math import comb
 
-from noisysubmax.sets import (ElementSet, GroundSet, all_k_subset_masks,
-                              all_mask_rows, mask_members, mask_rows, pack_rows,
-                              random_k_subset, random_k_subset_mask, row_masks)
+from noisysubmax.sets import (MULTILINEAR_BUDGET, ElementSet, GroundSet,
+                              all_k_subset_masks, all_mask_rows, mask_members,
+                              mask_rows, pack_rows, random_k_subset,
+                              random_k_subset_mask, row_masks)
 
 from reference import mask_members_by_low_bit
 
@@ -133,6 +134,17 @@ def test_all_mask_rows_equals_mask_rows_of_every_mask():
         got = all_mask_rows(n)
         assert got.dtype == np.uint8 and got.shape == (1 << n, (n + 7) // 8)
         assert np.array_equal(got, mask_rows(range(1 << n), n))
+
+
+def test_all_mask_rows_over_the_enumeration_budget_raises():
+    with pytest.raises(ValueError, match="enumeration budget"):
+        all_mask_rows(MULTILINEAR_BUDGET + 1)
+
+
+def test_mask_rows_of_no_bytes():
+    # a coverage with no items builds its incidence from rows of width 0
+    assert mask_rows([0, 0], 0).shape == (2, 0)
+    assert mask_rows([], 0).shape == (0, 0)
 
 
 @given(st.integers(1, 200), st.lists(st.integers(0, 2**200 - 1), max_size=8))

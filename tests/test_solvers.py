@@ -326,6 +326,14 @@ def test_pipage_rejects_non_finite_coordinates(bad):
         pipage_round(m, [bad, 0.5, 0.5, 0.0], np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("cfg", [Greedy(), DoubleGreedy(), MeasuredContinuousGreedy(step=0.5),
+                                 RandomSubset(3)])
+def test_run_solver_rejects_a_matroid_over_another_ground_set(cfg):
+    oracle = ExactOracle(random_waq(10, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="matroid over a ground set of size 5, oracle over size 10"):
+        run_solver(cfg, oracle, UniformMatroid(GroundSet(5), 5), np.random.default_rng(0))
+
+
 def test_exact_extension_over_the_table_budget_raises():
     n = MULTILINEAR_BUDGET + 1
     cfg = MeasuredContinuousGreedy(step=0.5, exact_extension=True)
