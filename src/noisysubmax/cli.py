@@ -53,8 +53,6 @@ def _cmd_solve(args) -> int:
         raise ValueError("instance file has no [function] section")
     ground = GroundSet(inst.function.n)
     matroid = inst.matroid or UniformMatroid(ground, ground.n)
-    if matroid.ground.n != ground.n:
-        raise ValueError("matroid and function ground sets disagree")
     seed = args.seed if args.seed is not None else (inst.master_seed or 0)
     rng = np.random.default_rng(seed)
     if inst.noise is not None:

@@ -145,8 +145,7 @@ class ContractedMatroid(Matroid):
     pinned: ElementSet
 
     def __post_init__(self):
-        if self.pinned.ground.n != self.base.ground.n:
-            raise ValueError("pinned set and base matroid over different ground sets")
+        self.base.ground.check_same(self.pinned.ground, "pinned set", "base matroid")
         if not self.base.indep_mask(self.pinned.mask):
             raise ValueError("pinned set must be independent in the base matroid")
 
@@ -160,8 +159,7 @@ class ContractedMatroid(Matroid):
 
 
 def is_independent(m: Matroid, s: ElementSet) -> bool:
-    if s.ground.n != m.ground.n:
-        raise ValueError("set and matroid over different ground sets")
+    m.ground.check_same(s.ground, "set", "matroid")
     return m.indep_mask(s.mask)
 
 

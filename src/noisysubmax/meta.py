@@ -36,6 +36,7 @@ def meta_solve(o: PersistentNoisyOracle, cfg: MetaConfig,
                rng: np.random.Generator) -> ElementSet:
     """One run of the meta-algorithm.  The returned set is independent in
     the original matroid (downward closure from S_H ∪ H independent)."""
+    o.ground.check_same(cfg.matroid.ground, "matroid", "oracle")
     basis = arbitrary_basis(cfg.matroid)
     H = random_k_subset(basis, cfg.h, rng)
     surr_cfg = SurrogateConfig.draw(H, cfg.t, cfg.m, rng)
@@ -47,6 +48,7 @@ def meta_solve(o: PersistentNoisyOracle, cfg: MetaConfig,
 
 def comparison_surrogate_f0(o: PersistentNoisyOracle, s: ElementSet) -> float:
     """Average of the noisy oracle over all leave-one-out subsets of s."""
+    o.ground.check_same(s.ground, "set", "oracle")
     if len(s) == 0:
         raise ValueError("comparison surrogate undefined for the empty set")
     # the |S| subsets S - e as one batch, in element order, summed left to

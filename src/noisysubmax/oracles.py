@@ -32,8 +32,7 @@ class ValueOracle:
                         dtype=np.float64)
 
     def value(self, s: ElementSet) -> float:
-        if s.ground.n != self.ground.n:
-            raise ValueError("set over a different ground set than the oracle")
+        self.ground.check_same(s.ground, "set", "oracle")
         return self.value_mask(s.mask)
 
 

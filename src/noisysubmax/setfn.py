@@ -304,8 +304,7 @@ def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:
 
 
 def evaluate(spec: SetFunctionSpec, s: ElementSet) -> float:
-    if s.ground.n != spec.n:
-        raise ValueError(f"set over ground of size {s.ground.n}, spec has n={spec.n}")
+    GroundSet(spec.n).check_same(s.ground, "set", "function")
     return evaluate_mask(spec, s.mask)
 
 

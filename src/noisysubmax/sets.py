@@ -36,6 +36,14 @@ class GroundSet:
     def full_set(self) -> "ElementSet":
         return ElementSet(self, self.full_mask)
 
+    def check_same(self, other: "GroundSet", what: str, owner: str) -> None:
+        """The one ground-set check: ValueError naming both sizes unless
+        `other` (the ground set of `what`) has the size of this one (the
+        ground set of `owner`)."""
+        if other.n != self.n:
+            raise ValueError(f"{what} over a ground set of size {other.n}, "
+                             f"{owner} over size {self.n}")
+
     def subset(self, members) -> "ElementSet":
         mask = 0
         for i in members:
@@ -73,21 +81,17 @@ class ElementSet:
         return tuple(self)
 
     def union(self, other: "ElementSet") -> "ElementSet":
-        self._check_same_ground(other)
+        self.ground.check_same(other.ground, "other set", "set")
         return ElementSet(self.ground, self.mask | other.mask)
 
     def issubset(self, other: "ElementSet") -> bool:
-        self._check_same_ground(other)
+        self.ground.check_same(other.ground, "other set", "set")
         return self.mask & ~other.mask == 0
 
     def indicator(self) -> np.ndarray:
         x = np.zeros(self.ground.n)
         x[list(self)] = 1.0
         return x
-
-    def _check_same_ground(self, other: "ElementSet"):
-        if self.ground.n != other.ground.n:
-            raise ValueError("element sets over different ground sets")
 
 
 def mask_error(mask: int, n: int) -> ValueError:

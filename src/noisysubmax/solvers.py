@@ -84,6 +84,7 @@ def greedy_cardinality(oracle: ValueOracle, m: Matroid) -> ElementSet:
     The feasible candidates of a round, the matroid's addable elements, go
     to the oracle as one `value_masks` batch, in id order; the first one
     with the largest gain wins if that gain is positive."""
+    oracle.ground.check_same(m.ground, "matroid", "oracle")
     mask = 0
     current = oracle.value_mask(0)
     for _ in range(m.rank()):
@@ -110,6 +111,11 @@ def double_greedy(oracle: ValueOracle, ground: GroundSet,
     this keeps X independent throughout and reduces to the unconstrained
     algorithm when the matroid is free.
     """
+    oracle.ground.check_same(ground, "ground", "oracle")
+    if universe is not None:
+        oracle.ground.check_same(universe.ground, "universe", "oracle")
+    if matroid is not None:
+        oracle.ground.check_same(matroid.ground, "matroid", "oracle")
     elements = list(universe) if universe is not None else list(range(ground.n))
     x_mask = 0
     y_mask = universe.mask if universe is not None else ground.full_mask
@@ -169,6 +175,7 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     coordinate.  The sets R_s + i and R_s of every free coordinate of one
     step go to the oracle as one `value_masks` batch.
     """
+    oracle.ground.check_same(m.ground, "matroid", "oracle")
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
@@ -244,7 +251,5 @@ def pipage_round(m: Matroid, x: np.ndarray, rng: np.random.Generator) -> Element
 def run_solver(cfg: SolverConfig, oracle: ValueOracle, m: Matroid,
                rng: np.random.Generator) -> ElementSet:
     """Run a solver config to a discrete solution."""
-    if m.ground.n != oracle.ground.n:
-        raise ValueError(f"matroid over a ground set of size {m.ground.n}, "
-                         f"oracle over size {oracle.ground.n}")
+    oracle.ground.check_same(m.ground, "matroid", "oracle")
     return cfg.solve(oracle, m, rng)

@@ -111,8 +111,7 @@ class SampledSurrogateOracle(ValueOracle):
     """Average of a value oracle over the frozen t-subset unions."""
 
     def __init__(self, inner: ValueOracle, cfg: SurrogateConfig):
-        if inner.ground.n != cfg.smoothing_set.ground.n:
-            raise ValueError("surrogate config over a different ground set")
+        inner.ground.check_same(cfg.smoothing_set.ground, "surrogate config", "oracle")
         self.inner = inner
         self.cfg = cfg
         self.ground = inner.ground

@@ -58,8 +58,17 @@ def test_simulate_rejects_a_negative_worker_count(capsys):
     (["simulate", "--n", "20", "--trials", "2", "--h", "4", "--t", "1", "--m", "2", "2",
       "--workers", "1"], "m_values must be distinct"),
     (["solve", "{tmp}/missing-instance.txt"], "missing-instance.txt"),
+    (["solve", "{tmp}/mismatch.txt", "--algorithm", "greedy"],
+     "matroid over a ground set of size 5, oracle over size 10"),
+    (["solve", "{tmp}/mismatch.txt", "--algorithm", "meta"],
+     "matroid over a ground set of size 5, oracle over size 10"),
 ])
 def test_rejected_input_ends_in_one_line_without_a_traceback(args, message, tmp_path):
+    # a [matroid] over 5 elements under a 10-element [function]
+    save_instance(tmp_path / "mismatch.txt",
+                  Instance(function=Modular(weights=tuple(float(i) for i in range(10))),
+                           matroid=UniformMatroid(GroundSet(5), 5),
+                           noise=NoiseSpec(Gaussian(0.05)), master_seed=4))
     args = [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run([sys.executable, "-m", "noisysubmax", *args],
                           capture_output=True, text=True)

@@ -64,7 +64,7 @@ def test_contracted_matroid():
 
 
 def test_contraction_rejects_a_pinned_set_over_another_ground_set():
-    with pytest.raises(ValueError, match="different ground sets"):
+    with pytest.raises(ValueError, match="pinned set over a ground set of size 10, base matroid over size 3"):
         ContractedMatroid(UniformMatroid(GroundSet(3), 2), ElementSet(GroundSet(10), 1))
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from noisysubmax import solvers
-from noisysubmax.matroids import (PartitionMatroid, UniformMatroid, contract,
-                                  is_independent, max_weight_independent_set)
-from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle
+from noisysubmax.matroids import (ContractedMatroid, PartitionMatroid, UniformMatroid,
+                                  contract, is_independent, max_weight_independent_set)
+from noisysubmax.meta import MetaConfig, best_of_T, comparison_surrogate_f0, meta_solve
+from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
@@ -19,6 +20,7 @@ from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  double_greedy, greedy_cardinality,
                                  measured_continuous_greedy, pipage_round,
                                  run_solver)
+from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 from reference import (PerturbedOracle, RecordingOracle, greedy_by_single_queries,
                        multilinear_partial_exact)
@@ -332,6 +334,49 @@ def test_run_solver_rejects_a_matroid_over_another_ground_set(cfg):
     oracle = ExactOracle(random_waq(10, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="matroid over a ground set of size 5, oracle over size 10"):
         run_solver(cfg, oracle, UniformMatroid(GroundSet(5), 5), np.random.default_rng(0))
+
+
+def _mismatched_calls(other, rng):
+    """Every entry point that takes two ground-bearing arguments, called
+    with one over `other` and the rest over 10 elements."""
+    g = GroundSet(10)
+    spec = random_waq(10, np.random.default_rng(0))
+    exact = ExactOracle(spec)
+    noisy = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), 3)
+    meta_cfg = MetaConfig(h=3, t=1, m=3, inner=DoubleGreedy(),
+                          matroid=UniformMatroid(other, 5))
+    surr_cfg = SurrogateConfig.draw(other.subset([0, 1, 2]), 1, 2, np.random.default_rng(1))
+    return {
+        "union": lambda: g.subset([0]).union(other.subset([1])),
+        "issubset": lambda: g.subset([0]).issubset(other.full_set()),
+        "value": lambda: noisy.value(other.subset([0, 3])),
+        "evaluate": lambda: evaluate(spec, other.subset([0, 3])),
+        "is_independent": lambda: is_independent(UniformMatroid(g, 3), other.subset([0])),
+        "ContractedMatroid": lambda: ContractedMatroid(UniformMatroid(g, 3), other.subset([1])),
+        "SampledSurrogateOracle": lambda: SampledSurrogateOracle(noisy, surr_cfg),
+        "run_solver": lambda: run_solver(Greedy(), exact, UniformMatroid(other, 5), rng),
+        "greedy_cardinality": lambda: greedy_cardinality(exact, UniformMatroid(other, 5)),
+        "double_greedy ground": lambda: double_greedy(exact, other, rng),
+        "double_greedy universe": lambda: double_greedy(exact, g, rng,
+                                                        universe=other.full_set()),
+        "double_greedy matroid": lambda: double_greedy(exact, g, rng,
+                                                       matroid=UniformMatroid(other, 2)),
+        "measured_continuous_greedy": lambda: measured_continuous_greedy(
+            exact, UniformMatroid(other, 5), MeasuredContinuousGreedy(step=0.5), rng),
+        "meta_solve": lambda: meta_solve(noisy, meta_cfg, rng),
+        "best_of_T": lambda: best_of_T(noisy, meta_cfg, 2, rng),
+        "comparison_surrogate_f0": lambda: comparison_surrogate_f0(noisy, other.subset([0, 3])),
+    }
+
+
+@pytest.mark.parametrize("k", [5, 12])
+@pytest.mark.parametrize("call", list(_mismatched_calls(GroundSet(5), None)))
+def test_every_entry_point_rejects_mismatched_ground_sets(call, k):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"over a ground set of size {k}, .* over size 10$"):
+        _mismatched_calls(GroundSet(k), rng)[call]()
+    assert rng.bit_generator.state == state  # rejected before any draw
 
 
 def test_exact_extension_over_the_table_budget_raises():
