@@ -118,6 +118,7 @@ class PartitionMatroid(Matroid):
     caps: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "parts", tuple(operator.index(p) for p in self.parts))
         object.__setattr__(self, "caps", tuple(operator.index(c) for c in self.caps))
         if len(self.parts) != len(self.caps):
             raise ValueError("parts and caps length mismatch")

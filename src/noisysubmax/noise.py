@@ -37,7 +37,7 @@ from typing import Union
 import numpy as np
 
 from .oracles import ValueOracle
-from .sets import GroundSet, check_rows, mask_error
+from .sets import GroundSet, check_rows, map_chunks, mask_error
 from .setfn import SetFunctionSpec, evaluate_mask
 
 _TWO_PI = 2.0 * math.pi
@@ -286,4 +286,8 @@ class PersistentNoisyOracle(ValueOracle):
         return ((low & _U64(_MASK_53)) + _U64(1)) * _INV_2_53, (high >> _U64(11)) * _INV_2_53
 
     def _value_rows(self, rows: np.ndarray) -> np.ndarray:
-        return self.noise.multipliers(*self._uniforms(rows)) * self.base.value_masks(rows)
+        def values(chunk):
+            return self.noise.multipliers(*self._uniforms(chunk)) * self.base.value_masks(chunk)
+        # the mixer keeps about 16 uint64 words per row and 128-bit chunk of
+        # its mask (tracemalloc: 146 bytes per row at one chunk, 198 at three)
+        return map_chunks(values, rows, 128 * -(-rows.shape[1] // 16))

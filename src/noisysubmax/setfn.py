@@ -14,10 +14,9 @@ from typing import Union
 
 import numpy as np
 
-from .sets import ElementSet, GroundSet, all_mask_rows, mask_error, mask_rows, row_masks
+from .sets import ElementSet, GroundSet, all_mask_rows, map_chunks, mask_error, mask_rows, row_masks
 from .sets import MULTILINEAR_BUDGET  # noqa: F401  (all_mask_rows checks it)
 
-SUBMODULARITY_BUDGET = 14
 CHECK_TOL = 1e-9
 WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
 
@@ -60,11 +59,6 @@ def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return out
 
 
-# A batch sum combines and gathers at most this many rows x summed bytes
-# (mask, item or edge bytes) at a time, so its transient matrices grow with
-# the chunk, not the batch (the float gather stays within 128 KiB).
-_SUM_CHUNK_CELLS = 1 << 14
-
 # A table of at most this many rows (8 weights each) gives its one-set sum
 # tuples of Python floats, whose reads allocate nothing; a larger one gives
 # memoryviews of its array, whose reads allocate a float each but which hold
@@ -106,18 +100,12 @@ class _ByteTables:
 
     def sum_rows(self, rows: np.ndarray, select=None) -> np.ndarray:
         """The sums of packed rows, each bit for bit equal to `sum_mask`, in
-        chunks of at most `_SUM_CHUNK_CELLS` rows x summed bytes.  `select`,
-        if given, maps a chunk of packed rows to the (rows, bytes) uint8 to
-        sum (a family's combined items)."""
+        `map_chunks` chunks (the float gather takes 8 bytes per summed byte).
+        `select`, if given, maps a chunk of packed rows to the (rows, bytes)
+        uint8 to sum (a family's combined items)."""
         byte = np.arange(len(self.array))
-        step = max(1, _SUM_CHUNK_CELLS // max(1, len(byte)))
-        sums = np.empty(len(rows))
-        for start in range(0, len(rows), step):
-            chunk = rows[start: start + step]
-            if select is not None:
-                chunk = select(chunk)
-            sums[start: start + step] = _left_sum(self.array[byte, chunk])
-        return sums
+        return map_chunks(lambda chunk: _left_sum(self.array[byte, select(chunk) if select else chunk]),
+                          rows, 8 * max(1, len(byte)))
 
 
 # Each family evaluates one mask in closed form (`value_mask`) and a batch of
@@ -240,6 +228,7 @@ class Coverage(_IncidenceSum):
     _combine = (np.bitwise_or, operator.or_)
 
     def __post_init__(self):
+        object.__setattr__(self, "covers", tuple(map(operator.index, self.covers)))
         GroundSet(self.n)
         for c in self.covers:
             if c < 0 or c >> len(self.item_weights):
@@ -328,15 +317,13 @@ def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, f
 
 
 def check_submodular(spec: SetFunctionSpec) -> bool:
-    """Exhaustive diminishing-returns check.
+    """Exhaustive diminishing-returns check over `value_table`, whose budget bounds n.
 
     Uses the equivalent local condition f(S+i) + f(S+j) >= f(S+i+j) + f(S)
     for all S and i != j outside S, which holds iff the full A-subset-of-B
     inequality does (tests verify this equivalence against the direct
     triple enumeration).
     """
-    if spec.n > SUBMODULARITY_BUDGET:
-        raise ValueError(f"n={spec.n} over the submodularity check budget {SUBMODULARITY_BUDGET}")
     return table_is_submodular(value_table(spec))
 
 

@@ -4,8 +4,8 @@ Subsets are stored as integer bitmasks so that equality/hashing is O(1)
 and the same bits can key the persistent noise streams.  A batch of k
 masks over n elements is a (k, ceil(n/8)) uint8 matrix of packed rows:
 row r is the little-endian bytes of mask r, the bytes the one-set path
-reads.  This module alone converts and checks packed rows (from masks or
-boolean membership rows) and bounds the enumeration of all 2^n sets.
+reads.  This module alone converts and checks packed rows, bounds the
+enumeration of all 2^n sets and sizes the chunks of a batch (`map_chunks`).
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 MULTILINEAR_BUDGET = 20  # the largest n whose 2^n sets `all_mask_rows` enumerates
+CHUNK_BYTES = 1 << 17  # the transient bytes one chunk of a batch may take
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,7 +47,7 @@ class GroundSet:
 
     def subset(self, members) -> "ElementSet":
         mask = 0
-        for i in members:
+        for i in map(operator.index, members):
             if not 0 <= i < self.n:
                 raise ValueError(f"element {i} outside ground set of size {self.n}")
             mask |= 1 << i
@@ -65,6 +66,7 @@ class ElementSet:
     mask: int
 
     def __post_init__(self):
+        object.__setattr__(self, "mask", operator.index(self.mask))
         if self.mask >> self.ground.n:
             raise mask_error(self.mask, self.ground.n)
 
@@ -122,6 +124,8 @@ def all_k_subset_masks(members: list[int], k: int):
 
 
 def random_k_subset_mask(members: list[int], k: int, rng: np.random.Generator) -> int:
+    if k < 0:
+        raise ValueError(f"cannot draw a negative number of elements, got k={k}")
     if k > len(members):
         raise ValueError(f"cannot draw {k} elements from {len(members)}")
     mask = 0
@@ -176,3 +180,16 @@ def all_mask_rows(n: int) -> np.ndarray:
         raise ValueError(f"n={n} over the enumeration budget {MULTILINEAR_BUDGET}")
     raw = np.arange(1 << n, dtype="<u4").view(np.uint8).reshape(-1, 4)
     return raw[:, :(n + 7) // 8]
+
+
+def map_chunks(fn, rows: np.ndarray, row_bytes: int) -> np.ndarray:
+    """`fn(rows)`, one float64 per row, computed on `CHUNK_BYTES // row_bytes`
+    rows (at least one) at a time into one array, `row_bytes` being what `fn`
+    keeps per row; a row's value depends on that row alone."""
+    step = max(1, CHUNK_BYTES // row_bytes)
+    if len(rows) <= step:
+        return fn(rows)
+    out = np.empty(len(rows))
+    for start in range(0, len(rows), step):
+        out[start: start + step] = fn(rows[start: start + step])
+    return out

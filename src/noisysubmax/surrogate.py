@@ -20,15 +20,10 @@ import numpy as np
 
 from .noise import NoiseSpec
 from .oracles import ValueOracle
-from .sets import ElementSet, GroundSet, all_k_subset_masks, mask_rows, random_k_subset_mask
+from .sets import ElementSet, GroundSet, all_k_subset_masks, map_chunks, mask_rows, random_k_subset_mask
 # `evaluate_mask` is not called here, but perfbench's tracer requires every
 # module on its list (setfn, noise, oracles, surrogate) to hold the name.
 from .setfn import _left_sum, evaluate_mask  # noqa: F401
-
-# A surrogate batch sends its sets to the inner oracle in chunks of at most
-# this many sets x samples x mask bytes, so the packed union rows of one
-# chunk stay within 64 KiB whatever the batch size.
-_SURROGATE_CHUNK_CELLS = 1 << 16
 
 
 def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
@@ -128,13 +123,13 @@ class SampledSurrogateOracle(ValueOracle):
     def _value_rows(self, rows: np.ndarray) -> np.ndarray:
         samples = self._sample_rows
         m, width = samples.shape
-        step = max(1, _SURROGATE_CHUNK_CELLS // (m * width))
-        means = []
-        for chunk in np.split(rows, range(step, len(rows), step)):
+
+        def means(chunk):
             # row j of a set's m unions is the set | H'_j, in sample order
             unions = (chunk[:, None, :] | samples).reshape(-1, width)
-            means.append(_left_sum(self.inner.value_masks(unions).reshape(-1, m)) / m)
-        return np.concatenate(means)
+            return _left_sum(self.inner.value_masks(unions).reshape(-1, m)) / m
+        # a row keeps its m unions and their m values
+        return map_chunks(means, rows, m * (width + 8))
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,16 @@ def test_rank_and_caps_must_be_integers():
     assert caps == (1, 2) and all(type(c) is int for c in caps)
 
 
+def test_partition_parts_take_numpy_integers_as_ints():
+    # 70 elements: a uint64 part ORed with a part past bit 63 overflowed
+    g = GroundSet(70)
+    low = np.uint64((1 << 64) - 1)
+    m = PartitionMatroid(g, parts=(low, g.full_mask ^ int(low)), caps=(2, 1))
+    assert all(type(p) is int for p in m.parts)
+    assert is_independent(m, g.subset([0, 63, 69]))
+    assert not is_independent(m, g.subset([64, 69]))
+
+
 def test_contracted_matroid():
     g = GroundSet(6)
     base = UniformMatroid(g, 3)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,7 +14,7 @@ from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
 from noisysubmax.oracles import ValueOracle
 from noisysubmax.sets import ElementSet, GroundSet
-from noisysubmax.setfn import Modular, evaluate
+from noisysubmax.setfn import Modular, brute_force_opt, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
 from noisysubmax.surrogate import SurrogateConfig
 
@@ -156,6 +158,36 @@ def test_meta_mean_value_bound_zero_noise():
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     bound = 0.5 * (1 - h / (r - h) - t / (h - t)) * opt
     assert vals.mean() >= bound - 3 * se
+
+
+# The unconstrained guarantee against brute force, without noise: under
+# Gaussian(0.0) every multiplier is exactly 1.0, and m = C(h, t) freezes every
+# t-subset, so the surrogate is the exact F.  Double greedy's 1/2 on F over
+# the contracted ground set, the smoothing loss h/(n-h) + t/(h-t) that
+# `checks.check_smoothing_lemma` checks, and E over H' of f(S + H') = F(S)
+# give E[f(out)] / OPT >= 1/2 (1 - h/(n-h) - t/(h-t)) on each cut.  The
+# ratios lie in [0, 1] and the runs are independent, so (Hoeffding) their
+# mean falls more than sqrt(ln(10^6) / (2N)) below the mean bound with
+# probability at most 10^-6.
+
+@pytest.mark.parametrize("h, t", [(2, 0), (3, 1)])
+def test_meta_double_greedy_meets_the_unconstrained_bound(h, t):
+    rng = np.random.default_rng(h)
+    ratios, bounds = [], []
+    for _ in range(20):
+        n = int(rng.integers(12, 15))
+        spec = random_cut(n, rng)
+        _, opt = brute_force_opt(spec)
+        oracle = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.0)), int(rng.integers(2**63)))
+        cfg = MetaConfig(h=h, t=t, m=math.comb(h, t), inner=DoubleGreedy(),
+                         matroid=UniformMatroid(GroundSet(n), n))
+        for _ in range(50):
+            out = meta_solve(oracle, cfg, rng)
+            assert oracle.value(out) == evaluate(spec, out)  # the multiplier is 1.0
+            ratios.append(evaluate(spec, out) / opt)
+            bounds.append(0.5 * (1 - h / (n - h) - t / (h - t)))
+    margin = math.sqrt(math.log(1e6) / (2 * len(ratios)))
+    assert np.mean(ratios) >= np.mean(bounds) - margin
 
 
 def test_best_of_T_mild_noise_success_rate():

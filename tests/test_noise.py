@@ -1,16 +1,18 @@
 import copy
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from noisysubmax import sets
 from noisysubmax.noise import (BoundedUniform, Gaussian, NoiseSpec,
                                PersistentNoisyOracle, ShiftedExponential,
                                sample_multipliers)
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
-from noisysubmax.sets import ElementSet, mask_rows
+from noisysubmax.sets import ElementSet, all_mask_rows, mask_rows
 from noisysubmax.setfn import Modular, evaluate
 
 from reference import multiplier_by_chunk_loop, multipliers_by_scalar_draws, stream_uniforms
@@ -241,6 +243,50 @@ def test_noisy_batch_equals_value_mask(dist, clamp, seed, kind, n, k, data_seed)
     assert got.shape == (len(masks),)
     assert [v.hex() for v in got.tolist()] == [oracle.value_mask(m).hex() for m in masks]
     assert oracle.value_masks(mask_rows([], n)).shape == (0,)
+
+
+# The noisy batch works through `sets.map_chunks` chunks of CHUNK_BYTES //
+# (128 x the row's 128-bit mask chunks) rows; no chunking changes a value.
+
+@given(distributions, st.booleans(), st.integers(0, 2**64 - 1),
+       st.sampled_from(["waq", "coverage", "cut", "modular"]), st.integers(1, 300),
+       st.integers(0, 2**32))
+@example(Gaussian(0.1), True, 3, "cut", 300, 0)  # three 128-bit mask chunks
+@settings(max_examples=60, deadline=None)
+def test_noisy_batch_chunks_equal_one_batch(dist, clamp, seed, kind, n, data_seed):
+    rng = np.random.default_rng(data_seed)
+    oracle = PersistentNoisyOracle(batch_family(kind, n, rng),
+                                   NoiseSpec(dist, clamp_negative=clamp), seed)
+    masks = [int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+             for _ in range(3 * 3 + 1)] + edge_masks(n)
+    rows = mask_rows(masks, n)
+    whole = oracle.value_masks(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
+        for chunk_bytes in (3 * 128 * -(-rows.shape[1] // 16), 1):
+            mp.setattr(sets, "CHUNK_BYTES", chunk_bytes)
+            assert oracle.value_masks(rows).tobytes() == whole.tobytes()
+    assert [v.hex() for v in whole.tolist()] == [oracle.value_mask(m).hex() for m in masks]
+
+
+def test_noisy_batch_memory_stays_within_one_chunk():
+    # over all 2^16 rows the peak is the 512 KiB of values and one chunk's
+    # mixer, map and family batch (tracemalloc: 658-806 KiB); mixing the
+    # whole batch at once took 8706 KiB on each of these families
+    rng = np.random.default_rng(23)
+    rows = all_mask_rows(16)
+    for spec in (random_cut(16, rng, 1.0), random_coverage(16, rng, items=200),
+                 random_waq(16, rng)):
+        for dist in (Gaussian(0.1), BoundedUniform(0.5), ShiftedExponential(2.0)):
+            oracle = PersistentNoisyOracle(spec, NoiseSpec(dist), 5)
+            oracle.value_masks(rows[:1])  # build the tables outside the trace
+            tracemalloc.start()
+            try:
+                oracle.value_masks(rows)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20, (type(spec).__name__, dist)
 
 
 @given(distributions, st.booleans(), st.integers(0, 2**32), st.integers(0, 300))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisysubmax import setfn
+from noisysubmax import sets, setfn
 from noisysubmax.matroids import UniformMatroid
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
@@ -125,7 +125,7 @@ def test_non_submodular_detected():
 
 def test_submodularity_budget_enforced():
     with pytest.raises(ValueError):
-        check_submodular(Modular((0.0,) * 15))
+        check_submodular(Modular((0.0,) * 21))
 
 
 def test_multilinear_exact_at_vertices():
@@ -197,6 +197,15 @@ def test_cut_vertex_count_must_be_an_integer():
         CutFunction(3.0, ())
     n = CutFunction(np.int64(3), ((0, 2, 1.0),)).n_vertices
     assert type(n) is int and n == 3
+
+
+def test_coverage_takes_numpy_covers_as_ints():
+    covers = np.array([0b011, 0b100, 0b110], dtype=np.int64)
+    spec = Coverage(covers=tuple(covers), item_weights=(1.0, 2.0, 3.0))
+    assert all(type(c) is int for c in spec.covers)
+    want = Coverage(covers=(0b011, 0b100, 0b110), item_weights=(1.0, 2.0, 3.0))
+    assert [evaluate_mask(spec, m) for m in range(8)] == [evaluate_mask(want, m) for m in range(8)]
+    assert spec.value_masks(all_mask_rows(3)).tobytes() == value_table(want).tobytes()
 
 
 def test_coverage_rejects_item_outside_weights():
@@ -430,8 +439,8 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
             assert [v.hex() for v in twin.value_masks(rows).tolist()] == want
 
 
-# `_ByteTables.sum_rows` gathers at most `_SUM_CHUNK_CELLS` rows x summed
-# bytes (mask, item or edge bytes) at a time, for every family.
+# `_ByteTables.sum_rows` gathers `sets.CHUNK_BYTES` // (8 x summed bytes)
+# rows (summed bytes: mask, item or edge bytes) at a time, for every family.
 
 @given(byte_table_family_and_masks(), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
@@ -442,8 +451,8 @@ def test_cut_value_masks_chunks_equal_one_batch(case, seed):
     want = spec.value_masks(rows)
     # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
     with pytest.MonkeyPatch.context() as mp:
-        for cells in (3 * width, 1):
-            mp.setattr(setfn, "_SUM_CHUNK_CELLS", cells)
+        for chunk_bytes in (3 * 8 * width, 1):
+            mp.setattr(sets, "CHUNK_BYTES", chunk_bytes)
             got = spec.value_masks(rows)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
     assert [v.hex() for v in want.tolist()] == [value_by_bit_loop(spec, m).hex()
@@ -459,10 +468,10 @@ def test_cut_value_masks_chunk_boundary_at_default_size():
              random_waq(100, rng), Modular(tuple(rng.uniform(-3.0, 3.0, size=100).tolist())))
     for spec in specs:
         width = len(spec._tables.tables)
-        step = setfn._SUM_CHUNK_CELLS // width
+        step = sets.CHUNK_BYTES // (8 * width)
         rows = pack_rows(np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(setfn, "_SUM_CHUNK_CELLS", len(rows) * width)
+            mp.setattr(sets, "CHUNK_BYTES", len(rows) * 8 * width)
             whole = spec.value_masks(rows)
         assert spec.value_masks(rows).tobytes() == whole.tobytes()
 

@@ -4,6 +4,9 @@ from hypothesis import given, strategies as st
 from itertools import combinations
 from math import comb
 
+from noisysubmax.noise import Gaussian, NoiseSpec, PersistentNoisyOracle
+from noisysubmax.random_instances import random_waq
+from noisysubmax.setfn import evaluate
 from noisysubmax.sets import (MULTILINEAR_BUDGET, ElementSet, GroundSet,
                               all_k_subset_masks, all_mask_rows, mask_members,
                               mask_rows, pack_rows, random_k_subset,
@@ -35,6 +38,33 @@ def test_subset_construction_and_bounds():
         g.subset([4])
     with pytest.raises(ValueError):
         ElementSet(g, 1 << 4)
+
+
+# numpy integers enter through `operator.index`: numpy's own shifts wrap
+# (`1 << np.int64(70)` is 0 and `1 << np.int64(63)` is negative)
+
+@pytest.mark.parametrize("i", [63, 70])
+def test_subset_of_a_numpy_element_at_or_past_bit_63(i):
+    s = GroundSet(100).subset([np.int64(i)])
+    assert s.mask == 1 << i and type(s.mask) is int and list(s) == [i]
+
+
+def test_subset_of_a_numpy_draw_evaluates_and_queries():
+    rng = np.random.default_rng(3)
+    members = rng.choice(70, 5, replace=False)
+    assert members.max() >= 64
+    s = GroundSet(70).subset(members)
+    assert type(s.mask) is int and list(s) == sorted(members.tolist())
+    spec = random_waq(70, rng)
+    oracle = PersistentNoisyOracle(spec, NoiseSpec(Gaussian(0.1)), 7)
+    want = GroundSet(70).subset(members.tolist())
+    assert evaluate(spec, s) == evaluate(spec, want)
+    assert oracle.value(s) == oracle.value(want)
+
+
+def test_element_set_mask_is_an_int():
+    s = ElementSet(GroundSet(8), np.uint8(5))
+    assert type(s.mask) is int and list(s) == [0, 2]
 
 
 def test_membership_iteration_order():
@@ -102,6 +132,12 @@ def test_random_k_subset_size_and_membership():
         assert len(sub) == 3 and sub.issubset(s)
     with pytest.raises(ValueError):
         random_k_subset_mask([0, 1], 3, rng)
+
+
+def test_random_k_subset_rejects_negative_k():
+    # numpy's "negative dimensions are not allowed" no longer leaks out
+    with pytest.raises(ValueError, match="cannot draw a negative number"):
+        random_k_subset_mask([0, 1], -1, np.random.default_rng(0))
 
 
 def test_random_k_subset_of_full_set():

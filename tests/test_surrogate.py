@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisysubmax import surrogate
+from noisysubmax import sets
 
 from noisysubmax.checks import (lemma_add_subset, lemma_remove_one_element,
                                 lemma_remove_subset, smoothing_lemma_gap,
@@ -422,9 +422,9 @@ def test_surrogate_batch_chunks_equal_one_batch(family, n, h, seed):
     oracle, rng = surrogate_case(family, n, h, False, seed)
     rows = pack_rows(rng.random((3 * 4 + 1, n)) < 0.5)
     whole = oracle.value_masks(rows)
-    cells_per_row = oracle.cfg.m * rows.shape[1]
+    bytes_per_row = oracle.cfg.m * (rows.shape[1] + 8)
     with pytest.MonkeyPatch.context() as mp:
         # chunks of 4 rows (the last one 1 row), then chunks of 1 row
-        for cells in (4 * cells_per_row, 1):
-            mp.setattr(surrogate, "_SURROGATE_CHUNK_CELLS", cells)
+        for chunk_bytes in (4 * bytes_per_row, 1):
+            mp.setattr(sets, "CHUNK_BYTES", chunk_bytes)
             assert oracle.value_masks(rows).tobytes() == whole.tobytes()
