@@ -32,7 +32,6 @@ import operator
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, log, sqrt
-from typing import Union
 
 import numpy as np
 
@@ -178,7 +177,7 @@ class ShiftedExponential(_MappedInMath):
         return self._low - log(u_open) / self.rate
 
 
-NoiseDistribution = Union[Gaussian, BoundedUniform, ShiftedExponential]
+NoiseDistribution = Gaussian | BoundedUniform | ShiftedExponential
 
 
 @dataclass(frozen=True)

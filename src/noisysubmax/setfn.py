@@ -10,7 +10,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
@@ -98,14 +97,17 @@ class _ByteTables:
             total += table[byte]
         return total
 
-    def sum_rows(self, rows: np.ndarray, select=None) -> np.ndarray:
-        """The sums of packed rows, each bit for bit equal to `sum_mask`, in
-        `map_chunks` chunks (the float gather takes 8 bytes per summed byte).
-        `select`, if given, maps a chunk of packed rows to the (rows, bytes)
-        uint8 to sum (a family's combined items)."""
-        byte = np.arange(len(self.array))
-        return map_chunks(lambda chunk: _left_sum(self.array[byte, select(chunk) if select else chunk]),
-                          rows, 8 * max(1, len(byte)))
+    @property
+    def row_bytes(self) -> int:
+        """The bytes `sum_rows` keeps per row: 8 per summed byte (the float gather)."""
+        return 8 * max(1, len(self.array))
+
+    def sum_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The sums of (rows, bytes) uint8 rows (a WAQ's packed rows, a
+        family's combined items), each bit for bit equal to `sum_mask`.  It
+        does not chunk: a family calls it on each chunk of its batch's
+        `map_chunks`, at `row_bytes` per row plus its own."""
+        return _left_sum(self.array[np.arange(len(self.array)), rows])
 
 
 # Each family evaluates one mask in closed form (`value_mask`) and a batch of
@@ -140,8 +142,13 @@ class WeightedAdditiveQuadratic:
         return self._tables.sum_mask(mask) - self.cost * k * k
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        k = np.bitwise_count(rows).sum(axis=1)
-        return self._tables.sum_rows(rows) - self.cost * k * k
+        tables, cost = self._tables, self.cost
+
+        def values(chunk):
+            k = np.bitwise_count(chunk).sum(axis=1)
+            return tables.sum_rows(chunk) - cost * k * k
+        # a row keeps its float gather, its member count and its cost term
+        return map_chunks(values, rows, tables.row_bytes + 16)
 
     def optimum(self) -> tuple[ElementSet, float]:
         """Closed-form optimum: the cost depends only on |S|, so the optimum is
@@ -216,7 +223,9 @@ class _IncidenceSum:
         return out
 
     def value_masks(self, rows: np.ndarray) -> np.ndarray:
-        return self._tables.sum_rows(rows, self._combined_rows)
+        tables = self._tables
+        return map_chunks(lambda chunk: tables.sum_rows(self._combined_rows(chunk)),
+                          rows, tables.row_bytes)
 
 
 @dataclass(frozen=True)
@@ -280,7 +289,7 @@ class CutFunction(_IncidenceSum):
         return tuple(w for _, _, w in self.edges)
 
 
-SetFunctionSpec = Union[WeightedAdditiveQuadratic, Coverage, CutFunction]
+SetFunctionSpec = WeightedAdditiveQuadratic | Coverage | CutFunction
 
 
 def evaluate_mask(spec: SetFunctionSpec, mask: int) -> float:

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -75,7 +74,7 @@ class RandomSubset:
         return ElementSet(oracle.ground, m.greedy_mask(order, self.size))
 
 
-SolverConfig = Union[Greedy, DoubleGreedy, MeasuredContinuousGreedy, RandomSubset]
+SolverConfig = Greedy | DoubleGreedy | MeasuredContinuousGreedy | RandomSubset
 
 
 def greedy_cardinality(oracle: ValueOracle, m: Matroid) -> ElementSet:

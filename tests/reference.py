@@ -8,17 +8,22 @@ scalar draw per decision, the noise multipliers drawn one at a time, the
 noise stream's multiplier of one set mixed chunk by chunk, the cut's
 crossing edges found edge by edge, the set-bit walk and the matroid scans
 as per-bit and per-element loops, the dense surrogate draw through a
-k-subset unranking, and the appendix lemmas checked one (S, A) pair at a
-time."""
+k-subset unranking, the appendix lemmas checked one (S, A) pair at a
+time, the oracles forced down one query path, and the memory a batch takes
+beyond its output."""
 import math
+import tracemalloc
+from collections import Counter
 from math import comb
 
 import numpy as np
 
 from noisysubmax.oracles import ExactOracle, ValueOracle
-from noisysubmax.sets import ElementSet, all_k_subset_masks, mask_members
-from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec
-from noisysubmax.setfn import CHECK_TOL, Coverage, CutFunction, _check_point, multilinear_exact
+from noisysubmax.random_instances import random_coverage, random_cut, random_waq
+from noisysubmax.sets import CHUNK_BYTES, ElementSet, all_k_subset_masks, mask_members, mask_rows
+from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec, PersistentNoisyOracle
+from noisysubmax.setfn import (CHECK_TOL, Coverage, CutFunction, Modular, _check_point,
+                               multilinear_exact)
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
 
@@ -92,6 +97,59 @@ def greedy_by_single_queries(oracle: ValueOracle, m) -> ElementSet:
         mask |= 1 << best_elem
         current = best_val
     return ElementSet(oracle.ground, mask)
+
+
+FORCED_PATH_ORACLES = (ExactOracle, PersistentNoisyOracle, SampledSurrogateOracle)
+
+
+def force_path(monkeypatch, mode: str) -> Counter:
+    """Send every query of the exact, noisy and surrogate oracles down one
+    path.  "batch": each one-set `value_mask` answers through a 1-row
+    `value_masks`.  "loop": each batch goes through `ValueOracle._value_rows`,
+    one `value_mask` per row.  The returned counter counts the patched calls
+    by oracle class name."""
+    calls = Counter()
+
+    def one_row_batch(self, mask):
+        calls[type(self).__name__] += 1
+        return float(self.value_masks(mask_rows([mask], self.ground.n))[0])
+
+    def per_row_loop(self, rows):
+        calls[type(self).__name__] += 1
+        return ValueOracle._value_rows(self, rows)
+
+    name, patch = {"batch": ("value_mask", one_row_batch),
+                   "loop": ("_value_rows", per_row_loop)}[mode]
+    for cls in FORCED_PATH_ORACLES:
+        monkeypatch.setattr(cls, name, patch)
+    return calls
+
+
+def memory_families(n: int, rng: np.random.Generator) -> tuple:
+    """One function of each family the batch memory tests bound, over n
+    elements: a complete-graph cut, a 200-item coverage, a WAQ and a
+    `Modular`."""
+    return (random_cut(n, rng, 1.0), random_coverage(n, rng, items=200), random_waq(n, rng),
+            Modular(tuple(rng.uniform(-3.0, 3.0, size=n).tolist())))
+
+
+# The memory bound of a batch beyond its output: one chunk.  A chunk's
+# `row_bytes` count its largest arrays, and with the rest (packed rows,
+# counts, a surrogate's inner chunk) it keeps under 4 * CHUNK_BYTES.
+CHUNK_PEAK = 4 * CHUNK_BYTES
+
+
+def peak_beyond_output(batch, rows: np.ndarray) -> int:
+    """The tracemalloc peak of `batch(rows)` less its float64 output: what
+    the batch keeps besides its values.  A 1-row batch first builds the
+    lookup tables outside the trace."""
+    batch(rows[:1])
+    tracemalloc.start()
+    try:
+        batch(rows)
+        return tracemalloc.get_traced_memory()[1] - 8 * len(rows)
+    finally:
+        tracemalloc.stop()
 
 
 def comparison_by_single_queries(oracle: ValueOracle, s: ElementSet) -> float:

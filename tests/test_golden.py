@@ -33,7 +33,7 @@ from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
                                  run_solver)
 from noisysubmax.surrogate import ParamBudget, compute_parameters
 
-from reference import exact_surrogate
+from reference import FORCED_PATH_ORACLES, exact_surrogate, force_path
 
 SIMULATE_ARGS = ["simulate", "--n", "20", "--trials", "20", "--seed", "0", "--workers", "1"]
 SIMULATE_SHA256 = "2079a3f5dba48e1d55ee0f2582bca56dae61e1e6ea833f12f7358aa514410dc2"
@@ -275,6 +275,23 @@ def test_meta_mcg_masks_and_points(monkeypatch):
         got[label] = (mask, hashlib.sha256(",".join(v.hex() for v in x).encode()).hexdigest())
     assert not points
     assert got == META_MCG
+
+
+# The pinned runs above hold bit for bit whichever path answers: every
+# one-set query of the exact, noisy and surrogate oracles through a 1-row
+# batch, or every batch through one-set queries row by row.  So a crossover
+# between the paths is a choice of speed alone.
+@pytest.mark.parametrize("mode", ["batch", "loop"])
+def test_pins_hold_on_either_forced_path(mode, monkeypatch, tmp_path):
+    calls = force_path(monkeypatch, mode)
+    test_simulate_csv_digest(tmp_path)
+    test_simulate_csv_digest_with_a_smoothing_set_below_n(tmp_path)
+    test_solution_masks()
+    test_constrained_mix_n40_solutions()
+    test_meta_mcg_masks_and_points(monkeypatch)
+    test_mcg_point_digest()
+    # every forced oracle answered some queries
+    assert set(calls) == {cls.__name__ for cls in FORCED_PATH_ORACLES}
 
 
 # Each instance with the exact text `dumps_instance` writes for it.  Together

@@ -1,7 +1,6 @@
 import copy
 import math
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +14,8 @@ from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from noisysubmax.sets import ElementSet, all_mask_rows, mask_rows
 from noisysubmax.setfn import Modular, evaluate
 
-from reference import multiplier_by_chunk_loop, multipliers_by_scalar_draws, stream_uniforms
+from reference import (CHUNK_PEAK, memory_families, multiplier_by_chunk_loop,
+                       multipliers_by_scalar_draws, peak_beyond_output, stream_uniforms)
 
 
 def make_oracle(seed=0, n=10, sigma2=0.1):
@@ -270,23 +270,14 @@ def test_noisy_batch_chunks_equal_one_batch(dist, clamp, seed, kind, n, data_see
 
 
 def test_noisy_batch_memory_stays_within_one_chunk():
-    # over all 2^16 rows the peak is the 512 KiB of values and one chunk's
-    # mixer, map and family batch (tracemalloc: 658-806 KiB); mixing the
+    # over all 2^16 rows the peak beyond the 512 KiB of values is one chunk's
+    # mixer, map and family batch (tracemalloc: 146-294 KiB); mixing the
     # whole batch at once took 8706 KiB on each of these families
-    rng = np.random.default_rng(23)
     rows = all_mask_rows(16)
-    for spec in (random_cut(16, rng, 1.0), random_coverage(16, rng, items=200),
-                 random_waq(16, rng)):
+    for spec in memory_families(16, np.random.default_rng(23)):
         for dist in (Gaussian(0.1), BoundedUniform(0.5), ShiftedExponential(2.0)):
             oracle = PersistentNoisyOracle(spec, NoiseSpec(dist), 5)
-            oracle.value_masks(rows[:1])  # build the tables outside the trace
-            tracemalloc.start()
-            try:
-                oracle.value_masks(rows)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < 1 << 20, (type(spec).__name__, dist)
+            assert peak_beyond_output(oracle.value_masks, rows) < CHUNK_PEAK, (type(spec).__name__, dist)
 
 
 @given(distributions, st.booleans(), st.integers(0, 2**32), st.integers(0, 300))

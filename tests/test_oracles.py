@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from noisysubmax.noise import NoiseSpec, PersistentNoisyOracle, ShiftedExponential
+from noisysubmax.noise import BoundedUniform, NoiseSpec, PersistentNoisyOracle, ShiftedExponential
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
-from noisysubmax.sets import mask_rows, pack_rows, row_masks
+from noisysubmax.sets import all_mask_rows, mask_rows, pack_rows, row_masks
 from noisysubmax.surrogate import SampledSurrogateOracle, SurrogateConfig
 
-from reference import PerturbedOracle
+from reference import CHUNK_PEAK, PerturbedOracle, memory_families, peak_beyond_output
 
 FAMILIES = (random_waq, random_coverage, random_cut)
 
@@ -155,3 +155,19 @@ def test_an_empty_batch_has_no_values(n):
         assert call(empty).shape == (0,)
     u_open, u_half = _batch_calls(n)[-1](empty)
     assert u_open.shape == u_half.shape == (0,)
+
+
+def test_exact_and_surrogate_batch_memory_stays_within_one_chunk():
+    # over all 2^16 rows the exact batch keeps its family's chunk (228-276
+    # KiB beyond the 512 KiB of values); the surrogate keeps its chunk of
+    # unions and their values and its noisy inner oracle's chunk (275-421
+    # KiB at m=4).  The noisy and family batches are bounded in
+    # test_noise.py and test_setfn.py.
+    rows = all_mask_rows(16)
+    for spec in memory_families(16, np.random.default_rng(23)):
+        exact = ExactOracle(spec)
+        noisy = PersistentNoisyOracle(spec, NoiseSpec(BoundedUniform(0.5)), 5)
+        cfg = SurrogateConfig.draw(exact.ground.subset(range(6)), 2, 4, np.random.default_rng(1))
+        for oracle in (exact, SampledSurrogateOracle(noisy, cfg)):
+            assert peak_beyond_output(oracle.value_masks, rows) < CHUNK_PEAK, (
+                type(spec).__name__, type(oracle).__name__)

@@ -18,8 +18,8 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                multilinear_exact, table_is_submodular,
                                value_table)
 
-from reference import (byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
-                       multilinear_partial_exact)
+from reference import (CHUNK_PEAK, byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
+                       memory_families, multilinear_partial_exact, peak_beyond_output)
 
 
 def naive_value(spec, members):
@@ -439,19 +439,23 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
             assert [v.hex() for v in twin.value_masks(rows).tolist()] == want
 
 
-# `_ByteTables.sum_rows` gathers `sets.CHUNK_BYTES` // (8 x summed bytes)
-# rows (summed bytes: mask, item or edge bytes) at a time, for every family.
+# A family's batch works on `sets.CHUNK_BYTES` // (bytes per row) rows at a
+# time: 8 per summed byte (mask, item or edge bytes) for the float gather of
+# `_ByteTables.sum_rows`, and 16 more for a WAQ's member count and cost term.
+
+def batch_row_bytes(spec) -> int:
+    return spec._tables.row_bytes + (16 if isinstance(spec, WeightedAdditiveQuadratic) else 0)
+
 
 @given(byte_table_family_and_masks(), st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_cut_value_masks_chunks_equal_one_batch(case, seed):
     spec, _ = case
-    width = max(1, len(spec._tables.tables))
     rows = pack_rows(np.random.default_rng(seed).random((5 * 3 + 2, spec.n)) < 0.5)
     want = spec.value_masks(rows)
     # chunks of 3 rows (the last one 2 rows), then chunks of 1 row
     with pytest.MonkeyPatch.context() as mp:
-        for chunk_bytes in (3 * 8 * width, 1):
+        for chunk_bytes in (3 * batch_row_bytes(spec), 1):
             mp.setattr(sets, "CHUNK_BYTES", chunk_bytes)
             got = spec.value_masks(rows)
             assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
@@ -467,47 +471,42 @@ def test_cut_value_masks_chunk_boundary_at_default_size():
     specs = (random_cut(100, rng, 0.4), random_coverage(100, rng),
              random_waq(100, rng), Modular(tuple(rng.uniform(-3.0, 3.0, size=100).tolist())))
     for spec in specs:
-        width = len(spec._tables.tables)
-        step = sets.CHUNK_BYTES // (8 * width)
+        step = sets.CHUNK_BYTES // batch_row_bytes(spec)
         rows = pack_rows(np.random.default_rng(6).random((2 * step + 6, 100)) < 0.5)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sets, "CHUNK_BYTES", len(rows) * 8 * width)
+            mp.setattr(sets, "CHUNK_BYTES", len(rows) * batch_row_bytes(spec))
             whole = spec.value_masks(rows)
         assert spec.value_masks(rows).tobytes() == whole.tobytes()
 
 
 def test_batch_memory_stays_within_one_chunk():
-    # a batch combines and sums one chunk of rows at a time, so over
-    # all 2^16 rows its peak beyond the 512 KiB of sums stays under 512 KiB
-    # (about 276 KiB); combining the whole batch first took 1.6 MiB on this
-    # cut (15 edge bytes) and 2.9 MiB on this coverage (25 item bytes)
-    rng = np.random.default_rng(23)
+    # a batch combines, counts and sums one chunk of rows at a time, so over
+    # all 2^16 rows its peak beyond the 512 KiB of sums stays within one
+    # chunk (cut and coverage about 276 KiB, WAQ and `Modular` 228 KiB);
+    # combining the whole batch first took 1.6 MiB on this cut (15 edge
+    # bytes) and 2.9 MiB on this coverage (25 item bytes), and counting the
+    # WAQ's members over the whole batch 1.1 MiB
     rows = all_mask_rows(16)
-    for spec in (random_cut(16, rng, 1.0), random_coverage(16, rng, items=200)):
-        spec.value_masks(rows[:1])  # build the tables outside the trace
-        tracemalloc.start()
-        try:
-            spec.value_masks(rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - 8 * len(rows) < 512 * 1024, type(spec).__name__
+    for spec in memory_families(16, np.random.default_rng(23)):
+        assert peak_beyond_output(spec.value_masks, rows) < CHUNK_PEAK, type(spec).__name__
 
 
 def test_value_table_of_a_dense_n20_cut_peaks_under_16_mib():
-    # 8 MiB of sums and 4 MiB of packed rows (the low bytes of one 2^20
-    # uint32 arange); one boolean column per element took 28.3 MiB
-    spec = random_cut(20, np.random.default_rng(24), 1.0)
-    spec.value_masks(all_mask_rows(1))  # build the tables outside the trace
-    tracemalloc.start()
-    try:
-        table = value_table(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 1024 * 1024
-    masks = [0, 1, (1 << 20) - 1, 0x5A5A5, 1 << 19]
-    assert [table[m].hex() for m in masks] == [spec.value_mask(m).hex() for m in masks]
+    # 8 MiB of values and 4 MiB of packed rows (the low bytes of one 2^20
+    # uint32 arange); one boolean column per element took 28.3 MiB on the
+    # cut, and counting members over the whole batch 28.1 MiB on the WAQ
+    for spec in (random_cut(20, np.random.default_rng(24), 1.0),
+                 random_waq(20, np.random.default_rng(24))):
+        spec.value_masks(all_mask_rows(1))  # build the tables outside the trace
+        tracemalloc.start()
+        try:
+            table = value_table(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024 * 1024, type(spec).__name__
+        masks = [0, 1, (1 << 20) - 1, 0x5A5A5, 1 << 19]
+        assert [table[m].hex() for m in masks] == [spec.value_mask(m).hex() for m in masks]
 
 
 # `value_masks` (each family's numpy batch) must equal `value_mask` of

@@ -71,3 +71,21 @@ def test_budgets_and_chunk_sizes_only_in_sets():
     # (MULTILINEAR_BUDGET, CHUNK_BYTES); other modules import them
     assert [f"{path.relative_to(SRC)}:{node.lineno}" for path, tree in modules()
             if path.name != "sets.py" for node in tree.body if assigns_sizing_constant(node)] == []
+
+
+TYPING_UNIONS = ("Union", "Optional")
+
+
+def names_typing_union(node) -> bool:
+    """`from typing import Union` (or Optional), or `typing.Union`."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "typing" and any(a.name in TYPING_UNIONS for a in node.names)
+    return (isinstance(node, ast.Attribute) and node.attr in TYPING_UNIONS
+            and isinstance(node.value, ast.Name) and node.value.id == "typing")
+
+
+def test_no_typing_union_or_optional():
+    # unions are written `A | B`: a module-level `typing.Union[...]` is kept
+    # in typing's subscription cache with the classes it names, which keeps
+    # every earlier import of the package alive
+    assert found(lambda node, path: names_typing_union(node)) == []
