@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -58,6 +58,34 @@ def _byte_subset_tables(items: np.ndarray, combine: np.ufunc) -> np.ndarray:
     return out
 
 
+# A generated fold adds at most this many terms per statement.  The compiler
+# recurses once per nested operation, and CPython 3.11 fails on one expression
+# of about 3000 terms (a 3000-row table is a 24000-edge cut).
+_FOLD_TERMS = 16
+
+
+@cache
+def _byte_fold(width: int, op: str, start: str):
+    """A function of `width` rows that returns the one-set fold over them:
+    `fold(mask)` is `start op rows[0][b0] op rows[1][b1] ...` over the
+    mask's little-endian bytes b0, b1, ..., combined from the low byte, the
+    same operations in the same order as a loop over the bytes, without the
+    loop.  The code is compiled once per (width, op, start) and kept for the
+    process; each call closes it over its own rows."""
+    rows = [f"r{i}" for i in range(width)]
+    lines = [f"def rows_fold({', '.join(rows)}):",
+             "    def fold(mask):",
+             f"        [{', '.join(f'b{i}' for i in range(width))}] = mask.to_bytes({width}, 'little')",
+             f"        acc = {start}"]
+    for lo in range(0, width, _FOLD_TERMS):
+        terms = "".join(f" {op} r{i}[b{i}]" for i in range(lo, min(width, lo + _FOLD_TERMS)))
+        lines.append(f"        acc = acc{terms}")
+    lines += ["        return acc", "    return fold"]
+    namespace = {}
+    exec(compile("\n".join(lines), f"<byte fold {op} over {width} rows>", "exec"), namespace)
+    return namespace["rows_fold"]
+
+
 # A table of at most this many rows (8 weights each) gives its one-set sum
 # tuples of Python floats, whose reads allocate nothing; a larger one gives
 # memoryviews of its array, whose reads allocate a float each but which hold
@@ -74,7 +102,10 @@ class _ByteTables:
     low bit, and the entries add up from the low byte.  `tables` reads the
     rows of the one array as tuples of Python floats up to `_TUPLE_ROWS`
     rows, and as memoryviews above, which give Python floats too (an
-    np.float64 would change the repr of a value)."""
+    np.float64 would change the repr of a value).  `sum_mask(mask)`, the
+    sum of one mask, is the byte fold `0.0 + tables[0][b0] + ...`: a zero
+    byte adds table[0] = 0.0, which leaves the total exact (it starts at
+    0.0, so it is never -0.0)."""
 
     def __init__(self, weights: tuple[float, ...]):
         self.weights = weights
@@ -83,19 +114,12 @@ class _ByteTables:
             self.tables = tuple(tuple(row.tolist()) for row in self.array)
         else:
             self.tables = tuple(memoryview(row) for row in self.array)
+        self.sum_mask = _byte_fold(len(self.tables), "+", "0.0")(*self.tables)
 
     def __reduce__(self):
-        # a memoryview cannot be pickled or deep-copied; rebuild the tables
+        # a memoryview cannot be pickled or deep-copied, nor a generated
+        # fold pickled; rebuild the tables
         return (type(self), (self.weights,))
-
-    def sum_mask(self, mask: int) -> float:
-        """The sum of one mask.  A zero byte adds table[0] = 0.0, which
-        leaves the total exact (it starts at 0.0, so it is never -0.0)."""
-        total = 0.0
-        tables = self.tables
-        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            total += table[byte]
-        return total
 
     @property
     def row_bytes(self) -> int:
@@ -183,12 +207,18 @@ def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
 # sets of a mask's elements (OR: the covered items; XOR: the crossing edges).
 # A family defines only its fields, its validation, `_item_sets()` (one int
 # per element, bit j for item j), `_item_weights()` and `_combine`, a (numpy
-# ufunc, int operator) pair; the base class derives both evaluation paths.
+# ufunc, Python operator symbol) pair; the base class derives both evaluation
+# paths.
 
 class _IncidenceSum:
     """Base class: per-byte incidence tables, one set and a batch."""
 
     _combine: tuple
+
+    def __reduce__(self):
+        # a generated fold cannot be pickled; rebuild the family from its
+        # fields, and its tables on first use
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     @cached_property
     def _tables(self) -> _ByteTables:
@@ -202,17 +232,14 @@ class _IncidenceSum:
         return _byte_subset_tables(items, self._combine[0])
 
     @cached_property
-    def _incidence_ints(self) -> tuple[tuple[int, ...], ...]:
-        """`_incidence` with each entry as a Python int, for one set."""
-        return tuple(tuple(row_masks(table)) for table in self._incidence)
+    def _items_mask(self):
+        """The combined item set of one mask as a Python int: the byte fold,
+        from 0, of `_incidence` with each entry as a Python int."""
+        ints = [tuple(row_masks(table)) for table in self._incidence]
+        return _byte_fold(len(ints), self._combine[1], "0")(*ints)
 
     def value_mask(self, mask: int) -> float:
-        tables = self._incidence_ints
-        combine = self._combine[1]
-        items = 0
-        for table, byte in zip(tables, mask.to_bytes(len(tables), "little")):
-            items = combine(items, table[byte])
-        return self._tables.sum_mask(items)
+        return self._tables.sum_mask(self._items_mask(mask))
 
     def _combined_rows(self, packed: np.ndarray) -> np.ndarray:
         """The (rows, item bytes) uint8 combined item sets of packed rows."""
@@ -234,7 +261,7 @@ class Coverage(_IncidenceSum):
 
     covers: tuple[int, ...]
     item_weights: tuple[float, ...]
-    _combine = (np.bitwise_or, operator.or_)
+    _combine = (np.bitwise_or, "|")
 
     def __post_init__(self):
         object.__setattr__(self, "covers", tuple(map(operator.index, self.covers)))
@@ -264,7 +291,7 @@ class CutFunction(_IncidenceSum):
 
     n_vertices: int
     edges: tuple[tuple[int, int, float], ...]
-    _combine = (np.bitwise_xor, operator.xor)
+    _combine = (np.bitwise_xor, "^")
 
     def __post_init__(self):
         object.__setattr__(self, "n_vertices", GroundSet(self.n_vertices).n)

@@ -3,7 +3,8 @@ adversarial eps-perturbed oracle, the sampled surrogate of one set, the
 exact surrogate of a smoothing set too large to tabulate, the exact partial
 derivative of the multilinear extension, one-query-per-call
 forms of the solver loops that now send batches, a bit loop that builds
-the per-byte weight-sum tables, the coverage and cut generators with one
+the per-byte weight-sum tables, the one-set byte fold as a loop over a
+mask's bytes, the coverage and cut generators with one
 scalar draw per decision, the noise multipliers drawn one at a time, the
 noise stream's multiplier of one set mixed chunk by chunk, the cut's
 crossing edges found edge by edge, the set-bit walk and the matroid scans
@@ -12,6 +13,7 @@ k-subset unranking, the appendix lemmas checked one (S, A) pair at a
 time, the oracles forced down one query path, and the memory a batch takes
 beyond its output."""
 import math
+import operator
 import tracemalloc
 from collections import Counter
 from math import comb
@@ -175,6 +177,20 @@ def byte_sum_tables_by_bit_loop(weights) -> tuple[tuple[float, ...], ...]:
             tab[chunk] = s
         tables.append(tuple(tab))
     return tuple(tables)
+
+
+BYTE_FOLD_OPS = {"+": operator.add, "|": operator.or_, "^": operator.xor}
+
+
+def byte_fold_by_loop(rows, op: str, start, mask: int):
+    """`setfn._byte_fold(len(rows), op, ...)(*rows)(mask)` as the loop over
+    the mask's little-endian bytes that it replaced: from `start`, combine
+    with rows[b][byte b] from the low byte."""
+    combine = BYTE_FOLD_OPS[op]
+    acc = start
+    for row, byte in zip(rows, mask.to_bytes(len(rows), "little")):
+        acc = combine(acc, row[byte])
+    return acc
 
 
 def random_coverage_by_scalar_draws(n: int, rng: np.random.Generator,

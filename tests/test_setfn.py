@@ -18,8 +18,9 @@ from noisysubmax.setfn import (Coverage, CutFunction, Modular,
                                multilinear_exact, table_is_submodular,
                                value_table)
 
-from reference import (CHUNK_PEAK, byte_sum_tables_by_bit_loop, cut_crossing_by_edge_loop,
-                       memory_families, multilinear_partial_exact, peak_beyond_output)
+from reference import (CHUNK_PEAK, byte_fold_by_loop, byte_sum_tables_by_bit_loop,
+                       cut_crossing_by_edge_loop, memory_families, multilinear_partial_exact,
+                       peak_beyond_output)
 
 
 def naive_value(spec, members):
@@ -437,6 +438,75 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
             assert all(type(table) is row for table in twin._tables.tables)
             assert [twin.value_mask(m).hex() for m in masks] == want
             assert [v.hex() for v in twin.value_masks(rows).tolist()] == want
+
+
+# The one-set sums and incidence combines are generated byte folds
+# (`setfn._byte_fold`); the loop over a mask's bytes that they replaced is
+# the reference, on float rows whose sums round, cancel or overflow and on
+# int rows wider than a machine word.
+
+_FOLD_FLOATS = st.one_of(st.sampled_from((-0.0, 0.0, 1e300, -1e300, 5e-324)),
+                         st.floats(-1e300, 1e300, allow_nan=False))
+
+
+@st.composite
+def byte_fold_case(draw):
+    """(op, start, rows, masks): `width` 256-entry rows whose entries come
+    from a drawn pool, and masks over `width` bytes."""
+    op = draw(st.sampled_from("+|^"))
+    width = draw(st.integers(0, 40))
+    values = _FOLD_FLOATS if op == "+" else st.integers(0, 1 << 200)
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    picks = np.random.default_rng(draw(st.integers(0, 2**32))).integers(
+        len(pool), size=(width, 256)).tolist()
+    rows = [tuple(pool[j] for j in row) for row in picks]
+    masks = draw(st.lists(st.integers(0, (1 << 8 * width) - 1), max_size=8))
+    return op, 0.0 if op == "+" else 0, rows, masks + [0, (1 << 8 * width) - 1]
+
+
+def fold_bits(value) -> str:
+    return value.hex() if type(value) is float else hex(value)
+
+
+@given(byte_fold_case())
+@settings(max_examples=300, deadline=None)
+def test_byte_fold_matches_the_byte_loop(case):
+    op, start, rows, masks = case
+    want = [fold_bits(byte_fold_by_loop(rows, op, start, m)) for m in masks]
+    # float rows are read as tuples and, above `_TUPLE_ROWS`, as memoryviews
+    kinds = [rows] + ([[memoryview(np.array(row)) for row in rows]] if op == "+" else [])
+    for kind in kinds:
+        fold = setfn._byte_fold(len(rows), op, repr(start))(*kind)
+        got = [fold(m) for m in masks]
+        assert all(type(v) is type(start) for v in got)
+        assert [fold_bits(v) for v in got] == want
+
+
+def test_byte_fold_compiles_past_the_one_expression_limit():
+    # one left-nested expression of 3000 terms fails to compile on CPython
+    # 3.11; the fold adds at most `_FOLD_TERMS` per statement
+    width = 3000
+    rows = [tuple(float(c * (b % 7 - 3)) for c in range(256)) for b in range(width)]
+    fold = setfn._byte_fold(width, "+", "0.0")(*rows)
+    rng = np.random.default_rng(30)
+    for mask in [0, (1 << 8 * width) - 1] + [int(rng.integers(1 << 62)) << int(rng.integers(8 * width))
+                                             for _ in range(8)]:
+        assert fold(mask).hex() == byte_fold_by_loop(rows, "+", 0.0, mask).hex()
+
+
+def test_wide_families_one_set_equals_batch():
+    # a dense n=100 cut (about 2475 edges, 310 edge bytes) and a coverage of
+    # 2000 items (250 item bytes) fold more terms than one statement holds
+    rng = np.random.default_rng(31)
+    cut, cover = random_cut(100, rng), random_coverage(40, rng, items=2000)
+    assert len(cut._tables.tables) > 300 and len(cover._tables.tables) == 250
+    for spec in (cut, cover):
+        rows = pack_rows(rng.random((24, spec.n)) < rng.random((24, 1)))
+        rows = np.concatenate([rows, mask_rows([0, (1 << spec.n) - 1], spec.n)])
+        masks = row_masks(rows)
+        want = [v.hex() for v in spec.value_masks(rows).tolist()]
+        assert [spec.value_mask(m).hex() for m in masks] == want
+        assert [value_by_bit_loop(spec, m).hex() for m in masks[:6]] == want[:6]
 
 
 # A family's batch works on `sets.CHUNK_BYTES` // (bytes per row) rows at a

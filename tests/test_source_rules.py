@@ -89,3 +89,24 @@ def test_no_typing_union_or_optional():
     # in typing's subscription cache with the classes it names, which keeps
     # every earlier import of the package alive
     assert found(lambda node, path: names_typing_union(node)) == []
+
+
+CODE_RUNNERS = ("exec", "eval", "compile")
+
+
+def runs_code(node) -> bool:
+    """A call of `exec`, `eval` or `compile`."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in CODE_RUNNERS)
+
+
+def test_code_is_generated_only_by_the_byte_fold():
+    # generated code is confined to `setfn._byte_fold`, which compiles the
+    # one-set byte folds from a fixed template; nothing else under src/
+    # compiles or runs a string
+    generator = [node for path, tree in modules() if path.name == "setfn.py"
+                 for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "_byte_fold"
+                 for node in ast.walk(fn)]
+    assert any(map(runs_code, generator))
+    allowed = set(map(id, generator))
+    assert found(lambda node, path: runs_code(node) and id(node) not in allowed) == []
