@@ -21,13 +21,11 @@ from .matroids import UniformMatroid
 from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
+from .random_instances import random_waq, waq_cost
 from .sets import ElementSet, random_k_subset
-from .setfn import (WAQ_WEIGHT_HIGH, WeightedAdditiveQuadratic, nonnegative_certified,
-                    waq_cost)
+from .setfn import WeightedAdditiveQuadratic
 from .solvers import DoubleGreedy, double_greedy
 from .surrogate import check_surrogate_sizes
-
-RESAMPLE_LIMIT = 10_000
 
 
 @dataclass(frozen=True)
@@ -80,13 +78,7 @@ class TrialRecord:
 
 def generate_instance(spec: ExperimentSpec, rng: np.random.Generator):
     """Fresh non-negative-certified instance and noise world for one trial."""
-    for _ in range(RESAMPLE_LIMIT):
-        weights = rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=spec.n)
-        if nonnegative_certified(weights, spec.cost):
-            break
-    else:
-        raise RuntimeError(f"non-negativity resampling exceeded {RESAMPLE_LIMIT} attempts")
-    fn = WeightedAdditiveQuadratic(weights=tuple(float(w) for w in weights), cost=spec.cost)
+    fn = random_waq(spec.n, rng)
     noise_seed = int(rng.integers(0, 2**63))
     oracle = PersistentNoisyOracle(fn, NoiseSpec(Gaussian(spec.sigma2)), noise_seed)
     return fn, oracle

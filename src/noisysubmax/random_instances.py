@@ -1,7 +1,8 @@
 """Random instance generators for tests, lemma suites and the benchmark.
 
-`random_coverage` and `random_cut` draw their doubles in blocks, in the order
-of a loop that draws one scalar per decision (`rng.random()` per item or pair,
+`random_waq` is the one WAQ draw, the benchmark's instance.  `random_coverage`
+and `random_cut` draw their doubles in blocks, in the order of a loop that
+draws one scalar per decision (`rng.random()` per item or pair,
 `rng.uniform(0.2, 2.0)` per edge weight), and never more doubles than that
 loop would.  Each instance is bit for bit the loop's, and the generator ends
 in the same state.
@@ -11,20 +12,36 @@ from __future__ import annotations
 import numpy as np
 
 from .sets import GroundSet, pack_rows, row_masks
-from .setfn import (WAQ_WEIGHT_HIGH, Coverage, CutFunction, SetFunctionSpec,
-                    WeightedAdditiveQuadratic, nonnegative_certified, waq_cost)
+from .setfn import Coverage, CutFunction, SetFunctionSpec, WeightedAdditiveQuadratic
+
+RESAMPLE_LIMIT = 10_000
+WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
+
+
+def waq_cost(n: int) -> float:
+    """The quadratic cost of a random WAQ over n elements: the full ground
+    set has expected value 0 under weights drawn from [0, WAQ_WEIGHT_HIGH]."""
+    return (WAQ_WEIGHT_HIGH / 2.0) / n
+
+
+def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
+    """True iff sum_{i in S} w_i - cost|S|^2 >= 0 for every subset,
+    via the closed-form check on ascending prefix sums."""
+    asc = np.sort(weights)
+    prefix = np.cumsum(asc)
+    k = np.arange(1, len(weights) + 1)
+    return bool(np.min(prefix - cost * k * k) >= 0.0)
 
 
 def random_waq(n: int, rng: np.random.Generator) -> WeightedAdditiveQuadratic:
-    """Weighted additive with quadratic cost; resamples until non-negative."""
-    GroundSet(n)
-    cost = waq_cost(n)
-    while True:
-        w = np.sort(rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=n))
-        if nonnegative_certified(w, cost):
-            perm = rng.permutation(n)
-            return WeightedAdditiveQuadratic(
-                weights=tuple(float(x) for x in w[perm]), cost=cost)
+    """The WAQ of the first certified draw of n weights, in draw order;
+    RuntimeError after RESAMPLE_LIMIT draws."""
+    cost = waq_cost(GroundSet(n).n)
+    for _ in range(RESAMPLE_LIMIT):
+        weights = rng.uniform(0.0, WAQ_WEIGHT_HIGH, size=n)
+        if nonnegative_certified(weights, cost):
+            return WeightedAdditiveQuadratic(weights=tuple(weights.tolist()), cost=cost)
+    raise RuntimeError(f"non-negativity resampling exceeded {RESAMPLE_LIMIT} attempts")
 
 
 def random_coverage(n: int, rng: np.random.Generator, items: int | None = None) -> Coverage:

@@ -17,13 +17,6 @@ from .sets import ElementSet, GroundSet, all_mask_rows, map_chunks, mask_error, 
 from .sets import MULTILINEAR_BUDGET  # noqa: F401  (all_mask_rows checks it)
 
 CHECK_TOL = 1e-9
-WAQ_WEIGHT_HIGH = 20.0  # random WAQ weights are drawn from Uniform[0, WAQ_WEIGHT_HIGH]
-
-
-def waq_cost(n: int) -> float:
-    """The quadratic cost of a random WAQ over n elements: the full ground
-    set has expected value 0 under weights drawn from [0, WAQ_WEIGHT_HIGH]."""
-    return (WAQ_WEIGHT_HIGH / 2.0) / n
 
 
 def _left_sum(a: np.ndarray) -> np.ndarray:
@@ -108,18 +101,12 @@ class _ByteTables:
     0.0, so it is never -0.0)."""
 
     def __init__(self, weights: tuple[float, ...]):
-        self.weights = weights
         self.array = _byte_subset_tables(np.array(weights, dtype=np.float64), np.add)
         if len(self.array) <= _TUPLE_ROWS:
             self.tables = tuple(tuple(row.tolist()) for row in self.array)
         else:
             self.tables = tuple(memoryview(row) for row in self.array)
         self.sum_mask = _byte_fold(len(self.tables), "+", "0.0")(*self.tables)
-
-    def __reduce__(self):
-        # a memoryview cannot be pickled or deep-copied, nor a generated
-        # fold pickled; rebuild the tables
-        return (type(self), (self.weights,))
 
     @property
     def row_bytes(self) -> int:
@@ -142,12 +129,20 @@ class _ByteTables:
 # NaN.
 
 
+def _reduce_to_fields(family):
+    """Every family pickles and copies as its class and its init fields: its
+    tables hold memoryviews and a generated fold, which cannot be pickled, so
+    the copy rebuilds them on first use."""
+    return (type(family), tuple(getattr(family, f.name) for f in fields(family) if f.init))
+
+
 @dataclass(frozen=True)
 class WeightedAdditiveQuadratic:
     """f(S) = sum_{i in S} w_i - cost * |S|^2."""
 
     weights: tuple[float, ...]
     cost: float
+    __reduce__ = _reduce_to_fields
 
     def __post_init__(self):
         GroundSet(self.n)
@@ -194,15 +189,6 @@ class Modular(WeightedAdditiveQuadratic):
     cost: float = field(default=0.0, init=False)
 
 
-def nonnegative_certified(weights: np.ndarray, cost: float) -> bool:
-    """True iff sum_{i in S} w_i - cost|S|^2 >= 0 for every subset,
-    via the closed-form check on ascending prefix sums."""
-    asc = np.sort(weights)
-    prefix = np.cumsum(asc)
-    k = np.arange(1, len(weights) + 1)
-    return bool(np.min(prefix - cost * k * k) >= 0.0)
-
-
 # `Coverage` and the cut sum the weights of the items of the combined item
 # sets of a mask's elements (OR: the covered items; XOR: the crossing edges).
 # A family defines only its fields, its validation, `_item_sets()` (one int
@@ -214,11 +200,7 @@ class _IncidenceSum:
     """Base class: per-byte incidence tables, one set and a batch."""
 
     _combine: tuple
-
-    def __reduce__(self):
-        # a generated fold cannot be pickled; rebuild the family from its
-        # fields, and its tables on first use
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+    __reduce__ = _reduce_to_fields
 
     @cached_property
     def _tables(self) -> _ByteTables:
@@ -295,6 +277,8 @@ class CutFunction(_IncidenceSum):
 
     def __post_init__(self):
         object.__setattr__(self, "n_vertices", GroundSet(self.n_vertices).n)
+        object.__setattr__(self, "edges", tuple(
+            (operator.index(u), operator.index(v), w) for u, v, w in self.edges))
         for u, v, _ in self.edges:
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise ValueError(f"edge ({u}, {v}) outside [0, {self.n_vertices})")
@@ -344,12 +328,15 @@ def brute_force_opt(spec: SetFunctionSpec, feasible=None) -> tuple[ElementSet, f
     `feasible` is a matroid (or None for unconstrained).  Ties broken by
     the smallest mask, so the result is a deterministic test oracle.
     """
+    ground = GroundSet(spec.n)
+    if feasible is not None:
+        ground.check_same(feasible.ground, "matroid", "function")
     values = value_table(spec)
     if feasible is not None:
         ok = feasible.indep_masks(np.arange(1 << spec.n, dtype=np.int64))
         values = np.where(ok, values, -np.inf)
     best_mask = int(np.argmax(values))  # argmax returns the lowest mask on ties
-    return ElementSet(GroundSet(spec.n), best_mask), float(values[best_mask])
+    return ElementSet(ground, best_mask), float(values[best_mask])
 
 
 def check_submodular(spec: SetFunctionSpec) -> bool:

@@ -359,11 +359,11 @@ def test_instance_file_text(inst, lines):
 # the cut's crossing edges at n=40 and n=100 (13-byte masks).  Each family's
 # masks include the empty and the full set.
 FAMILY_VALUE_SHA256 = {
-    "waq70": "e05cf262ff8971f859aedde889cfb4aade46379500e7e8c90ea5a967320f176c",
-    "modular70": "f0777c2950c7312c9238d934bc6ec7639163b85e490ed1af404690e0748907e7",
-    "coverage30": "c36eb16649159e41049393a27428f90037ae0275a0d4576b0c66840c841382f0",
-    "cut40": "9fe3ed6e44ed6d71c64ac1faf1af8545168ee83bad05c44f4179801fb2744809",
-    "cut100": "37f7ce9f44d702346da15e42a1ceca7d874a7bb6173ad49a4bbabf2602bff862",
+    "waq70": "531d6143e78a21440a8d20252b114551097320e81049e833e07807dddb36f4ab",
+    "modular70": "21e6680d623659a2033920a4c95c719254c22775a3a1eef7e588140b563ba53f",
+    "coverage30": "a878dbe27ddd8906727fd293949487a51f933d0053e7a0060aca8d9c7615ee34",
+    "cut40": "008feeb433559c7f1a1176715fd678ef843ab5ed6cf3c9dde0e8f9bac7aa38cf",
+    "cut100": "214c2a4b0466f76a1b12bae50561c7fdd8b895f3617e879055ee026682de80fd",
 }
 
 
@@ -418,7 +418,7 @@ def test_smoothing_lemma_gap_digest():
 
 # The exact surrogate F(S) of acceptance criterion 08 on its 50 probes:
 # n=30 WAQ, H = the first h elements, (h, t) = (25, 5), as float.hex.
-SURROGATE_08_SHA256 = "9df21e816f976d7f9e8309876015a9d759de639b052f3887397f50e854bc59db"
+SURROGATE_08_SHA256 = "dc7a17bae2f36054d8f43174ab448adc028fd33d6b09e866ea62930b65166f0f"
 
 
 def _criterion_08_problem():

@@ -3,10 +3,9 @@ import pytest
 
 from noisysubmax.harness import (ExperimentSpec, generate_instance,
                                  optimum_exact, run_experiment, run_trial)
-from noisysubmax.random_instances import random_waq
+from noisysubmax.random_instances import nonnegative_certified, random_waq, waq_cost
 from noisysubmax.setfn import (Coverage, CutFunction, Modular, WeightedAdditiveQuadratic,
-                               brute_force_opt, nonnegative_certified, value_table,
-                               waq_cost)
+                               brute_force_opt, value_table)
 
 
 def test_spec_validation():
@@ -18,7 +17,7 @@ def test_spec_validation():
     assert spec.cost == pytest.approx(10.0 / 50)
 
 
-def test_both_waq_generators_take_the_cost_from_waq_cost():
+def test_the_waq_generator_and_the_spec_take_the_cost_from_waq_cost():
     for n in (1, 7, 50, 100):
         cost = waq_cost(n)
         assert cost == (20.0 / 2.0) / n

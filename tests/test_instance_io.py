@@ -1,5 +1,6 @@
 from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,6 +41,14 @@ def test_cut_roundtrip():
     assert roundtrip(Instance(function=fn)).function == fn
     empty = CutFunction(n_vertices=3, edges=())
     assert roundtrip(Instance(function=empty)).function == empty
+
+
+def test_cut_takes_numpy_endpoints_as_ints():
+    ends = np.array([[0, 1], [2, 2], [1, 3]], dtype=np.int64)
+    fn = CutFunction(n_vertices=4, edges=tuple((u, v, 0.5) for u, v in ends))
+    assert all(type(end) is int for u, v, _ in fn.edges for end in (u, v))
+    assert fn == CutFunction(n_vertices=4, edges=((0, 1, 0.5), (2, 2, 0.5), (1, 3, 0.5)))
+    assert roundtrip(Instance(function=fn)).function == fn
 
 
 def test_matroid_roundtrips():

@@ -1,12 +1,15 @@
 """The random instance generators: the block draws of `random_coverage` and
-`random_cut` against the loops with one scalar draw per decision, and the
-input errors of all three families."""
+`random_cut` against the loops with one scalar draw per decision, the
+harness's instances against `random_waq`, and the input errors of all three
+families."""
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from noisysubmax import random_instances
+from noisysubmax.harness import ExperimentSpec, generate_instance
 from noisysubmax.random_instances import random_coverage, random_cut, random_waq
 from reference import random_coverage_by_scalar_draws, random_cut_by_scalar_draws
 
@@ -46,6 +49,29 @@ def test_cut_blocks_match_scalar_draws(n, p, bitgen, seed):
     assert [(u, v, w.hex()) for u, v, w in got.edges] == \
         [(u, v, w.hex()) for u, v, w in want.edges]
     assert all(type(w) is float for _, _, w in got.edges)
+    assert rng.random().hex() == ref.random().hex()
+
+
+@given(st.integers(1, 100), bit_generators, seeds)
+@settings(max_examples=50, deadline=None)
+def test_generate_instance_draws_its_waq_through_random_waq(n, bitgen, seed):
+    rng, ref = _two_generators(bitgen, seed)
+    got, _ = generate_instance(ExperimentSpec(n=n, trials=1, h=1, t=0, m_values=(1,)), rng)
+    want = random_waq(n, ref)
+    assert [w.hex() for w in got.weights] == [w.hex() for w in want.weights]
+    assert got.cost == want.cost
+    # then the trial draws its noise seed
+    ref.integers(0, 2**63)
+    assert rng.random().hex() == ref.random().hex()
+
+
+def test_random_waq_gives_up_after_the_resample_limit(monkeypatch):
+    monkeypatch.setattr(random_instances, "RESAMPLE_LIMIT", 3)
+    monkeypatch.setattr(random_instances, "nonnegative_certified", lambda weights, cost: False)
+    rng, ref = _two_generators("pcg64", 0)
+    with pytest.raises(RuntimeError, match="exceeded 3 attempts"):
+        random_waq(5, rng)
+    ref.uniform(0.0, 20.0, size=(3, 5))  # three draws of five weights
     assert rng.random().hex() == ref.random().hex()
 
 

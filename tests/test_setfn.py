@@ -200,6 +200,15 @@ def test_cut_vertex_count_must_be_an_integer():
     assert type(n) is int and n == 3
 
 
+def test_cut_edge_endpoints_must_be_integers():
+    # before, the first edge was built and its first query raised, and the
+    # self-loop, never queried, was written to an instance file that could
+    # not be read back
+    for edge in ((0, 1.0, 2.0), (2.0, 2.0, 1.0)):
+        with pytest.raises(TypeError):
+            CutFunction(3, (edge,))
+
+
 def test_coverage_takes_numpy_covers_as_ints():
     covers = np.array([0b011, 0b100, 0b110], dtype=np.int64)
     spec = Coverage(covers=tuple(covers), item_weights=(1.0, 2.0, 3.0))
@@ -438,6 +447,20 @@ def test_families_on_both_row_kinds_survive_pickle_and_deepcopy(size):
             assert all(type(table) is row for table in twin._tables.tables)
             assert [twin.value_mask(m).hex() for m in masks] == want
             assert [v.hex() for v in twin.value_masks(rows).tolist()] == want
+
+
+def test_a_queried_family_pickles_as_its_fields():
+    # its tables are rebuilt on first use, not written out
+    rng = np.random.default_rng(5)
+    for make in (lambda: random_waq(10, np.random.default_rng(1)),
+                 lambda: Modular((1.0, -2.0, 0.5)),
+                 lambda: random_coverage(10, np.random.default_rng(2)),
+                 lambda: random_cut(10, np.random.default_rng(3))):
+        fresh, queried = make(), make()
+        queried.value_mask(0b101)
+        queried.value_masks(pack_rows(rng.random((4, queried.n)) < 0.5))
+        assert pickle.dumps(queried) == pickle.dumps(fresh)
+        assert pickle.loads(pickle.dumps(queried)) == fresh
 
 
 # The one-set sums and incidence combines are generated byte folds

@@ -366,6 +366,7 @@ def _mismatched_calls(other, rng):
         "meta_solve": lambda: meta_solve(noisy, meta_cfg, rng),
         "best_of_T": lambda: best_of_T(noisy, meta_cfg, 2, rng),
         "comparison_surrogate_f0": lambda: comparison_surrogate_f0(noisy, other.subset([0, 3])),
+        "brute_force_opt": lambda: brute_force_opt(spec, UniformMatroid(other, 2)),
     }
 
 

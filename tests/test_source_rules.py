@@ -42,6 +42,14 @@ def test_row_conversions_only_in_sets():
                  and path.name != "sets.py") == []
 
 
+def test_instances_are_drawn_only_in_random_instances():
+    # one module knows how a random instance is drawn, the benchmark's WAQ
+    # included: no `.uniform(` call under src/ outside random_instances.py
+    assert found(lambda node, path: isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute) and node.func.attr == "uniform"
+                 and path.name != "random_instances.py") == []
+
+
 def ground_size(node) -> bool:
     return (isinstance(node, ast.Attribute) and node.attr == "n"
             and isinstance(node.value, ast.Attribute) and node.value.attr == "ground")
