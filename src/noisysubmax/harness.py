@@ -21,9 +21,9 @@ from .matroids import UniformMatroid
 from .meta import MetaConfig, meta_solve
 from .noise import Gaussian, NoiseSpec, PersistentNoisyOracle
 from .oracles import ExactOracle
-from .random_instances import random_waq, waq_cost
+from .random_instances import random_waq
 from .sets import ElementSet, random_k_subset
-from .setfn import WeightedAdditiveQuadratic
+from .setfn import WeightedAdditiveQuadratic, _check_flag
 from .solvers import DoubleGreedy, double_greedy
 from .surrogate import check_surrogate_sizes
 
@@ -47,7 +47,9 @@ class ExperimentSpec:
         if len(set(m_values)) != len(m_values):
             raise ValueError(f"m_values must be distinct, got {m_values}")
         object.__setattr__(self, "m_values", m_values)
-        Gaussian(self.sigma2)  # rejects a NaN, infinite or negative variance
+        # a NaN, infinite or negative variance raises; the rest is a float
+        object.__setattr__(self, "sigma2", Gaussian(self.sigma2).sigma2)
+        object.__setattr__(self, "timing", _check_flag("timing", self.timing))
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.n < 1:
@@ -62,10 +64,6 @@ class ExperimentSpec:
             raise ValueError(f"h={self.h} exceeds the ground set size n={self.n}")
         for m in self.m_values:
             check_surrogate_sizes(self.h, self.t, m)
-
-    @property
-    def cost(self) -> float:
-        return waq_cost(self.n)
 
 
 @dataclass(frozen=True)

@@ -61,19 +61,37 @@ class Matroid:
                 room |= g
         return room & ~mask
 
+    @cached_property
+    def _group_of(self) -> tuple[int, ...]:
+        """The index in `_groups` of each free element's group (0 for an
+        element outside every group, which no scan keeps)."""
+        index = [0] * self.ground.n
+        for gi, (g, _) in enumerate(self._groups):
+            for i in mask_members(g):
+                index[i] = gi
+        return tuple(index)
+
     def greedy_mask(self, order, limit: int | None = None) -> int:
         """The matroid greedy scan: visit the elements of `order` and keep
         each one that leaves the kept mask independent, until `limit` are
-        kept (no limit when None)."""
+        kept (no limit when None).  `room` is `addable_mask` of the kept
+        mask, kept up to date: a kept element leaves it, and so does its
+        group once the group is full."""
+        group_of, left = self._group_of, [c for _, c in self._groups]
         mask = kept = 0
         room = self.addable_mask(mask)
         for i in order:
             if kept == limit:
                 break
             if room >> i & 1:
-                mask |= 1 << i
+                bit = 1 << i
+                mask |= bit
+                room ^= bit
                 kept += 1
-                room = self.addable_mask(mask)
+                gi = group_of[i]
+                left[gi] -= 1
+                if not left[gi]:
+                    room &= ~self._groups[gi][0]
         return mask
 
     def indep_masks(self, masks: np.ndarray) -> np.ndarray:

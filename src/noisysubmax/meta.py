@@ -26,7 +26,8 @@ class MetaConfig:
     matroid: Matroid
 
     def __post_init__(self):
-        check_surrogate_sizes(self.h, self.t, self.m)
+        for name, size in zip(("h", "t", "m"), check_surrogate_sizes(self.h, self.t, self.m)):
+            object.__setattr__(self, name, size)
         if self.h > self.matroid.rank():
             # silently shrinking h would corrupt experiment metadata
             raise ValueError(f"h={self.h} exceeds the matroid rank {self.matroid.rank()}")

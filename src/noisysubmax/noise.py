@@ -37,7 +37,7 @@ import numpy as np
 
 from .oracles import ValueOracle
 from .sets import GroundSet, check_rows, map_chunks, mask_error
-from .setfn import SetFunctionSpec, evaluate_mask
+from .setfn import SetFunctionSpec, _check_flag, evaluate_mask
 
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 2.0 ** -53
@@ -108,6 +108,7 @@ class Gaussian(_MappedInMath):
     def __post_init__(self):
         if not 0.0 <= self.sigma2 < math.inf:
             raise ValueError(f"sigma2 must be finite and >= 0, got {self.sigma2}")
+        object.__setattr__(self, "sigma2", float(self.sigma2))
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -131,6 +132,7 @@ class BoundedUniform:
     def __post_init__(self):
         if not 0.0 <= self.halfwidth < math.inf:
             raise ValueError(f"halfwidth must be finite and >= 0, got {self.halfwidth}")
+        object.__setattr__(self, "halfwidth", float(self.halfwidth))
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -162,6 +164,7 @@ class ShiftedExponential(_MappedInMath):
     def __post_init__(self):
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
+        object.__setattr__(self, "rate", float(self.rate))
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:
@@ -191,6 +194,10 @@ class NoiseSpec:
 
     distribution: NoiseDistribution
     clamp_negative: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "clamp_negative",
+                           _check_flag("clamp_negative", self.clamp_negative))
 
     @property
     def sub_exponential_params(self) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import numpy as np
 from .matroids import Matroid, max_weight_independent_set
 from .oracles import ValueOracle
 from .sets import ElementSet, GroundSet, all_mask_rows, mask_members, mask_rows, pack_rows
-from .setfn import _check_point, _inclusion_probs, _left_sum
+from .setfn import _check_flag, _check_point, _inclusion_probs, _left_sum
 
 POLYTOPE_TOL = 1e-9
 RATIO_UNDERFLOW = 1e-12
@@ -51,6 +51,8 @@ class MeasuredContinuousGreedy:
         object.__setattr__(self, "partial_samples", operator.index(self.partial_samples))
         if self.partial_samples < 1:
             raise ValueError("partial_samples must be >= 1")
+        object.__setattr__(self, "exact_extension",
+                           _check_flag("exact_extension", self.exact_extension))
 
     def solve(self, oracle: ValueOracle, m: Matroid, rng: np.random.Generator) -> ElementSet:
         x = measured_continuous_greedy(oracle, m, self, rng)
@@ -161,6 +163,19 @@ def _exact_partials(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _marginal_rows(drawn: np.ndarray, singles: np.ndarray) -> np.ndarray:
+    """The packed rows of one sampled step from its (k, samples, n) boolean
+    draws R, given the packed rows of the k free coordinates' singletons
+    {i}: for each coordinate i in turn, R_s + i for every sample s, then
+    R_s.  The draws are packed once, and i's bit is ORed into the bytes of
+    its R_s + i rows."""
+    packed = pack_rows(drawn)
+    rows = np.empty((len(packed), 2) + packed.shape[1:], dtype=np.uint8)
+    np.bitwise_or(packed, singles[:, None], out=rows[:, 0])
+    rows[:, 1] = packed
+    return rows.reshape(-1, packed.shape[-1])
+
+
 def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
                                cfg: MeasuredContinuousGreedy,
                                rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +193,9 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
     n = oracle.ground.n
     steps = round(1.0 / cfg.step)
     x = np.zeros(n)
-    free = np.array(m.free_elements(), dtype=np.intp)
+    members = m.free_elements()
+    free = np.array(members, dtype=np.intp)
+    singles = mask_rows([1 << i for i in members], n)
     k, samples = len(free), cfg.partial_samples
     if cfg.exact_extension:
         table = oracle.value_masks(all_mask_rows(n))
@@ -187,10 +204,8 @@ def measured_continuous_greedy(oracle: ValueOracle, m: Matroid,
             weights = _exact_partials(table, x) * (1.0 - x)
         else:
             # the same doubles as k draws of shape (samples, n) in turn
-            drawn = rng.random((k, samples, n)) < x
-            rows = np.concatenate([drawn, drawn], axis=1)
-            rows[np.arange(k)[:, None], np.arange(samples), free[:, None]] = True
-            values = oracle.value_masks(pack_rows(rows.reshape(-1, n))).reshape(k, 2 * samples)
+            rows = _marginal_rows(rng.random((k, samples, n)) < x, singles)
+            values = oracle.value_masks(rows).reshape(k, 2 * samples)
             weights = np.zeros(n)
             weights[free] = _left_sum(values[:, :samples] - values[:, samples:]) / samples
         # an element outside the free mask is never independent, so its

@@ -13,6 +13,7 @@ of its values equals `value_mask` of that set bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -53,9 +54,11 @@ def sample_t_subsets_without_replacement(H: ElementSet, t: int, m: int,
     return [ElementSet(H.ground, mask) for mask in masks]
 
 
-def check_surrogate_sizes(h: int, t: int, m: int) -> None:
-    """The sizes `SurrogateConfig` and `meta.MetaConfig` share:
-    0 <= t < h (t = 0 and m = 1 when h = 0) and 1 <= m <= C(h, t)."""
+def check_surrogate_sizes(h: int, t: int, m: int) -> tuple[int, int, int]:
+    """The sizes `SurrogateConfig` and `meta.MetaConfig` share, as ints
+    (TypeError for a size that is not an integer): 0 <= t < h (t = 0 and
+    m = 1 when h = 0) and 1 <= m <= C(h, t)."""
+    h, t, m = map(operator.index, (h, t, m))
     if m < 1:
         raise ValueError(f"need m >= 1 frozen samples, got m={m}")
     if h == 0:
@@ -65,6 +68,7 @@ def check_surrogate_sizes(h: int, t: int, m: int) -> None:
         raise ValueError(f"need 0 <= t < h, got t={t}, h={h}")
     if m > comb(h, t):
         raise ValueError(f"m={m} exceeds C({h},{t})")
+    return h, t, m
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,9 @@ class SurrogateConfig:
     fixed_samples: tuple[ElementSet, ...]
 
     def __post_init__(self):
-        check_surrogate_sizes(len(self.smoothing_set), self.t, self.m)
+        _, t, m = check_surrogate_sizes(len(self.smoothing_set), self.t, self.m)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "m", m)
         if len(self.fixed_samples) != self.m:
             raise ValueError("number of frozen samples differs from m")
         if len({hs.mask for hs in self.fixed_samples}) != self.m:

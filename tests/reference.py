@@ -298,6 +298,18 @@ def addable_mask_by_probes(m, mask: int) -> int:
                if not mask >> i & 1 and m.indep_mask(mask | 1 << i))
 
 
+def greedy_mask_by_probes(m, order, limit=None) -> int:
+    """`Matroid.greedy_mask` with one `indep_mask` probe per element of
+    `order` not yet kept, until `limit` are kept."""
+    mask = kept = 0
+    for i in order:
+        if kept == limit:
+            break
+        if not mask >> i & 1 and m.indep_mask(mask | 1 << i):
+            mask, kept = mask | 1 << i, kept + 1
+    return mask
+
+
 def arbitrary_basis_by_probes(m) -> int:
     """The mask of `matroids.arbitrary_basis` with one `indep_mask` probe
     per element, in ascending id order."""

@@ -10,8 +10,8 @@ from noisysubmax.setfn import Modular
 from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.solvers import RandomSubset
 
-from reference import (addable_mask_by_probes, arbitrary_basis_by_probes, max_weight_by_probes,
-                       random_subset_by_probes)
+from reference import (addable_mask_by_probes, arbitrary_basis_by_probes, greedy_mask_by_probes,
+                       max_weight_by_probes, random_subset_by_probes)
 
 
 def test_uniform_matroid():
@@ -195,6 +195,12 @@ def test_ground_mismatch_rejected():
         is_independent(m, ElementSet(GroundSet(6), 0b1))
 
 
+def random_parts(rng, n: int, labels: int) -> tuple[int, ...]:
+    """The part masks of n elements each given one of `labels` labels."""
+    drawn = rng.integers(labels, size=n)
+    return tuple(sum(1 << int(i) for i in np.flatnonzero(drawn == p)) for p in np.unique(drawn))
+
+
 @st.composite
 def matroids(draw):
     """A uniform, partition or (nested) contracted matroid on up to 70
@@ -202,9 +208,7 @@ def matroids(draw):
     n = draw(st.integers(1, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     g = GroundSet(n)
-    labels = rng.integers(draw(st.integers(1, 6)), size=n)
-    parts = tuple(sum(1 << int(i) for i in np.flatnonzero(labels == p))
-                  for p in np.unique(labels))
+    parts = random_parts(rng, n, draw(st.integers(1, 6)))
     caps = tuple(int(rng.integers(p.bit_count() + 1)) for p in parts)
     m = draw(st.sampled_from([UniformMatroid(g, int(rng.integers(n + 1))),
                               PartitionMatroid(g, parts, caps)]))
@@ -217,7 +221,38 @@ def matroids(draw):
     return m, rng
 
 
-@given(matroids())
+@st.composite
+def matroids_with_full_groups(draw):
+    """A uniform matroid of rank 0, a partition matroid with some caps 0, or
+    a contraction whose pinned set fills some groups of its base: matroids
+    with zero-capacity groups, on up to 70 elements."""
+    n = draw(st.integers(1, 70))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    g = GroundSet(n)
+    parts = random_parts(rng, n, draw(st.integers(1, 6)))
+    caps = tuple(0 if rng.random() < 0.4 else int(rng.integers(p.bit_count() + 1))
+                 for p in parts)
+    kind = draw(st.sampled_from(["uniform", "partition", "contracted"]))
+    if kind == "uniform":
+        return UniformMatroid(g, 0), rng
+    m = PartitionMatroid(g, parts, caps)
+    if kind == "contracted":
+        # pin each group's first `cap` members, or all but one of them
+        pinned = 0
+        for p, c in zip(parts, caps):
+            members = [i for i in range(n) if p >> i & 1]
+            pinned |= sum(1 << i for i in members[:max(0, c - int(rng.integers(2)))])
+        m = contract(m, ElementSet(g, pinned))
+    return m, rng
+
+
+# the scans under test keep each group's remaining capacity and drop a full
+# group's elements from the addable set; the probes test every element
+# against the whole mask
+ANY_MATROID = st.one_of(matroids(), matroids_with_full_groups())
+
+
+@given(ANY_MATROID)
 @settings(max_examples=150, deadline=None)
 def test_addable_mask_equals_per_element_probes(case):
     m, rng = case
@@ -237,7 +272,7 @@ def test_addable_mask_equals_per_element_probes(case):
     assert max_weight_independent_set(m, weights).mask == max_weight_by_probes(m, weights)
 
 
-@given(matroids(), st.integers(0, 72), st.integers(0, 2**32))
+@given(ANY_MATROID, st.integers(0, 72), st.integers(0, 2**32))
 @settings(max_examples=150, deadline=None)
 def test_random_subset_equals_random_order_probes(case, size, seed):
     m, _ = case
@@ -249,3 +284,13 @@ def test_random_subset_equals_random_order_probes(case, size, seed):
     # the same permutation draw, so both leave the stream in one state
     assert rng.random() == want_rng.random()
     assert m.indep_mask(got.mask) and len(got) == min(size, m.rank())
+
+
+@given(ANY_MATROID)
+@settings(max_examples=150, deadline=None)
+def test_greedy_scan_equals_per_element_probes_in_any_order(case):
+    # repeated elements, elements outside every group, and any limit
+    m, rng = case
+    order = rng.integers(m.ground.n, size=2 * m.ground.n).tolist()
+    for limit in (None, 0, 1, m.rank() // 2, m.rank()):
+        assert m.greedy_mask(order, limit) == greedy_mask_by_probes(m, order, limit)

@@ -16,7 +16,7 @@ from noisysubmax.oracles import ValueOracle
 from noisysubmax.sets import ElementSet, GroundSet
 from noisysubmax.setfn import Modular, brute_force_opt, evaluate
 from noisysubmax.solvers import DoubleGreedy, Greedy, double_greedy
-from noisysubmax.surrogate import SurrogateConfig
+from noisysubmax.surrogate import SurrogateConfig, check_surrogate_sizes
 
 from reference import RecordingOracle, comparison_by_single_queries
 from table_oracle import TableOracle
@@ -286,3 +286,30 @@ def test_comparison_surrogate_batch_queries_like_the_single_query_loop(family, n
     assert comparison_surrogate_f0(batched, s).hex() == want.hex()
     assert batched.queries == single.queries
     assert comparison_surrogate_f0(o, s).hex() == want.hex()
+
+
+@pytest.mark.parametrize("sizes", [dict(h=3, t=1, m=2.5), dict(h=3.0, t=1, m=2),
+                                   dict(h=3, t=1.0, m=2)])
+def test_meta_and_surrogate_sizes_must_be_integers(sizes):
+    # MetaConfig(m=2.5) was accepted, and meta_solve then failed inside numpy
+    g = GroundSet(10)
+    with pytest.raises(TypeError):
+        MetaConfig(**sizes, inner=DoubleGreedy(), matroid=UniformMatroid(g, 5))
+    with pytest.raises(TypeError):
+        check_surrogate_sizes(sizes["h"], sizes["t"], sizes["m"])
+    if type(sizes["h"]) is int:
+        samples = (g.subset([0]), g.subset([1]))
+        with pytest.raises(TypeError):
+            SurrogateConfig(g.subset(range(3)), sizes["t"], sizes["m"], samples)
+
+
+def test_meta_and_surrogate_sizes_are_stored_as_ints():
+    g = GroundSet(10)
+    cfg = MetaConfig(h=np.int64(3), t=np.int32(1), m=np.int64(2), inner=DoubleGreedy(),
+                     matroid=UniformMatroid(g, 5))
+    assert (cfg.h, cfg.t, cfg.m) == (3, 1, 2)
+    assert all(type(size) is int for size in (cfg.h, cfg.t, cfg.m))
+    surrogate = SurrogateConfig.draw(g.subset(range(3)), np.int8(1), np.int64(2),
+                                     np.random.default_rng(0))
+    assert (type(surrogate.t), type(surrogate.m)) == (int, int)
+    assert check_surrogate_sizes(np.int64(3), np.int64(1), np.int64(2)) == (3, 1, 2)

@@ -304,3 +304,31 @@ def test_multipliers_equal_the_scalar_multiplier(dist, clamp, seed, size):
     want = np.array([noise.multiplier(a, b) for a, b in zip(u_open.tolist(), u_half.tolist())],
                     dtype=np.float64)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_clamp_negative_must_be_a_bool():
+    # the string "no" is true, so it once clamped and was written to an
+    # instance file as `clamp_negative = true`
+    for bad in ("no", None, 0, 1):
+        with pytest.raises(TypeError, match="clamp_negative must be True or False"):
+            NoiseSpec(Gaussian(0.1), bad)
+    for flag in (True, False, np.True_, np.False_):
+        got = NoiseSpec(Gaussian(0.1), flag).clamp_negative
+        assert type(got) is bool and got == flag
+
+
+@pytest.mark.parametrize("dist, field", [(Gaussian, "sigma2"), (BoundedUniform, "halfwidth"),
+                                         (ShiftedExponential, "rate")])
+def test_distribution_parameters_are_python_floats(dist, field):
+    # a numpy scalar parameter made every one-set noisy value an np.float64
+    spec = random_cut(12, np.random.default_rng(3))
+    for value in (np.float64(0.5), np.float32(0.5), 1, 0.5):
+        param = getattr(dist(value), field)
+        assert type(param) is float and param == float(value)
+        oracle = PersistentNoisyOracle(spec, NoiseSpec(dist(value)), 5)
+        plain = PersistentNoisyOracle(spec, NoiseSpec(dist(float(value))), 5)
+        for mask in (0, 0b1011, (1 << 12) - 1):
+            assert type(oracle.value_mask(mask)) is float
+            assert oracle.value_mask(mask).hex() == plain.value_mask(mask).hex()
+    with pytest.raises(TypeError):
+        dist("0.5")

@@ -340,6 +340,27 @@ def test_families_reject_non_finite_weights(bad):
             make()
 
 
+def test_family_weights_are_python_floats():
+    # numpy weights made a WAQ unhashable, its == raise "truth value ... is
+    # ambiguous" and its optimum an np.float64
+    waq = WeightedAdditiveQuadratic(np.array([3.0, 1.0, 2.0]), np.float64(0.5))
+    assert waq == WeightedAdditiveQuadratic((3.0, 1.0, 2.0), 0.5)
+    assert hash(waq) == hash(WeightedAdditiveQuadratic((3.0, 1.0, 2.0), 0.5))
+    assert type(waq.cost) is float and all(type(w) is float for w in waq.weights)
+    assert type(waq.optimum()[1]) is float and type(waq.value_mask(0b101)) is float
+    modular = Modular(np.array([1.5, -2.0]))
+    assert modular.weights == (1.5, -2.0) and type(modular.weights[0]) is float
+    cover = Coverage((0b1, 0b11), np.array([1.0, 2.5], dtype=np.float32))
+    assert cover.item_weights == (1.0, 2.5) and type(cover.item_weights[0]) is float
+    cut = CutFunction(3, ((0, 1, np.float64(1.25)), (1, 2, 2)))
+    assert cut.edges == ((0, 1, 1.25), (1, 2, 2.0))
+    assert all(type(w) is float for _, _, w in cut.edges)
+    for make in (lambda: Modular(("1.0",)), lambda: Coverage((0b1,), ("1.0",)),
+                 lambda: CutFunction(2, ((0, 1, "1.0"),))):
+        with pytest.raises(TypeError):
+            make()
+
+
 def test_families_reject_an_empty_ground_set():
     for make in (lambda: WeightedAdditiveQuadratic((), 0.5), lambda: Modular(()),
                  lambda: Coverage((), ()), lambda: CutFunction(0, ())):
@@ -733,3 +754,91 @@ def test_coverage_table_at_the_budget_with_40_items():
 def test_coverage_table_with_more_items_than_a_word():
     spec = random_coverage(12, np.random.default_rng(18), items=70)
     assert_table_matches_value_mask(spec, range(1 << 12))
+
+
+# The batch sum adds byte by byte over whole rows from `_TERMWISE_ROWS` rows
+# up and accumulates along each row below; both must make the additions of
+# the one-set loop over a row's bytes.  The row counts reach one row and
+# both sides of the crossover.
+
+def sum_rows_counts():
+    cross = setfn._TERMWISE_ROWS
+    return st.sampled_from((1, cross - 1, cross, cross + 1, 3 * cross + 5))
+
+
+@given(st.integers(0, 30), sum_rows_counts(), st.lists(_FOLD_FLOATS, min_size=1, max_size=8),
+       st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_sum_rows_equals_the_byte_loop_on_both_sides_of_the_crossover(width, count, pool, seed):
+    # table entries of -0.0, 5e-324 and ±1e300, whose sums cancel, round
+    # and overflow; a family's own tables never hold -0.0, so the entries
+    # are written into the array that `sum_rows` reads
+    rng = np.random.default_rng(seed)
+    tables = setfn._ByteTables((0.0,) * 8 * width)
+    tables.array[...] = np.array(pool)[rng.integers(len(pool), size=tables.array.shape)]
+    rows = rng.integers(256, size=(count, width), dtype=np.uint8)
+    entries = tables.array.tolist()
+    want = [byte_fold_by_loop(entries, "+", 0.0, m).hex() for m in row_masks(rows)]
+    got = tables.sum_rows(rows)
+    assert got.dtype == np.float64 and got.shape == (count,)
+    assert [v.hex() for v in got.tolist()] == want
+
+
+@st.composite
+def weighted_family_and_rows(draw, kinds=("modular", "coverage", "cut")):
+    """A `Modular`, coverage or cut whose weights come from a pool with
+    -0.0, 5e-324 and ±1e300, and packed rows over it, as many as
+    `sum_rows_counts` draws."""
+    kind = draw(st.sampled_from(kinds))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    pool = draw(st.lists(_FOLD_FLOATS, min_size=1, max_size=8))
+    n = draw(st.integers(1, 48))
+
+    def weights(size):
+        return tuple(pool[j] for j in rng.integers(len(pool), size=size).tolist())
+    if kind == "modular":
+        spec = Modular(weights(n))
+    elif kind == "coverage":
+        items = draw(st.integers(0, 120))
+        covers = row_masks(pack_rows(rng.random((n, items)) < 0.3))
+        spec = Coverage(tuple(covers), weights(items))
+    else:
+        ends = rng.integers(n, size=(draw(st.integers(0, 150)), 2)).tolist()
+        spec = CutFunction(n, tuple((u, v, w) for (u, v), w in zip(ends, weights(len(ends)))))
+    count = draw(sum_rows_counts())
+    return spec, pack_rows(rng.random((count, n)) < rng.random((count, 1)))
+
+
+@given(weighted_family_and_rows())
+@settings(max_examples=150, deadline=None)
+def test_family_batches_equal_the_one_set_fold_on_both_sides_of_the_crossover(case):
+    spec, rows = case
+    tables = spec._tables
+    summed = rows if isinstance(spec, Modular) else spec._combined_rows(rows)
+    want = [byte_fold_by_loop(tables.tables, "+", 0.0, m).hex() for m in row_masks(summed)]
+    assert [v.hex() for v in tables.sum_rows(summed).tolist()] == want
+    got = spec.value_masks(rows)
+    assert [v.hex() for v in got.tolist()] == [spec.value_mask(m).hex() for m in row_masks(rows)]
+
+
+@given(weighted_family_and_rows(("coverage", "cut")))
+@settings(max_examples=100, deadline=None)
+def test_combined_rows_equal_the_one_set_fold(case):
+    # the OR or XOR of whole incidence-table rows per element byte, against
+    # the int fold of one mask
+    spec, rows = case
+    combined = spec._combined_rows(rows)
+    items = len(spec._item_weights())
+    assert combined.dtype == np.uint8 and combined.shape == (len(rows), (items + 7) // 8)
+    assert row_masks(combined) == [spec._items_mask(m) for m in row_masks(rows)]
+
+
+@pytest.mark.parametrize("width", [1, 5, 24])
+def test_sum_rows_keeps_its_row_bytes(width):
+    # above the crossover a row keeps one 8-byte flat index and one 8-byte
+    # float per summed byte, and `row_bytes` counts both; the bound leaves
+    # 1 KiB for the arrays' headers
+    tables = setfn._ByteTables(tuple(np.random.default_rng(width).random(8 * width).tolist()))
+    assert tables.row_bytes == 16 * width
+    rows = np.random.default_rng(0).integers(256, size=(4096, width), dtype=np.uint8)
+    assert peak_beyond_output(tables.sum_rows, rows) <= len(rows) * tables.row_bytes + 1024

@@ -12,11 +12,11 @@ from noisysubmax.noise import BoundedUniform, Gaussian, NoiseSpec, PersistentNoi
 from noisysubmax.oracles import ExactOracle
 from noisysubmax.random_instances import (random_coverage, random_cut,
                                           random_submodular, random_waq)
-from noisysubmax.sets import ElementSet, GroundSet, mask_rows
+from noisysubmax.sets import ElementSet, GroundSet, mask_rows, pack_rows
 from noisysubmax.setfn import (MULTILINEAR_BUDGET, Modular, brute_force_opt, evaluate,
                                multilinear_exact)
 from noisysubmax.solvers import (DoubleGreedy, Greedy, MeasuredContinuousGreedy,
-                                 RandomSubset, _exact_partials,
+                                 RandomSubset, _exact_partials, _marginal_rows,
                                  double_greedy, greedy_cardinality,
                                  measured_continuous_greedy, pipage_round,
                                  run_solver)
@@ -109,6 +109,16 @@ def test_mcg_partial_samples_must_be_an_integer():
         MeasuredContinuousGreedy(step=0.1, partial_samples=2.0)
     samples = MeasuredContinuousGreedy(step=0.1, partial_samples=np.int64(4)).partial_samples
     assert type(samples) is int and samples == 4
+
+
+def test_mcg_exact_extension_must_be_a_bool():
+    # the string "no" is true, so it once took the 2^n path
+    for bad in ("no", None, 0, 1):
+        with pytest.raises(TypeError, match="exact_extension must be True or False"):
+            MeasuredContinuousGreedy(step=0.1, exact_extension=bad)
+    for flag in (True, False, np.True_, np.False_):
+        got = MeasuredContinuousGreedy(step=0.1, exact_extension=flag).exact_extension
+        assert type(got) is bool and got == flag
 
 
 def test_random_subset_size_must_be_an_integer():
@@ -210,6 +220,28 @@ def test_mcg_sampled_weights_match_the_loop_reference(monkeypatch):
     measured_continuous_greedy(ExactOracle(spec), m, cfg, np.random.default_rng(5))
     want = sampled_weights_by_loop(ExactOracle(spec), m, cfg, np.random.default_rng(5))
     assert [w.tobytes() for w in seen] == [w.tobytes() for w in want]
+
+
+def marginal_rows_from_boolean_rows(drawn, free):
+    """A step's rows as boolean rows, packed after i's column is set in the
+    R_s + i rows: the rows `_marginal_rows` packs once."""
+    k, samples, n = drawn.shape
+    rows = np.concatenate([drawn, drawn], axis=1)
+    rows[np.arange(k)[:, None], np.arange(samples), free[:, None]] = True
+    return pack_rows(rows.reshape(-1, n))
+
+
+@given(st.integers(1, 100), st.integers(1, 8), st.integers(0, 2**32))
+@settings(max_examples=100, deadline=None)
+def test_mcg_packed_step_rows_equal_the_packed_boolean_rows(n, samples, seed):
+    # free elements in ascending order, some of them drawn already, at n up
+    # to 100 so that set bits fall in every byte of a 13-byte row
+    rng = np.random.default_rng(seed)
+    free = np.flatnonzero(rng.random(n) < rng.random()).astype(np.intp)
+    drawn = rng.random((len(free), samples, n)) < rng.random(n)
+    got = _marginal_rows(drawn, mask_rows([1 << int(i) for i in free], n))
+    assert got.dtype == np.uint8 and got.shape == (2 * len(free) * samples, (n + 7) // 8)
+    assert got.tobytes() == marginal_rows_from_boolean_rows(drawn, free).tobytes()
 
 
 def test_mcg_with_no_free_element():
